@@ -1,10 +1,10 @@
 """SIMP-penalized tangent stiffness, internal forces, and residuals.
 
 A FeModel binds a mesh, a load case, and a material.  The sparsity pattern
-over free DOFs is computed once; every assembly rewrites values on that
-pattern.  All element loops are vectorized; since the grid elements are
-congruent, the shape-derivative matrices at the Gauss points are shared
-across elements.
+over free DOFs and its band-reducing order are computed once; every
+assembly rewrites values on that pattern.  All element loops are
+vectorized; since the grid elements are congruent, the shape-derivative
+matrices at the Gauss points are shared across elements.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import material as mat_mod
 from .errors import NonPositiveJacobianError
 from .material import MaterialParams, gauss_shape_gradients
 from .mesh import LoadCase, Mesh
-from .sparse import SparseSym
+from .sparse import BandOrder, SparseSym
 
 
 @dataclass
@@ -117,6 +117,14 @@ class FeModel:
         self._fkeep = fvec >= 0
         self._fidx = fvec[self._fkeep]
 
+        # sweep along the longer grid axis, then the shorter one, then the
+        # component: every element then couples free DOFs at most
+        # 2 * min(nx, ny) + 5 positions apart, the factorization's band
+        node, comp = np.divmod(self.mesh.free, 2)
+        iy, ix = np.divmod(node, self.mesh.nx + 1)
+        keys = (comp, iy, ix) if self.mesh.nx >= self.mesh.ny else (comp, ix, iy)
+        self._order = BandOrder(np.lexsort(keys))
+
     # -- kinematics ------------------------------------------------------
     def displacement_full(self, u_free: np.ndarray) -> np.ndarray:
         return self.mesh.scatter(u_free)
@@ -190,7 +198,8 @@ class FeModel:
         data = np.bincount(self._kidx, weights=scaled.ravel()[self._keep],
                            minlength=self._nnz)
         data[self._diag_pos] += self.spring_free
-        return SparseSym(self.mesh.n_free, self._indptr, self._indices, data)
+        return SparseSym(self.mesh.n_free, self._indptr, self._indices, data,
+                         self._order)
 
     def potential_energy(self, rho, p, u_free) -> float:
         """Total potential; the residual is its gradient in u."""
@@ -219,7 +228,8 @@ class FeModel:
         data = np.bincount(self._kidx, weights=scaled.ravel()[self._keep],
                            minlength=self._nnz)
         data[self._diag_pos] += self.spring_free
-        return SparseSym(self.mesh.n_free, self._indptr, self._indices, data)
+        return SparseSym(self.mesh.n_free, self._indptr, self._indices, data,
+                         self._order)
 
 
 # -- single-element operations (convenience and test surface) --------------

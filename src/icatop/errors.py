@@ -13,7 +13,10 @@ class NonPositiveJacobianError(ArithmeticError):
 
 
 class SingularMatrixError(RuntimeError):
-    """The factorization hit an exactly singular pivot."""
+    """The factorization met non-finite values or an exactly zero pivot.
+
+    Not recovered: ``optimize`` ends the run as aborted, keeping its history.
+    """
 
 
 class NewtonConvergenceError(RuntimeError):

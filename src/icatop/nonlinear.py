@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NewtonConvergenceError, NonPositiveJacobianError
 from .reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 from .sparse import ldlt_factor
+from .timing import NullTimers
 
 
 class Strategy(enum.Enum):
@@ -155,12 +156,6 @@ def predicted_factorizations(strategy: Strategy, newton_iters_per_outer,
     return total
 
 
-class _NullTimer:
-    def scope(self, name):
-        import contextlib
-        return contextlib.nullcontext()
-
-
 def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                  ctx: ReanalysisContext, outer_iter: int, *,
                  tol: float = 1e-5, max_iter: int = 50, eps_R: float = 1e-2,
@@ -185,7 +180,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     dozens of iterations with a formally tiny linear residual.  Modified
     Newton is exempt: creeping is its definition.
     """
-    timers = timers or _NullTimer()
+    timers = timers or NullTimers()
     stats = NewtonStats()
     u = np.array(u0_free, dtype=float, copy=True)
     rho = np.asarray(rho, dtype=float)
@@ -317,7 +312,7 @@ def linear_equilibrium(model, rho, p, timers=None):
     Returns (u, NewtonStats) with a stats object mirroring the nonlinear
     path (one factorization, zero Newton iterations of the outer kind).
     """
-    timers = timers or _NullTimer()
+    timers = timers or NullTimers()
     stats = NewtonStats(converged=True)
     with timers.scope("K_T"):
         K = model.linear_tangent(rho, p)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FeModel
-from .errors import InfeasibleSubproblemError, NewtonConvergenceError
+from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
+                     SingularMatrixError)
 from .filtering import build_filter
 from .nonlinear import Strategy, linear_equilibrium, newton_solve
 from .reanalysis import ReanalysisContext
@@ -220,13 +221,11 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                     delta_period=config.delta_period,
                     full_newton_until=config.full_newton_until,
                     monitor_normB=config.monitor_normB, timers=timers)
+        except SingularMatrixError:
+            return _aborted(history, rho_design, filt, timers)
         except NewtonConvergenceError:
             if retried or prev is None:
-                history.aborted = True
-                history.rho_design = rho_design
-                history.rho_phys = filt.apply(rho_design)
-                history.timing_table = timers.table()
-                return history
+                return _aborted(history, rho_design, filt, timers)
             # back off once: halve the move limit and redo the last update
             retried = True
             move *= 0.5
@@ -238,22 +237,24 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
         F = float(l_free @ u_new)
 
-        with timers.scope("grad F(rho)"):
-            if problem.linear:
-                # the equilibrium factorization serves the adjoint as well
+        if problem.linear:
+            # the equilibrium factorization serves the adjoint as well
+            with timers.scope("Linear systems"):
                 lam = nstats.factorization.solve(-l_free)
-                grad_phys = objective_gradient_linear(model, rho_phys, p,
-                                                      u_new, lam)
-                adj_factored = False
-                adj_fallback = False
-            else:
+            gradient = objective_gradient_linear
+            adj_factored = adj_fallback = False
+        else:
+            try:
                 adj = solve_adjoint(model, rho_phys, p, u_new, l_free,
-                                    config.strategy, ctx,
-                                    eps_T=config.eps_T, k_max=config.ica_kmax)
-                grad_phys = objective_gradient(model, rho_phys, p, u_new,
-                                               adj.lam)
-                adj_factored = adj.factored
-                adj_fallback = adj.fallback
+                                    config.strategy, ctx, eps_T=config.eps_T,
+                                    k_max=config.ica_kmax, timers=timers)
+            except SingularMatrixError:
+                return _aborted(history, rho_design, filt, timers)
+            lam = adj.lam
+            gradient = objective_gradient
+            adj_factored, adj_fallback = adj.factored, adj.fallback
+        with timers.scope("grad F(rho)"):
+            grad_phys = gradient(model, rho_phys, p, u_new, lam)
             grad_design = filt.backpropagate(grad_phys)
 
         with timers.scope("Subproblem solving"):
@@ -294,7 +295,17 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         rho_design = sub.rho_new
         retried = False
 
+    return _finished(history, rho_design, filt, timers)
+
+
+def _finished(history: RunHistory, rho_design, filt, timers) -> RunHistory:
     history.rho_design = rho_design
     history.rho_phys = filt.apply(rho_design)
     history.timing_table = timers.table()
     return history
+
+
+def _aborted(history: RunHistory, rho_design, filt, timers) -> RunHistory:
+    """Typed abort: the history so far, flagged, with the last design."""
+    history.aborted = True
+    return _finished(history, rho_design, filt, timers)

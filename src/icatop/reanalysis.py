@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .sparse import Factorization, SparseSym, delta_apply, ldlt_factor
+from .timing import NullTimers
 
 
 @dataclass
@@ -41,8 +42,7 @@ class ReanalysisContext:
     current values and resets the reuse counters.
     """
 
-    def __init__(self, K0: SparseSym = None, ordering: str = "amd"):
-        self.ordering = ordering
+    def __init__(self, K0: SparseSym = None):
         self.K0 = None
         self.Kcur = None
         self.factorization: Factorization = None
@@ -61,7 +61,7 @@ class ReanalysisContext:
     def set_reference(self, K: SparseSym, stamp=None) -> None:
         """Factor K and restart the approximation at dK = 0."""
         self.K0 = K.copy()
-        self.factorization = ldlt_factor(self.K0, self.ordering)
+        self.factorization = ldlt_factor(self.K0)
         self.factorization.stamp = stamp
         self.Kcur = self.K0.copy()
         self.newton_since_factor = 0
@@ -123,22 +123,28 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
 
 
 def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8,
-                      k_max: int = 10):
+                      k_max: int = 10, timers=None):
     """Solve Kcur lam = -l iteratively, with a direct fallback.
 
     The caller must have refreshed the context so Kcur holds the tangent at
     the converged equilibrium state.  On non-convergence the context is
-    refactored from Kcur and the system solved exactly.
+    refactored from Kcur and the system solved exactly.  The sweeps and
+    solves are booked under "Linear systems", the fallback factorization
+    under "Factorizations".
     """
+    timers = timers or NullTimers()
     l = np.asarray(l, dtype=float)
-    lam, rep = ica_solve(ctx, -l, eps_T, k_max)
+    with timers.scope("Linear systems"):
+        lam, rep = ica_solve(ctx, -l, eps_T, k_max)
     if rep.converged:
         return lam, rep
-    ctx.set_reference(ctx.Kcur)
+    with timers.scope("Factorizations"):
+        ctx.set_reference(ctx.Kcur)
     ctx.fallback_count += 1
-    lam = ctx.solve_reference(-l)
-    norm_l = np.abs(l).max()
-    res = np.abs(ctx.Kcur.matvec(lam) + l).max() / norm_l if norm_l else 0.0
+    with timers.scope("Linear systems"):
+        lam = ctx.solve_reference(-l)
+        norm_l = np.abs(l).max()
+        res = np.abs(ctx.Kcur.matvec(lam) + l).max() / norm_l if norm_l else 0.0
     return lam, IcaReport(rep.iterations, float(res), True, fallback=True)
 
 

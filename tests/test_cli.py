@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from icatop import optimizer, reanalysis, sensitivity
 from icatop.cli import main, read_config_file
+from icatop.errors import SingularMatrixError
 from icatop.timing import CATEGORIES
 
 
@@ -149,6 +151,34 @@ def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     assert (out / "report.json").exists()
     assert (out / "density.pgm").exists()
     assert json.loads((out / "report.json").read_text())["aborted"] is True
+
+
+@pytest.mark.parametrize("site", [reanalysis, sensitivity],
+                         ids=["newton", "adjoint"])
+def test_singular_factorization_aborts_with_artifacts(tmp_path, monkeypatch,
+                                                      site):
+    real_newton, real_factor = optimizer.newton_solve, site.ldlt_factor
+    outer = {}
+
+    def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+        outer["t"] = outer_iter
+        return real_newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+    def factor(K):
+        if outer["t"] == 3:
+            raise SingularMatrixError("injected zero pivot")
+        return real_factor(K)
+
+    monkeypatch.setattr(optimizer, "newton_solve", newton)
+    monkeypatch.setattr(site, "ldlt_factor", factor)
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", "N", "--budget", "5")
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted"] is True
+    assert report["outer_iterations"] == 2
+    assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+    assert (out / "density.pgm").exists()
 
 
 class TestCompare:

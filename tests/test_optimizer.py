@@ -214,6 +214,16 @@ class TestOptimizeLoop:
         assert h.iterations == 0
         assert h.rho_phys is not None       # partial state still reported
 
+    @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.UPK03K100G])
+    def test_factorizations_booked_in_their_scope(self, factor_scopes,
+                                                  strategy):
+        # the adjoint's factorizations too, and no category inside another
+        prob = bench.build("cantilever", mesh=(20, 5))
+        h = optimize(prob, OptimizerConfig(strategy=strategy, budget=8))
+        assert len(factor_scopes.at_factor) == h.total("factorizations")
+        assert set(factor_scopes.at_factor) == {("Factorizations",)}
+        assert not factor_scopes.nested
+
     def test_newton_failure_halves_move_and_retries(self, monkeypatch):
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError

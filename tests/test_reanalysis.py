@@ -121,14 +121,18 @@ class TestAdjointSolve:
         assert loose.converged and tight.converged
         assert tight.iterations >= loose.iterations
 
-    def test_fallback_factors_and_solves_exactly(self):
+    def test_fallback_factors_and_solves_exactly(self, factor_scopes):
         rng = np.random.default_rng(8)
         K0, Kc, K0d, Kcd = make_pair(rng, 20, 0.9)   # too slow for 1e-8 in 10
         ctx = ReanalysisContext(K0)
         ctx.refresh_delta(Kc)
         l = rng.standard_normal(20)
-        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8)
+        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8,
+                                     timers=factor_scopes.timers())
         assert rep.fallback and rep.converged
+        # the fallback factorization is booked as one, outside the sweeps
+        assert factor_scopes.at_factor[-1] == ("Factorizations",)
+        assert not factor_scopes.nested
         assert ctx.fallback_count == 1
         assert np.abs(Kc.matvec(lam) + l).max() <= 1e-10 * np.abs(l).max()
         # the context was refactored from the current values

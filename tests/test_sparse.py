@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from conftest import make_cantilever_model
 from icatop.errors import SingularMatrixError
-from icatop.sparse import (Factorization, SparseSym, delta_apply, ldlt_factor,
-                           solve, write_matrix_market)
+from icatop.sparse import (BandOrder, Factorization, SparseSym, delta_apply,
+                           ldlt_factor, solve, write_matrix_market)
 
 
 def random_spd(rng, n):
@@ -70,9 +72,11 @@ def test_ordering_invariance():
     A = random_spd(rng, 25)
     K = SparseSym.from_dense(A)
     b = rng.standard_normal(25)
-    x_amd = ldlt_factor(K, ordering="amd").solve(b)
-    x_nat = ldlt_factor(K, ordering="natural").solve(b)
-    assert np.abs(x_amd - x_nat).max() <= 1e-12 * max(1.0, np.abs(x_amd).max())
+    x_nat = ldlt_factor(K).solve(b)
+    for order in (BandOrder(np.arange(25)), BandOrder(rng.permutation(25))):
+        x = ldlt_factor(SparseSym(25, K.indptr, K.indices, K.data,
+                                  order)).solve(b)
+        assert np.abs(x - x_nat).max() <= 1e-12 * max(1.0, np.abs(x_nat).max())
 
 
 def test_repeated_solves_bitwise_identical():
@@ -89,6 +93,63 @@ def test_singular_matrix_raises():
         ([1.0, 1.0, 0.0], ([0, 1, 2], [0, 1, 2])), shape=(3, 3)))
     with pytest.raises(SingularMatrixError):
         ldlt_factor(K)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_raise(bad):
+    A = random_spd(np.random.default_rng(7), 6)
+    A[2, 3] = A[3, 2] = bad
+    with pytest.raises(SingularMatrixError):
+        ldlt_factor(SparseSym.from_dense(A))
+
+
+@pytest.mark.parametrize("nx, ny", [(30, 10), (8, 30)])
+class TestFeModelTangents:
+    """Tangents on the model's own pattern and sweep order; the two meshes
+    take the two branches of the order (longer axis x, longer axis y)."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(8)
+
+    def tangent(self, nx, ny):
+        model = make_cantilever_model(nx, ny)
+        rho = self.rng.uniform(0.2, 1.0, model.mesh.n_el)
+        return model.tangent(rho, 3.0, np.zeros(model.mesh.n_free))
+
+    def check_against_spsolve(self, K):
+        b = self.rng.standard_normal(K.n)
+        x = ldlt_factor(K).solve(b)
+        expect = spla.spsolve(K.to_csr().tocsc(), b)
+        assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    def test_band_within_sweep_bound(self, nx, ny):
+        K = self.tangent(nx, ny)
+        pos = np.empty(K.n, dtype=int)
+        pos[K.order.perm] = np.arange(K.n)
+        rows = np.repeat(np.arange(K.n), np.diff(K.indptr))
+        band = np.abs(pos[rows] - pos[K.indices]).max()
+        assert band <= 2 * min(nx, ny) + 5
+        # the stored entries the benchmark counts: one band column per row
+        assert ldlt_factor(K)._lu.nnz == (band + 1) * K.n
+
+    def test_cholesky_matches_spsolve(self, nx, ny):
+        K = self.tangent(nx, ny)
+        assert ldlt_factor(K)._lu.piv is None
+        self.check_against_spsolve(K)
+
+    def test_indefinite_shift_matches_spsolve(self, nx, ny):
+        K = self.tangent(nx, ny)
+        diag = K.indices == np.repeat(np.arange(K.n), np.diff(K.indptr))
+        shifted = K.copy()
+        shifted.data[diag] -= K.data[diag].mean()
+        assert ldlt_factor(shifted)._lu.piv is not None
+        self.check_against_spsolve(shifted)
+
+    def test_refactorization_bitwise_identical(self, nx, ny):
+        K = self.tangent(nx, ny)
+        b = self.rng.standard_normal(K.n)
+        assert ldlt_factor(K).solve(b).tobytes() == \
+            ldlt_factor(K.copy()).solve(b).tobytes()
 
 
 def test_dimension_mismatch():
