@@ -9,7 +9,7 @@ from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
 from .filtering import FilterOperator, build_filter
 from .material import MaterialParams
 from .mesh import LoadCase, Mesh, build_grid, fix_region
-from .nonlinear import (Action, NewtonStats, Strategy, decide_action,
+from .nonlinear import (Action, NewtonStats, ReusePolicy, Strategy,
                         newton_solve, predicted_factorizations)
 from .optimizer import (OptimizerConfig, RunHistory, optimize,
                         projected_gradient_norm, slp_subproblem)

@@ -140,16 +140,6 @@ def fix_region(mesh: Mesh, predicate, axes: str = "both") -> Mesh:
     return replace(mesh, fixed=fixed)
 
 
-def free_dof_vector(mesh: Mesh, full: np.ndarray) -> np.ndarray:
-    """Gather the free-DOF part of a full vector (inverse of scatter)."""
-    return mesh.gather(full)
-
-
-def scatter_free(mesh: Mesh, reduced: np.ndarray) -> np.ndarray:
-    """Scatter a free-DOF vector to full length; fixed DOFs become zero."""
-    return mesh.scatter(reduced)
-
-
 @dataclass
 class LoadCase:
     """Point loads, linear port springs, and output-DOF markers.

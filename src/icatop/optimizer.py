@@ -39,8 +39,6 @@ class OptimizerConfig:
     eps_R: float = 1e-2
     eps_T: float = 1e-8
     ica_kmax: int = 10
-    delta_period: int = 100
-    full_newton_until: int = 5
     filter_kernel: str = "cone"
     monitor_normB: bool = False
     hard_cap: int = 100000            # safety bound in convergence mode
@@ -205,7 +203,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     while t < max_outer + 1:
         t += 1
         p = config.penalty_at(t)
-        before = timers.snapshot()
+        before = timers.table()
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
@@ -218,8 +216,6 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                     model, rho_phys, p, u, config.strategy, ctx, t,
                     tol=config.newton_tol, max_iter=config.newton_cap,
                     eps_R=config.eps_R, ica_kmax=config.ica_kmax,
-                    delta_period=config.delta_period,
-                    full_newton_until=config.full_newton_until,
                     monitor_normB=config.monitor_normB, timers=timers)
         except SingularMatrixError:
             return _aborted(history, rho_design, filt, timers)
@@ -263,7 +259,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         gp = projected_gradient_norm(rho_design, grad_design, sub.theta,
                                      bounds, v_eff)
 
-        after = timers.snapshot()
+        after = timers.table()
         history.objective.append(F)
         history.newton_iters.append(nstats.iterations)
         history.factorizations.append(

@@ -37,9 +37,9 @@ class IcaReport:
 class ReanalysisContext:
     """Held factorization plus the drifting current-matrix values.
 
-    The context is confined to one equilibrium solve at a time.  Counters
-    advance monotonically between resets; a fallback refactors from the
-    current values and resets the reuse counters.
+    The context is confined to one equilibrium solve at a time.  It also
+    counts the Newton iterations of the whole run, which the delta-refresh
+    period is measured against.
     """
 
     def __init__(self, K0: SparseSym = None):
@@ -47,10 +47,6 @@ class ReanalysisContext:
         self.Kcur = None
         self.factorization: Factorization = None
         self.global_newton_iters = 0
-        self.newton_since_factor = 0
-        self.newton_since_delta = 0
-        self.outer_since_factor = 0
-        self.fallback_count = 0
         if K0 is not None:
             self.set_reference(K0)
 
@@ -58,15 +54,11 @@ class ReanalysisContext:
     def initialized(self) -> bool:
         return self.factorization is not None
 
-    def set_reference(self, K: SparseSym, stamp=None) -> None:
+    def set_reference(self, K: SparseSym) -> None:
         """Factor K and restart the approximation at dK = 0."""
         self.K0 = K.copy()
         self.factorization = ldlt_factor(self.K0)
-        self.factorization.stamp = stamp
         self.Kcur = self.K0.copy()
-        self.newton_since_factor = 0
-        self.newton_since_delta = 0
-        self.outer_since_factor = 0
 
     def refresh_delta(self, K: SparseSym) -> None:
         """Adopt new current-matrix values; the factorization is untouched."""
@@ -75,15 +67,9 @@ class ReanalysisContext:
         if not K.same_pattern(self.K0):
             raise ValueError("pattern mismatch against the held reference")
         self.Kcur = K.copy()
-        self.newton_since_delta = 0
 
     def solve_reference(self, b: np.ndarray) -> np.ndarray:
         return self.factorization.solve(b)
-
-    def count_newton_iteration(self) -> None:
-        self.global_newton_iters += 1
-        self.newton_since_factor += 1
-        self.newton_since_delta += 1
 
 
 def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
@@ -140,7 +126,6 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
         return lam, rep
     with timers.scope("Factorizations"):
         ctx.set_reference(ctx.Kcur)
-    ctx.fallback_count += 1
     with timers.scope("Linear systems"):
         lam = ctx.solve_reference(-l)
         norm_l = np.abs(l).max()

@@ -13,7 +13,7 @@ name ``ldlt_factor`` for that symmetric family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,9 +138,6 @@ class SparseSym:
             raise ValueError(f"expected vector of length {self.n}, got {v.shape}")
         return self.to_csr() @ v
 
-    def norm_inf(self) -> float:
-        return float(np.abs(self.to_csr()).sum(axis=1).max()) if self.n else 0.0
-
 
 def _lapack_info(routine: str, info: int) -> None:
     if info < 0:
@@ -179,7 +176,6 @@ class Factorization:
     n: int
     _lu: BandFactor
     perm: np.ndarray
-    stamp: tuple = field(default=None)  # (outer iteration, newton counter)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -215,10 +211,6 @@ def ldlt_factor(K: SparseSym) -> Factorization:
     if info > 0:
         raise SingularMatrixError(f"zero pivot in column {info} of the band LU")
     return Factorization(K.n, BandFactor(ab, layout.kd, piv), order.perm)
-
-
-def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
-    return F.solve(b)
 
 
 def delta_apply(K_new: SparseSym, K_old: SparseSym, v: np.ndarray) -> np.ndarray:

@@ -49,9 +49,6 @@ class Timers:
         out["Other"] = max(0.0, out["Total"] - attributed)
         return out
 
-    def snapshot(self) -> dict:
-        return self.table()
-
     @staticmethod
     def delta(after: dict, before: dict) -> dict:
         return {name: after[name] - before.get(name, 0.0) for name in after}

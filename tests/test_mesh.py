@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icatop.mesh import (LoadCase, build_grid, fix_region, free_dof_vector,
-                         scatter_free)
+from icatop.mesh import LoadCase, build_grid, fix_region
 
 
 def test_canonical_cantilever_mesh_size():
@@ -95,10 +94,10 @@ def test_gather_scatter_roundtrip():
     mesh = fix_region(mesh, lambda x, y: y <= 1e-12, axes="both")
     rng = np.random.default_rng(1)
     reduced = rng.standard_normal(mesh.n_free)
-    assert np.array_equal(free_dof_vector(mesh, scatter_free(mesh, reduced)),
+    assert np.array_equal(mesh.gather(mesh.scatter(reduced)),
                           reduced)
     full = rng.standard_normal(mesh.n_dof)
-    round_trip = scatter_free(mesh, free_dof_vector(mesh, full))
+    round_trip = mesh.scatter(mesh.gather(full))
     assert np.array_equal(round_trip[mesh.free], full[mesh.free])
     assert np.all(round_trip[mesh.fixed] == 0.0)
 
@@ -112,9 +111,9 @@ def test_one_element_two_fixed_dofs():
 def test_vector_length_validation():
     mesh = build_grid(2, 2, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        free_dof_vector(mesh, np.zeros(5))
+        mesh.gather(np.zeros(5))
     with pytest.raises(ValueError):
-        scatter_free(mesh, np.zeros(mesh.n_free + 1))
+        mesh.scatter(np.zeros(mesh.n_free + 1))
 
 
 @settings(max_examples=25, deadline=None)

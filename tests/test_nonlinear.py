@@ -3,10 +3,11 @@ import pytest
 
 from conftest import make_cantilever_model
 from icatop.errors import NewtonConvergenceError
-from icatop.nonlinear import (Action, Strategy, armijo_linesearch, decide_action,
-                              linear_equilibrium, newton_solve,
-                              predicted_factorizations)
+from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
+                              armijo_linesearch, linear_equilibrium,
+                              newton_solve, predicted_factorizations)
 from icatop.reanalysis import ReanalysisContext
+from icatop.sparse import SparseSym
 
 ALL = [Strategy.N, Strategy.MN, Strategy.UPK1, Strategy.UPK1G,
        Strategy.UPK100, Strategy.UPK100G, Strategy.UPK03K100G]
@@ -41,34 +42,86 @@ class TestStrategyFlags:
             assert not s.adjoint_uses_ica
 
 
+def held_context(global_newton_iters: int) -> ReanalysisContext:
+    ctx = ReanalysisContext(SparseSym.from_dense(np.eye(2)))
+    ctx.global_newton_iters = global_newton_iters
+    return ctx
+
+
+def decide(strategy, outer_iter, newton_iter_in_call, global_newton_counter):
+    """The first action of a fresh policy on a factored context."""
+    return ReusePolicy(strategy, outer_iter).decide(
+        newton_iter_in_call, held_context(global_newton_counter))
+
+
 class TestDecideAction:
     def test_newton_always_refactors(self):
         for outer, it, counter in ((1, 0, 0), (50, 3, 911), (7, 9, 100)):
-            assert decide_action(Strategy.N, outer, it, counter) is Action.REFACTOR
+            assert decide(Strategy.N, outer, it, counter) is Action.REFACTOR
 
     def test_first_iteration_policies(self):
         for s in (Strategy.MN, Strategy.UPK1, Strategy.UPK100):
-            assert decide_action(s, 10, 0, 57) is Action.REFACTOR
+            assert decide(s, 10, 0, 57) is Action.REFACTOR
 
     def test_mn_holds_zero_delta(self):
-        assert decide_action(Strategy.MN, 10, 3, 57) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.MN, 10, 3, 57) is Action.REUSE_HELD_DELTA
 
     def test_upk1_refreshes_every_iteration(self):
-        assert decide_action(Strategy.UPK1, 10, 4, 57) is Action.REUSE_FRESH_DELTA
+        assert decide(Strategy.UPK1, 10, 4, 57) is Action.REUSE_FRESH_DELTA
 
     def test_upk100_crossing_rule(self):
-        assert decide_action(Strategy.UPK100, 10, 3, 200) is Action.REUSE_FRESH_DELTA
-        assert decide_action(Strategy.UPK100, 10, 3, 201) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.UPK100, 10, 3, 200) is Action.REUSE_FRESH_DELTA
+        assert decide(Strategy.UPK100, 10, 3, 201) is Action.REUSE_HELD_DELTA
 
     def test_upk03_outer_rule(self):
-        assert decide_action(Strategy.UPK03K100G, 7, 0, 400) in (
+        assert decide(Strategy.UPK03K100G, 7, 0, 400) in (
             Action.REUSE_FRESH_DELTA, Action.REUSE_HELD_DELTA)
-        assert decide_action(Strategy.UPK03K100G, 9, 0, 401) is Action.REFACTOR
-        assert decide_action(Strategy.UPK03K100G, 9, 1, 401) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.UPK03K100G, 9, 0, 401) is Action.REFACTOR
+        assert decide(Strategy.UPK03K100G, 9, 1, 401) is Action.REUSE_HELD_DELTA
 
-    def test_period_override(self):
-        assert decide_action(Strategy.UPK100, 10, 3, 50, delta_period=50) \
-            is Action.REUSE_FRESH_DELTA
+    def test_first_five_outers_and_empty_context_refactor(self):
+        for s in ALL:
+            assert ReusePolicy(s, 5).decide(3, held_context(201)) \
+                is Action.REFACTOR
+            assert ReusePolicy(s, 10).decide(3, ReanalysisContext()) \
+                is Action.REFACTOR
+
+
+class TestSlowProgressGuard:
+    def test_slow_progress_escalates_refresh_then_refactor(self):
+        policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
+        policy.observe(True, 0.0)
+        for _ in range(2):
+            policy.observe(False, 0.9)
+        assert policy.decide(2, ctx) is Action.REUSE_FRESH_DELTA
+        assert policy.fallbacks == 1
+        for _ in range(2):
+            policy.observe(False, 0.9)
+        assert policy.decide(4, ctx) is Action.REFACTOR
+        assert policy.fallbacks == 2
+
+    def test_stale_cap_refreshes_the_held_delta(self):
+        policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
+        policy.observe(True, 0.0)
+        for it in range(1, STALE_CAP):
+            assert policy.decide(it, ctx) is Action.REUSE_HELD_DELTA
+            policy.observe(False, 0.1)
+        assert policy.decide(STALE_CAP, ctx) is Action.REUSE_FRESH_DELTA
+        assert policy.fallbacks == 1
+
+    def test_slow_fresh_delta_refactors(self):
+        policy, ctx = ReusePolicy(Strategy.UPK1, 10), held_context(57)
+        for _ in range(2):
+            policy.observe(False, 0.9)
+        assert policy.decide(2, ctx) is Action.REFACTOR
+        assert policy.fallbacks == 1
+
+    def test_modified_newton_is_not_guarded(self):
+        policy, ctx = ReusePolicy(Strategy.MN, 10), held_context(200)
+        for _ in range(2 * STALE_CAP):
+            policy.observe(False, 0.99)
+        assert policy.decide(3, ctx) is Action.REUSE_HELD_DELTA
+        assert policy.fallbacks == 0
 
 
 class TestArmijo:

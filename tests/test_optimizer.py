@@ -224,6 +224,26 @@ class TestOptimizeLoop:
         assert set(factor_scopes.at_factor) == {("Factorizations",)}
         assert not factor_scopes.nested
 
+    def test_upk1_refreshes_the_delta_every_iteration(self):
+        prob = bench.desk("cantilever")
+        every = optimize(prob, OptimizerConfig(strategy=Strategy.UPK1, budget=10))
+        rare = optimize(prob, OptimizerConfig(strategy=Strategy.UPK100,
+                                              budget=10))
+        assert every.ica_iters != rare.ica_iters
+        assert every.total("ica_iters") > 0 == rare.total("ica_iters")
+        assert every.newton_iters != rare.newton_iters
+
+    def test_repeated_runs_are_bitwise_identical(self):
+        # the slow-progress guard fires dozens of times here; none of its
+        # state may carry over from one run to the next
+        prob = bench.desk("cantilever")
+        cfg = OptimizerConfig(strategy=Strategy.UPK03K100G, budget=40)
+        first, second = optimize(prob, cfg), optimize(prob, cfg)
+        assert first.total("fallbacks") > 0
+        for name in ("newton_iters", "factorizations", "ica_iters",
+                     "fallbacks", "objective", "residual_inf"):
+            assert getattr(first, name) == getattr(second, name), name
+
     def test_newton_failure_halves_move_and_retries(self, monkeypatch):
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from conftest import make_cantilever_model
 from icatop.errors import SingularMatrixError
 from icatop.sparse import (BandOrder, Factorization, SparseSym, delta_apply,
-                           ldlt_factor, solve, write_matrix_market)
+                           ldlt_factor, write_matrix_market)
 
 
 def random_spd(rng, n):
@@ -63,7 +63,7 @@ def test_solve_recovers_random_vector():
     A = random_spd(rng, 30)
     K = SparseSym.from_dense(A)
     w = rng.standard_normal(30)
-    x = solve(ldlt_factor(K), K.matvec(w))
+    x = ldlt_factor(K).solve(K.matvec(w))
     assert np.abs(x - w).max() <= 1e-10 * np.abs(w).max()
 
 
@@ -217,10 +217,3 @@ def test_matrix_market_export(tmp_path):
         B[i, j] = float(val)
         B[j, i] = float(val)
     assert np.array_equal(B, A)
-
-
-def test_stamp_field():
-    F = ldlt_factor(SparseSym.from_dense(np.eye(2)))
-    assert F.stamp is None
-    F.stamp = (3, 17)
-    assert F.stamp == (3, 17)
