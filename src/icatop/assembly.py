@@ -4,7 +4,20 @@ A FeModel binds a mesh, a load case, and a material.  The sparsity pattern
 over free DOFs and its band-reducing order are computed once; every
 assembly rewrites values on that pattern.  All element loops are
 vectorized; since the grid elements are congruent, the shape-derivative
-matrices at the Gauss points are shared across elements.
+matrices G_q at the Gauss points are shared across elements.
+
+The element tangent has a closed form.  The neo-Hookean modulus is
+A = mu I + a f(x)f + b T (see ``material.tangent_weights``), and with
+w_q = G_q^T f_q, the gradient of ln J at Gauss point q,
+
+    K_e[(I,c),(J,d)] = rho_e^p [mu Kbar + sum_q (a_q w_{q,Ic} w_{q,Jd}
+                                               + b_q w_{q,Id} w_{q,Jc})],
+
+where Kbar = sum_q G_q^T G_q times the quadrature weight is shared by all
+elements and a_q, b_q carry the weight too.  Only the 36 upper entries of
+each element matrix are computed; the assembly scatters every one of them
+into both (i, j) and (j, i) of the global values, so the tangent is
+exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -51,21 +64,25 @@ class GlobalSystem:
     f: np.ndarray
 
 
-_TRIU = np.triu_indices(8, 1)
-_TRIL = (_TRIU[1], _TRIU[0])
+# the 36 upper entries (r <= s) of an 8x8 element matrix, row by row
+_UPPER = np.triu_indices(8)
+_POS = np.empty((8, 8), dtype=np.intp)
+_POS[_UPPER] = _POS[_UPPER[::-1]] = np.arange(_UPPER[0].size)
+# entry ((I,c),(J,d)) -> position of ((I,d),(J,c)), which the T term reads
+_SWAP = _POS[_UPPER[0] - _UPPER[0] % 2 + _UPPER[1] % 2,
+             _UPPER[1] - _UPPER[1] % 2 + _UPPER[0] % 2]
+# signs of the cofactors: F^-T = [[F11, -F10], [-F01, F00]] / J
+_COFACTOR_SIGN = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 
 
 def _mirror_lower(K: np.ndarray) -> None:
-    """Copy the strict lower triangle onto the upper one, in place.
+    """Copy the strict lower triangle of an 8x8 matrix onto the upper one.
 
     The tangent modulus has major symmetry, so the two triangles agree up
-    to summation roundoff; mirroring makes the assembled global matrix
-    exactly symmetric.
+    to summation roundoff; mirroring makes the matrix exactly symmetric.
     """
-    if K.ndim == 2:
-        K[_TRIU] = K[_TRIL]
-    else:
-        K[:, _TRIU[0], _TRIU[1]] = K[:, _TRIL[0], _TRIL[1]]
+    lower = np.tril_indices(8, -1)
+    K[lower[::-1]] = K[lower]
 
 
 class FeModel:
@@ -87,21 +104,28 @@ class FeModel:
         self.f_free = mesh.gather(loads.force_vector(mesh))
         self.spring_free = mesh.gather(loads.spring_vector(mesh))
 
+        # w_q = G_q^T f_q, and the element-independent mu term of the tangent
+        self._Gt = np.ascontiguousarray(self.G.transpose(0, 2, 1))
+        kbar = self.quad_w * np.einsum("qra,qrb->ab", self.G, self.G)
+        self._mu_kbar = material.mu * kbar[_UPPER][:, None]
+
         self._build_pattern()
         self._ke_linear = None
 
     # -- pattern ---------------------------------------------------------
     def _build_pattern(self):
-        n = self.mesh.n_free
+        n, n_el = self.mesh.n_free, self.mesh.n_el
         rows = np.repeat(self.elem_free, 8, axis=1).ravel()
         cols = np.tile(self.elem_free, (1, 8)).ravel()
         keep = (rows >= 0) & (cols >= 0)
-        self._keep = keep
-        rows, cols = rows[keep], cols[keep]
-        lin = rows * n + cols
+        lin = rows[keep] * n + cols[keep]
         unique_lin, inv = np.unique(lin, return_inverse=True)
         self._nnz = unique_lin.size
         self._kidx = inv
+        # element entry (a, b) and its mirror (b, a) both read upper entry
+        # _POS[a, b] of a (36, n_el) array of entries
+        self._ksrc = (_POS.ravel() * n_el
+                      + np.arange(n_el)[:, None]).ravel()[keep]
         indices = (unique_lin % n).astype(np.int32)
         counts = np.bincount(unique_lin // n, minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
@@ -161,17 +185,29 @@ class FeModel:
             q += sig @ self.G[qp]
         return q * self.quad_w
 
-    def element_tangents(self, u_free: np.ndarray) -> np.ndarray:
-        """Unpenalized element tangent matrices, (n_el, 8, 8)."""
+    def upper_element_tangents(self, u_free: np.ndarray) -> np.ndarray:
+        """Unpenalized element tangents as their 36 upper entries, (36, n_el).
+
+        Row k holds entry (_UPPER[0][k], _UPPER[1][k]) of every element.
+        """
         u_e = self._element_disps(u_free)
-        F, _ = self._deformation(u_e)
-        K = np.zeros((self.mesh.n_el, 8, 8))
+        F, J = self._deformation(u_e)
+        # f = vec(F^-T) per Gauss point, (4, 4, n_el)
+        Fv = F.reshape(4, -1, 4).transpose(0, 2, 1)
+        f = Fv[:, ::-1] * (_COFACTOR_SIGN / J[:, None, :])
+        w = self._Gt @ f                                        # (4, 8, n_el)
+        a, b = mat_mod.tangent_weights(J, self.material)
+        a *= self.quad_w
+        b *= self.quad_w
+        Ka = np.zeros((_UPPER[0].size, self.mesh.n_el))
+        Kb = np.zeros_like(Ka)
         for qp in range(4):
-            D = mat_mod.tangent_many(F[qp], self.material)      # (n_el, 4, 4)
-            G = self.G[qp]
-            K += np.einsum("ia,nij,jb->nab", G, D, G, optimize=True)
-        _mirror_lower(K)
-        return K * self.quad_w
+            ww = w[qp, _UPPER[0]] * w[qp, _UPPER[1]]
+            Ka += a[qp] * ww
+            Kb += b[qp] * ww
+        Ka += Kb[_SWAP]
+        Ka += self._mu_kbar
+        return Ka
 
     def strain_energy_density(self, u_free: np.ndarray) -> np.ndarray:
         """Element energy integrals without the SIMP factor, (n_el,)."""
@@ -193,9 +229,13 @@ class FeModel:
         return self.internal_force(rho, p, u_free) + self.spring_free * u_free - self.f_free
 
     def tangent(self, rho, p, u_free) -> SparseSym:
-        Ke = self.element_tangents(u_free)
-        scaled = (np.asarray(rho) ** p)[:, None, None] * Ke
-        data = np.bincount(self._kidx, weights=scaled.ravel()[self._keep],
+        upper = self.upper_element_tangents(u_free)
+        upper *= np.asarray(rho) ** p
+        return self._assemble_upper(upper)
+
+    def _assemble_upper(self, upper: np.ndarray) -> SparseSym:
+        """Global matrix from (36, n_el) upper element entries plus springs."""
+        data = np.bincount(self._kidx, weights=upper.ravel()[self._ksrc],
                            minlength=self._nnz)
         data[self._diag_pos] += self.spring_free
         return SparseSym(self.mesh.n_free, self._indptr, self._indices, data,
@@ -224,12 +264,8 @@ class FeModel:
     def linear_tangent(self, rho, p) -> SparseSym:
         """Density-only stiffness of the small-displacement model."""
         ke = self.linear_element_tangent()
-        scaled = (np.asarray(rho) ** p)[:, None, None] * ke[None]
-        data = np.bincount(self._kidx, weights=scaled.ravel()[self._keep],
-                           minlength=self._nnz)
-        data[self._diag_pos] += self.spring_free
-        return SparseSym(self.mesh.n_free, self._indptr, self._indices, data,
-                         self._order)
+        return self._assemble_upper(
+            ke[_UPPER][:, None] * (np.asarray(rho) ** p))
 
 
 # -- single-element operations (convenience and test surface) --------------

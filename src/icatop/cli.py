@@ -23,11 +23,12 @@ from .timing import CATEGORIES
 
 HISTORY_COLUMNS = [
     "iteration", "objective", "newton_iters", "factorizations", "ica_iters",
-    "fallbacks", "gp_norm_inf", "penalty", "volume", "max_normB",
+    "fallbacks", "guard_refreshes", "gp_norm_inf", "penalty", "volume",
+    "max_normB",
 ] + list(CATEGORIES)
 
 COUNT_ROWS = ["Final F", "Outer iterations", "Newton iterations",
-              "Factorizations", "Fallbacks"]
+              "Factorizations", "Fallbacks", "Guard refreshes"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,6 +173,7 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "factorizations": history.total("factorizations"),
         "ica_iterations": history.total("ica_iters"),
         "fallbacks": history.total("fallbacks"),
+        "guard_refreshes": history.total("guard_refreshes"),
         "final_gp_norm": history.gp_norm[-1] if history.gp_norm else None,
         "final_volume": history.volume[-1] if history.volume else None,
         "final_penalty": history.penalty[-1] if history.penalty else None,
@@ -196,6 +198,7 @@ def write_history_csv(path: Path, history: RunHistory) -> None:
                 history.factorizations[i],
                 history.ica_iters[i],
                 history.fallbacks[i],
+                history.guard_refreshes[i],
                 repr(history.gp_norm[i]),
                 history.penalty[i],
                 repr(history.volume[i]),
@@ -269,6 +272,7 @@ def format_comparison(reports) -> str:
         "Newton iterations": lambda r: r["newton_iterations"],
         "Factorizations": lambda r: r["factorizations"],
         "Fallbacks": lambda r: r["fallbacks"],
+        "Guard refreshes": lambda r: r.get("guard_refreshes"),
     }
     for label in COUNT_ROWS:
         values = [getters[label](r) for r in reports]

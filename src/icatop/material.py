@@ -150,15 +150,24 @@ def tangent_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
     FinvT_flat = np.swapaxes(Finv, 1, 2).reshape(-1, 4)
 
     n = F.shape[0]
+    a, b = tangent_weights(J, mat)
     A = np.zeros((n, 4, 4))
     A += mat.mu * np.eye(4)
-    A += mat.lam * (J * J)[:, None, None] \
-        * np.einsum("na,nb->nab", FinvT_flat, FinvT_flat)
+    A += a[:, None, None] * np.einsum("na,nb->nab", FinvT_flat, FinvT_flat)
     # derivative of F^{-T}: d(F^-T)_{ij}/dF_{kl} = -(F^-1)_{jk} (F^-1)_{li}
-    coeff = mat.mu - 0.5 * mat.lam * (J * J - 1.0)
-    A += coeff[:, None, None] \
+    A += b[:, None, None] \
         * np.einsum("njk,nli->nijkl", Finv, Finv).reshape(n, 4, 4)
     return A[0] if single else A
+
+
+def tangent_weights(J: np.ndarray, mat: MaterialParams):
+    """Weights (a, b) of the tangent modulus A = mu I + a f(x)f + b T.
+
+    Here f = vec(F^-T) and T_{ij,kl} = (F^-1)_{jk} (F^-1)_{li}; the weights
+    depend on F only through J.
+    """
+    J2 = J * J
+    return mat.lam * J2, mat.mu - 0.5 * mat.lam * (J2 - 1.0)
 
 
 def strain_energy(F: np.ndarray, mat: MaterialParams) -> float:

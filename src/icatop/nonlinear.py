@@ -82,8 +82,9 @@ class ReusePolicy:
     factorization, the approximation is judged too stale.  The guard
     escalates gradually: first the delta values are refreshed at the
     current state (one assembly, no factorization), and only if progress
-    stays slow does the fallback refactorization fire.  Each escalation
-    counts in ``fallbacks``.  Without the guard, a drifted reference whose
+    stays slow does the fallback refactorization fire.  A delta-only
+    escalation counts in ``guard_refreshes``, a refactorization in
+    ``fallbacks``.  Without the guard, a drifted reference whose
     delta happens to be zero would creep for dozens of iterations with a
     formally tiny linear residual.  Modified Newton is exempt: creeping is
     its definition.
@@ -95,6 +96,7 @@ class ReusePolicy:
         self.slow_streak = 0
         self.since_exact = 0
         self.guard_refreshed = False
+        self.guard_refreshes = 0
         self.fallbacks = 0
 
     def decide(self, it: int, ctx: ReanalysisContext) -> Action:
@@ -108,12 +110,13 @@ class ReusePolicy:
             return Action.REUSE_HELD_DELTA
         fresh = ctx.global_newton_iters % s.delta_refresh_period == 0
         if self.slow_streak >= 2 or (not fresh and self.since_exact >= STALE_CAP):
-            self.fallbacks += 1
             self.slow_streak = 0
             # fresh delta values and still stalling: the factorization
             # itself is too stale
             if fresh or self.guard_refreshed:
+                self.fallbacks += 1
                 return Action.REFACTOR
+            self.guard_refreshes += 1
             self.guard_refreshed = True
             self.since_exact = 0
             return Action.REUSE_FRESH_DELTA
@@ -137,7 +140,8 @@ class NewtonStats:
     factorizations: int = 0
     ica_iterations: list = field(default_factory=list)
     backtracks: int = 0
-    fallbacks: int = 0
+    fallbacks: int = 0          # extra factorizations, each with a reason
+    guard_refreshes: int = 0    # guard escalations that only refreshed delta
     residual_inf: float = np.inf
     converged: bool = False
     max_normB: float = None
@@ -169,7 +173,8 @@ def predicted_factorizations(strategy: Strategy, newton_iters_per_outer) -> int:
     the reuse strategies once per equilibrium solve that iterates at all
     (every third outer iteration for the sparsest policy), plus one direct
     adjoint factorization per objective evaluation for strategies without
-    the iterative adjoint solve.
+    the iterative adjoint solve.  Every fallback adds exactly one
+    factorization to this count.
     """
     total = 0
     for outer, iters in enumerate(newton_iters_per_outer, start=1):
@@ -189,10 +194,13 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     """Solve the equilibrium residual to max-norm tolerance ``tol``.
 
     Returns (u, NewtonStats).  Raises NewtonConvergenceError when the
-    iteration cap or the line-search budget is exhausted; the stats travel
-    on the exception.  ``stats.fallbacks`` counts the policy's guard
-    escalations plus the exact steps taken because a reused direction was
-    not a descent direction or failed the line search.
+    iteration cap or the line-search budget is exhausted, or at once when
+    a residual it would accept or step from is not finite; the stats
+    travel on the exception.  ``stats.fallbacks`` counts the factorizations
+    the strategy's schedule does not predict: the guard's refactorizations
+    and the exact steps taken because a reused direction was not a descent
+    direction or failed the line search.  ``stats.guard_refreshes`` counts
+    the guard escalations that only refreshed the delta values.
     """
     timers = timers or NullTimers()
     stats = NewtonStats()
@@ -209,6 +217,9 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
             if stats.residual_inf <= tol:
                 stats.converged = True
                 return u, stats
+            if not np.isfinite(stats.residual_inf):
+                raise NewtonConvergenceError(
+                    f"non-finite residual at Newton iteration {it}", stats)
 
             action = policy.decide(it, ctx)
             exact = action is Action.REFACTOR
@@ -271,6 +282,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
             f"(residual {stats.residual_inf:.3e})", stats)
     finally:
         stats.fallbacks += policy.fallbacks
+        stats.guard_refreshes = policy.guard_refreshes
 
 
 def _exact_step(model, rho, p, u, r, ctx, stats, timers):

@@ -145,6 +145,7 @@ class RunHistory:
     factorizations: list = field(default_factory=list)
     ica_iters: list = field(default_factory=list)
     fallbacks: list = field(default_factory=list)
+    guard_refreshes: list = field(default_factory=list)
     residual_inf: list = field(default_factory=list)
     gp_norm: list = field(default_factory=list)
     penalty: list = field(default_factory=list)
@@ -252,6 +253,8 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         with timers.scope("grad F(rho)"):
             grad_phys = gradient(model, rho_phys, p, u_new, lam)
             grad_design = filt.backpropagate(grad_phys)
+        if not np.isfinite(grad_design).all():
+            return _aborted(history, rho_design, filt, timers)
 
         with timers.scope("Subproblem solving"):
             sub = slp_subproblem(grad_design, rho_design, move, bounds,
@@ -266,6 +269,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             nstats.factorizations + (1 if adj_factored else 0))
         history.ica_iters.append(int(sum(nstats.ica_iterations)))
         history.fallbacks.append(nstats.fallbacks + (1 if adj_fallback else 0))
+        history.guard_refreshes.append(nstats.guard_refreshes)
         history.residual_inf.append(nstats.residual_inf)
         history.gp_norm.append(gp)
         history.penalty.append(p)

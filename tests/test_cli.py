@@ -5,7 +5,7 @@ import pytest
 
 from icatop import optimizer, reanalysis, sensitivity
 from icatop.cli import main, read_config_file
-from icatop.errors import SingularMatrixError
+from icatop.errors import NewtonConvergenceError, SingularMatrixError
 from icatop.timing import CATEGORIES
 
 
@@ -179,6 +179,45 @@ def test_singular_factorization_aborts_with_artifacts(tmp_path, monkeypatch,
     assert report["outer_iterations"] == 2
     assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
     assert (out / "density.pgm").exists()
+
+
+@pytest.mark.parametrize("site", ["residual", "gradient"])
+def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
+    real_newton, real_gradient = optimizer.newton_solve, \
+        optimizer.objective_gradient
+    outer, failed = {}, []
+
+    def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+        outer["t"] = outer_iter
+        if site == "residual" and outer_iter == 3:
+            rho = rho.copy()
+            rho[0] = np.nan
+        try:
+            return real_newton(model, rho, p, u0, strategy, ctx, outer_iter,
+                               **kw)
+        except NewtonConvergenceError as exc:
+            failed.append(exc.stats)
+            raise
+
+    def gradient(*args):
+        grad = real_gradient(*args)
+        return grad * np.nan if site == "gradient" and outer["t"] == 3 \
+            else grad
+
+    monkeypatch.setattr(optimizer, "newton_solve", newton)
+    monkeypatch.setattr(optimizer, "objective_gradient", gradient)
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", "N", "--budget", "5")
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted"] is True
+    assert report["outer_iterations"] == 2
+    assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+    assert (out / "density.pgm").exists()
+    # a poisoned residual fails at once, before any factorization, both on
+    # the first attempt and on the retry with a halved move limit
+    expected = 2 if site == "residual" else 0
+    assert [s.factorizations for s in failed] == [0] * expected
 
 
 class TestCompare:

@@ -94,11 +94,11 @@ class TestSlowProgressGuard:
         for _ in range(2):
             policy.observe(False, 0.9)
         assert policy.decide(2, ctx) is Action.REUSE_FRESH_DELTA
-        assert policy.fallbacks == 1
+        assert (policy.guard_refreshes, policy.fallbacks) == (1, 0)
         for _ in range(2):
             policy.observe(False, 0.9)
         assert policy.decide(4, ctx) is Action.REFACTOR
-        assert policy.fallbacks == 2
+        assert (policy.guard_refreshes, policy.fallbacks) == (1, 1)
 
     def test_stale_cap_refreshes_the_held_delta(self):
         policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
@@ -107,21 +107,21 @@ class TestSlowProgressGuard:
             assert policy.decide(it, ctx) is Action.REUSE_HELD_DELTA
             policy.observe(False, 0.1)
         assert policy.decide(STALE_CAP, ctx) is Action.REUSE_FRESH_DELTA
-        assert policy.fallbacks == 1
+        assert (policy.guard_refreshes, policy.fallbacks) == (1, 0)
 
     def test_slow_fresh_delta_refactors(self):
         policy, ctx = ReusePolicy(Strategy.UPK1, 10), held_context(57)
         for _ in range(2):
             policy.observe(False, 0.9)
         assert policy.decide(2, ctx) is Action.REFACTOR
-        assert policy.fallbacks == 1
+        assert (policy.guard_refreshes, policy.fallbacks) == (0, 1)
 
     def test_modified_newton_is_not_guarded(self):
         policy, ctx = ReusePolicy(Strategy.MN, 10), held_context(200)
         for _ in range(2 * STALE_CAP):
             policy.observe(False, 0.99)
         assert policy.decide(3, ctx) is Action.REUSE_HELD_DELTA
-        assert policy.fallbacks == 0
+        assert (policy.guard_refreshes, policy.fallbacks) == (0, 0)
 
 
 class TestArmijo:
@@ -219,6 +219,17 @@ class TestNewtonSolve:
                              Strategy.UPK100G, ctx, outer_iter=50)
         assert st.converged
         assert st.fallbacks >= 1
+
+    def test_non_finite_residual_raises_before_factoring(self):
+        model = make_cantilever_model()
+        rho = np.full(model.mesh.n_el, 0.5)
+        rho[7] = np.nan
+        with pytest.raises(NewtonConvergenceError) as err:
+            newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+                         Strategy.N, ReanalysisContext(), outer_iter=1)
+        stats = err.value.stats
+        assert (stats.factorizations, stats.backtracks) == (0, 0)
+        assert np.isnan(stats.residual_inf)
 
     def test_iteration_cap_raises_with_stats(self):
         model = make_cantilever_model(load=-120.0)

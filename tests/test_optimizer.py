@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from icatop import bench
 from icatop.errors import InfeasibleSubproblemError
-from icatop.nonlinear import Strategy
+from icatop.nonlinear import Strategy, predicted_factorizations
 from icatop.optimizer import (OptimizerConfig, optimize,
                               projected_gradient_norm, slp_subproblem)
 
@@ -201,7 +201,7 @@ class TestOptimizeLoop:
         h = optimize(prob, OptimizerConfig(strategy=Strategy.UPK1G, budget=8))
         n = h.iterations
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
-                     "fallbacks", "residual_inf", "gp_norm", "penalty",
+                     "fallbacks", "guard_refreshes", "residual_inf", "gp_norm", "penalty",
                      "volume", "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
@@ -239,10 +239,25 @@ class TestOptimizeLoop:
         prob = bench.desk("cantilever")
         cfg = OptimizerConfig(strategy=Strategy.UPK03K100G, budget=40)
         first, second = optimize(prob, cfg), optimize(prob, cfg)
-        assert first.total("fallbacks") > 0
+        assert first.total("fallbacks") > 0 < first.total("guard_refreshes")
         for name in ("newton_iters", "factorizations", "ica_iters",
-                     "fallbacks", "objective", "residual_inf"):
+                     "fallbacks", "guard_refreshes", "objective",
+                     "residual_inf"):
             assert getattr(first, name) == getattr(second, name), name
+
+    @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
+    def test_factorizations_are_policy_plus_fallbacks(self, problem):
+        # each fallback adds one factorization; a guard refresh adds none
+        prob = bench.desk(problem)
+        refreshes = 0
+        for strategy in Strategy:
+            h = optimize(prob, OptimizerConfig(strategy=strategy, budget=40))
+            assert not h.aborted
+            predicted = predicted_factorizations(strategy, h.newton_iters)
+            assert h.total("factorizations") \
+                == predicted + h.total("fallbacks"), strategy.value
+            refreshes += h.total("guard_refreshes")
+        assert refreshes > 0
 
     def test_newton_failure_halves_move_and_retries(self, monkeypatch):
         import icatop.optimizer as opt
