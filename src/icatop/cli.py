@@ -23,7 +23,8 @@ from .timing import CATEGORIES
 
 HISTORY_COLUMNS = [
     "iteration", "objective", "newton_iters", "factorizations", "ica_iters",
-    "fallbacks", "guard_refreshes", "gp_norm_inf", "penalty", "volume",
+    "fallbacks", "guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
+    "adjoint_fallbacks", "guard_refreshes", "gp_norm_inf", "penalty", "volume",
     "max_normB",
 ] + list(CATEGORIES)
 
@@ -173,6 +174,10 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "factorizations": history.total("factorizations"),
         "ica_iterations": history.total("ica_iters"),
         "fallbacks": history.total("fallbacks"),
+        "guard_fallbacks": history.total("guard_fallbacks"),
+        "step_fallbacks": history.total("step_fallbacks"),
+        "linesearch_fallbacks": history.total("linesearch_fallbacks"),
+        "adjoint_fallbacks": history.total("adjoint_fallbacks"),
         "guard_refreshes": history.total("guard_refreshes"),
         "final_gp_norm": history.gp_norm[-1] if history.gp_norm else None,
         "final_volume": history.volume[-1] if history.volume else None,
@@ -198,6 +203,10 @@ def write_history_csv(path: Path, history: RunHistory) -> None:
                 history.factorizations[i],
                 history.ica_iters[i],
                 history.fallbacks[i],
+                history.guard_fallbacks[i],
+                history.step_fallbacks[i],
+                history.linesearch_fallbacks[i],
+                history.adjoint_fallbacks[i],
                 history.guard_refreshes[i],
                 repr(history.gp_norm[i]),
                 history.penalty[i],

@@ -140,12 +140,23 @@ class NewtonStats:
     factorizations: int = 0
     ica_iterations: list = field(default_factory=list)
     backtracks: int = 0
-    fallbacks: int = 0          # extra factorizations, each with a reason
+    # extra factorizations by reason: the slow-progress guard's refactor,
+    # an ICA step that did not converge or was no descent direction, and
+    # the exact step that rescues a failed line search
+    guard_fallbacks: int = 0
+    step_fallbacks: int = 0
+    linesearch_fallbacks: int = 0
     guard_refreshes: int = 0    # guard escalations that only refreshed delta
     residual_inf: float = np.inf
     converged: bool = False
     max_normB: float = None
     factorization: object = None     # linear mode keeps its factor for reuse
+
+    @property
+    def fallbacks(self) -> int:
+        """Extra factorizations, whatever their reason."""
+        return self.guard_fallbacks + self.step_fallbacks \
+            + self.linesearch_fallbacks
 
 
 def armijo_linesearch(merit_fn, merit0: float, slope: float, c1: float = 1e-4,
@@ -197,10 +208,13 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     iteration cap or the line-search budget is exhausted, or at once when
     a residual it would accept or step from is not finite; the stats
     travel on the exception.  ``stats.fallbacks`` counts the factorizations
-    the strategy's schedule does not predict: the guard's refactorizations
-    and the exact steps taken because a reused direction was not a descent
-    direction or failed the line search.  ``stats.guard_refreshes`` counts
-    the guard escalations that only refreshed the delta values.
+    the strategy's schedule does not predict, split by reason: the guard's
+    refactorizations, and the exact steps taken because a reused direction
+    was not a descent direction or failed the line search.
+    ``stats.guard_refreshes`` counts the guard escalations that only
+    refreshed the delta values.  A strategy that refactors at every Newton
+    iteration never reuses the held factorization, so the context releases
+    it when the solve ends.
     """
     timers = timers or NullTimers()
     stats = NewtonStats()
@@ -241,7 +255,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                     else np.inf
                 if slope >= 0.0:
                     # stale approximation: refactor and take the exact step
-                    stats.fallbacks += 1
+                    stats.step_fallbacks += 1
                     s, slope = _exact_step(model, rho, p, u, r, ctx, stats,
                                            timers)
                     exact = True
@@ -260,7 +274,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
             if alpha is None and not exact:
                 # the stale direction looked like descent but was not; one
                 # more chance through the exact path before giving up
-                stats.fallbacks += 1
+                stats.linesearch_fallbacks += 1
                 s, slope = _exact_step(model, rho, p, u, r, ctx, stats, timers)
                 alpha, r_new, backtracks = armijo_linesearch(
                     merit, float(r @ r), slope)
@@ -281,8 +295,10 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
             f"no convergence within {max_iter} Newton iterations "
             f"(residual {stats.residual_inf:.3e})", stats)
     finally:
-        stats.fallbacks += policy.fallbacks
+        stats.guard_fallbacks = policy.fallbacks
         stats.guard_refreshes = policy.guard_refreshes
+        if strategy.refactor_every_newton_iter:
+            ctx.release()
 
 
 def _exact_step(model, rho, p, u, r, ctx, stats, timers):

@@ -144,7 +144,11 @@ class RunHistory:
     newton_iters: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     ica_iters: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)
+    fallbacks: list = field(default_factory=list)     # sum of the four below
+    guard_fallbacks: list = field(default_factory=list)
+    step_fallbacks: list = field(default_factory=list)
+    linesearch_fallbacks: list = field(default_factory=list)
+    adjoint_fallbacks: list = field(default_factory=list)
     guard_refreshes: list = field(default_factory=list)
     residual_inf: list = field(default_factory=list)
     gp_norm: list = field(default_factory=list)
@@ -268,7 +272,11 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         history.factorizations.append(
             nstats.factorizations + (1 if adj_factored else 0))
         history.ica_iters.append(int(sum(nstats.ica_iterations)))
-        history.fallbacks.append(nstats.fallbacks + (1 if adj_fallback else 0))
+        history.fallbacks.append(nstats.fallbacks + int(adj_fallback))
+        history.guard_fallbacks.append(nstats.guard_fallbacks)
+        history.step_fallbacks.append(nstats.step_fallbacks)
+        history.linesearch_fallbacks.append(nstats.linesearch_fallbacks)
+        history.adjoint_fallbacks.append(int(adj_fallback))
         history.guard_refreshes.append(nstats.guard_refreshes)
         history.residual_inf.append(nstats.residual_inf)
         history.gp_norm.append(gp)

@@ -8,8 +8,10 @@ sweep
 
 converges linearly to the solution of (K0 + dK) s = rhs whenever a
 consistent norm of B is below one.  Each sweep costs one delta product and
-one solve with the held factorization.  Acceptance is judged by the
-max-norm relative residual of the *current* matrix.
+one solve with the held factorization.  The difference dK is built once
+per new current matrix or reference, on the first sweep that needs it.
+Acceptance is judged by the max-norm relative residual of the *current*
+matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMatrixError
-from .sparse import Factorization, SparseSym, delta_apply, ldlt_factor
+from .sparse import (Factorization, SparseSym, delta_apply, difference,
+                     ldlt_factor)
 from .timing import NullTimers
 
 
@@ -43,10 +46,8 @@ class ReanalysisContext:
     """
 
     def __init__(self, K0: SparseSym = None):
-        self.K0 = None
-        self.Kcur = None
-        self.factorization: Factorization = None
         self.global_newton_iters = 0
+        self.release()
         if K0 is not None:
             self.set_reference(K0)
 
@@ -54,11 +55,28 @@ class ReanalysisContext:
     def initialized(self) -> bool:
         return self.factorization is not None
 
+    @property
+    def delta(self) -> SparseSym:
+        """dK = Kcur - K0, built on first use after each change of either."""
+        if self._delta is None:
+            self._delta = difference(self.Kcur, self.K0)
+        return self._delta
+
+    def release(self) -> None:
+        """Drop the held matrices and factorization; the counter stays."""
+        self.K0 = self.Kcur = self._delta = None
+        self.factorization: Factorization = None
+
     def set_reference(self, K: SparseSym) -> None:
-        """Factor K and restart the approximation at dK = 0."""
-        self.K0 = K.copy()
-        self.factorization = ldlt_factor(self.K0)
-        self.Kcur = self.K0.copy()
+        """Factor K and restart the approximation at dK = 0.
+
+        The superseded factorization is dropped first, so two are never
+        held at once; if factoring fails, the context is left empty.
+        """
+        self.release()
+        K0 = K.copy()
+        self.factorization = ldlt_factor(K0)
+        self.K0, self.Kcur = K0, K0.copy()
 
     def refresh_delta(self, K: SparseSym) -> None:
         """Adopt new current-matrix values; the factorization is untouched."""
@@ -67,6 +85,7 @@ class ReanalysisContext:
         if not K.same_pattern(self.K0):
             raise ValueError("pattern mismatch against the held reference")
         self.Kcur = K.copy()
+        self._delta = None
 
     def solve_reference(self, b: np.ndarray) -> np.ndarray:
         return self.factorization.solve(b)
@@ -104,7 +123,7 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
             return s, IcaReport(k, float(res), True, iterates=trace)
         if k == k_max:
             break
-        s = s_tilde - ctx.solve_reference(delta_apply(ctx.Kcur, ctx.K0, s))
+        s = s_tilde - ctx.solve_reference(delta_apply(ctx.delta, s))
     return best_s, IcaReport(best_k, float(best_res), False, iterates=trace)
 
 
@@ -148,7 +167,7 @@ def ca_solve(ctx: ReanalysisContext, rhs: np.ndarray, q: int):
     basis = []
     s = s_tilde
     for _ in range(q):
-        s = s_tilde - ctx.solve_reference(delta_apply(ctx.Kcur, ctx.K0, s))
+        s = s_tilde - ctx.solve_reference(delta_apply(ctx.delta, s))
         basis.append(s)
     S = np.column_stack(basis)
     KS = np.column_stack([ctx.Kcur.matvec(S[:, j]) for j in range(S.shape[1])])
@@ -185,9 +204,9 @@ def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,
     v /= nv
     est = 0.0
     for _ in range(iterations):
-        w = ctx.solve_reference(delta_apply(ctx.Kcur, ctx.K0, v))       # B v
+        w = ctx.solve_reference(delta_apply(ctx.delta, v))       # B v
         new_est = np.linalg.norm(w)
-        z = delta_apply(ctx.Kcur, ctx.K0, ctx.solve_reference(w))       # B^T B v
+        z = delta_apply(ctx.delta, ctx.solve_reference(w))       # B^T B v
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return float(new_est)

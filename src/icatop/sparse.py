@@ -213,20 +213,24 @@ def ldlt_factor(K: SparseSym) -> Factorization:
     return Factorization(K.n, BandFactor(ab, layout.kd, piv), order.perm)
 
 
-def delta_apply(K_new: SparseSym, K_old: SparseSym, v: np.ndarray) -> np.ndarray:
-    """(K_new - K_old) @ v without materializing the difference matrix.
-
-    Both operands must live on the same pattern; the product uses a single
-    sparse matvec over the value difference.
-    """
+def difference(K_new: SparseSym, K_old: SparseSym) -> SparseSym:
+    """K_new - K_old on the shared pattern, for repeated delta products."""
     if not K_new.same_pattern(K_old):
         raise ValueError("matrices do not share a sparsity pattern")
+    return SparseSym(K_new.n, K_new.indptr, K_new.indices,
+                     K_new.data - K_old.data, K_new.order)
+
+
+def delta_apply(dK: SparseSym, v: np.ndarray) -> np.ndarray:
+    """dK @ v for a held difference dK = K_new - K_old (see ``difference``).
+
+    The delta product of the reanalysis sweeps, kept apart from ``matvec``
+    so that its calls and cost are counted on their own.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (K_new.n,):
-        raise ValueError(f"expected vector of length {K_new.n}, got {v.shape}")
-    diff = sp.csr_matrix((K_new.data - K_old.data, K_new.indices, K_new.indptr),
-                         shape=(K_new.n, K_new.n))
-    return diff @ v
+    if v.shape != (dK.n,):
+        raise ValueError(f"expected vector of length {dK.n}, got {v.shape}")
+    return dK.to_csr() @ v
 
 
 def write_matrix_market(K: SparseSym, path) -> None:

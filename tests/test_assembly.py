@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_cantilever_model, random_positive_state
+from icatop import assembly
 from icatop.assembly import (DensityField, FeModel, assemble, element_internal_force,
                              element_tangent, residual_density_derivative)
 from icatop.errors import NonPositiveJacobianError
-from icatop.material import MaterialParams
+from icatop.material import MaterialParams, deformation_gradient, gauss_shape_gradients
 from icatop.mesh import LoadCase, build_grid, fix_region
 
 MAT = MaterialParams(3000.0, 0.4)
@@ -105,8 +106,10 @@ class TestGlobalAssembly:
         r = model.residual(rho, 3.0, np.zeros(model.mesh.n_free))
         assert np.array_equal(r, -model.f_free)
 
-    def test_single_element_tangent_matches_global(self):
-        # the closed-form kernel against element_tangent, element by element
+    def test_single_element_tangent_matches_global(self, monkeypatch):
+        # the closed-form kernel against element_tangent, element by element;
+        # blocks of 7 split the 18-element meshes into 7 + 7 + 4
+        monkeypatch.setattr(assembly, "BLOCK_ELEMENTS", 7)
         for nx, ny in ((1, 1), (6, 3), (3, 6)):
             mesh = build_grid(nx, ny, 2.0 * nx, 1.0 * ny, 1.5)
             mesh = fix_region(mesh, lambda x, y: x <= 1e-12, axes="both")
@@ -130,6 +133,76 @@ class TestGlobalAssembly:
             KL = model.linear_tangent(rho, 3.0).to_csr()
             assert abs(KL - KL.T).max() == 0.0
             assert np.array_equal(KL.toarray(), linear)
+
+    def test_blocked_internal_forces_match_element_sum(self, monkeypatch):
+        monkeypatch.setattr(assembly, "BLOCK_ELEMENTS", 7)
+        for nx, ny in ((6, 3), (3, 6)):
+            mesh = build_grid(nx, ny, 2.0 * nx, 1.0 * ny, 1.5)
+            mesh = fix_region(mesh, lambda x, y: x <= 1e-12, axes="both")
+            model = FeModel(mesh, LoadCase(), MAT)
+            rho, u = random_positive_state(model, seed=nx + 10 * ny)
+            u_full = mesh.scatter(u)
+            q = model.element_internal_forces(u)
+            oracle = np.zeros(mesh.n_dof)
+            for e, dofs in enumerate(mesh.elem_dofs):
+                fe = element_internal_force(rho[e], 3.0, u_full[dofs], 2.0,
+                                            1.0, 1.5, MAT)
+                assert np.abs(rho[e] ** 3.0 * q[e] - fe).max() \
+                    <= 1e-12 * np.abs(fe).max()
+                oracle[dofs] += fe
+            f_int = model.internal_force(rho, 3.0, u)
+            assert np.abs(f_int - mesh.gather(oracle)).max() \
+                <= 1e-12 * np.abs(oracle).max()
+
+    def test_collapse_in_last_block_names_global_element(self, monkeypatch):
+        monkeypatch.setattr(assembly, "BLOCK_ELEMENTS", 7)
+        mesh = build_grid(6, 3, 12.0, 3.0, 1.0)
+        mesh = fix_region(mesh, lambda x, y: x <= 1e-12, axes="both")
+        model = FeModel(mesh, LoadCase(), MAT)
+        # the top-right corner node belongs to the last element alone;
+        # pulling it past the opposite corner inverts that element only
+        full = np.zeros(mesh.n_dof)
+        corner = mesh.node_id(6, 3)
+        full[2 * corner:2 * corner + 2] = [-6.0, -3.0]
+        G = gauss_shape_gradients(2.0, 1.0)
+        collapsed = [e for e, dofs in enumerate(mesh.elem_dofs)
+                     if min(deformation_gradient(G[q], full[dofs])[1]
+                            for q in range(4)) <= 0.0]
+        assert collapsed == [mesh.n_el - 1] and mesh.n_el - 1 >= 14
+        rho = np.full(mesh.n_el, 0.5)
+        u = mesh.gather(full)
+        for kernel in (lambda: model.residual(rho, 3.0, u),
+                       lambda: model.tangent(rho, 3.0, u)):
+            with pytest.raises(NonPositiveJacobianError) as err:
+                kernel()
+            assert err.value.element == mesh.n_el - 1
+
+    @pytest.mark.parametrize("nx, ny, spring", [(6, 3, 0.0), (3, 6, 0.0),
+                                                (12, 4, 7.5)])
+    def test_upper_first_pattern_matches_full_key_pattern(self, nx, ny,
+                                                          spring):
+        model = make_cantilever_model(nx=nx, ny=ny, spring=spring)
+        n = model.mesh.n_free
+        # reference: one np.unique over all 64 keys of every element
+        rows = np.repeat(model.elem_free, 8, axis=1).ravel()
+        cols = np.tile(model.elem_free, (1, 8)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        full = np.unique(rows[keep] * n + cols[keep])
+        ref_rows, ref_cols = np.divmod(full, n)
+        ref_indptr = np.searchsorted(ref_rows, np.arange(n + 1))
+        ref_diag = np.searchsorted(full, np.arange(n) * (n + 1))
+        K = model.tangent(np.full(model.mesh.n_el, 0.5), 3.0,
+                          np.zeros(n))
+        assert np.array_equal(K.indptr, ref_indptr)
+        assert np.array_equal(K.indices, ref_cols)
+        assert np.array_equal(K.indices[ref_diag], np.arange(n))
+        # every full entry reads the upper entry (min(i, j), max(i, j))
+        upper = full[ref_rows <= ref_cols]
+        ref_mirror = np.searchsorted(
+            upper, np.minimum(ref_rows, ref_cols) * n
+            + np.maximum(ref_rows, ref_cols))
+        assert np.array_equal(model._mirror, ref_mirror)
+        assert np.array_equal(model._mirror[ref_diag], model._diag)
 
     def test_tangent_is_residual_jacobian(self, cantilever_model):
         model = cantilever_model

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from icatop import optimizer, reanalysis, sensitivity
+from icatop import nonlinear, optimizer, reanalysis, sensitivity
 from icatop.cli import main, read_config_file
 from icatop.errors import NewtonConvergenceError, SingularMatrixError
+from icatop.reanalysis import IcaReport
 from icatop.timing import CATEGORIES
 
 
@@ -218,6 +219,100 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
     # the first attempt and on the retry with a halved move limit
     expected = 2 if site == "residual" else 0
     assert [s.factorizations for s in failed] == [0] * expected
+
+
+def read_history(out):
+    lines = (out / "history.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("strategy", ["N", "upK03K100g"])
+def test_line_search_exhaustion(tmp_path, monkeypatch, strategy):
+    # the first line search from a reused factorization after outer
+    # iteration 5, or every line search of outer iteration 3 under N, fails
+    real_newton, real_search = optimizer.newton_solve, \
+        nonlinear.armijo_linesearch
+    outer, failed = {}, []
+
+    def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+        outer["t"] = outer_iter
+        return real_newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+    def search(merit_fn, merit0, slope, *args):
+        exact = slope == -2.0 * merit0
+        if (outer["t"] == 3 and strategy == "N") \
+                or (outer["t"] > 5 and not exact and not failed):
+            failed.append(outer["t"])
+            return None, None, 20
+        return real_search(merit_fn, merit0, slope, *args)
+
+    monkeypatch.setattr(optimizer, "newton_solve", newton)
+    monkeypatch.setattr(nonlinear, "armijo_linesearch", search)
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", strategy, "--budget", "9")
+    report = json.loads((out / "report.json").read_text())
+    rows = read_history(out)
+    assert (out / "density.pgm").exists()
+    if strategy == "N":
+        # the exact step has no rescue: a typed abort after the retry
+        assert code == 1 and report["aborted"] is True
+        assert report["outer_iterations"] == 2 == len(rows)
+        assert failed == [3, 3]
+    else:
+        # the exact step rescues the stale one; the run goes on
+        assert code == 0 and report["aborted"] is False
+        assert len(failed) == 1
+        assert report["linesearch_fallbacks"] == 1
+        assert int(rows[failed[0] - 1]["linesearch_fallbacks"]) == 1
+        assert sum(int(r["linesearch_fallbacks"]) for r in rows) == 1
+
+
+@pytest.mark.parametrize("factor_fails", [False, True],
+                         ids=["recovers", "factor_fails"])
+def test_adjoint_fallback(tmp_path, monkeypatch, factor_fails):
+    # the adjoint sweeps of outer iteration 3 do not converge, so the
+    # context refactors; that factorization fails too, or not
+    real_newton, real_sweep, real_factor = optimizer.newton_solve, \
+        reanalysis.ica_solve, reanalysis.ldlt_factor
+    outer, fell_back = {}, []
+
+    def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+        outer["t"] = outer_iter
+        return real_newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+    def sweep(ctx, rhs, *args, **kw):
+        s, rep = real_sweep(ctx, rhs, *args, **kw)
+        if outer["t"] == 3:
+            fell_back.append(outer["t"])
+            return s, IcaReport(rep.iterations, 1.0, False)
+        return s, rep
+
+    def factor(K):
+        if factor_fails and fell_back:
+            raise SingularMatrixError("injected zero pivot")
+        return real_factor(K)
+
+    monkeypatch.setattr(optimizer, "newton_solve", newton)
+    monkeypatch.setattr(reanalysis, "ica_solve", sweep)
+    monkeypatch.setattr(reanalysis, "ldlt_factor", factor)
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", "upK03K100g", "--budget", "5")
+    report = json.loads((out / "report.json").read_text())
+    rows = read_history(out)
+    assert fell_back == [3]
+    assert (out / "density.pgm").exists()
+    if factor_fails:
+        assert code == 1 and report["aborted"] is True
+        assert report["outer_iterations"] == 2 == len(rows)
+        assert report["adjoint_fallbacks"] == 0
+    else:
+        assert code == 0 and report["aborted"] is False
+        assert report["adjoint_fallbacks"] == 1
+        assert rows[2]["adjoint_fallbacks"] == rows[2]["fallbacks"] == "1"
+        # exact Newton in the first outer iterations, plus the fallback
+        assert int(rows[2]["factorizations"]) \
+            == int(rows[2]["newton_iters"]) + 1
 
 
 class TestCompare:

@@ -220,6 +220,19 @@ class TestNewtonSolve:
         assert st.converged
         assert st.fallbacks >= 1
 
+    @pytest.mark.parametrize("strategy, held", [(Strategy.N, False),
+                                                (Strategy.MN, True)])
+    def test_factorization_held_only_for_reuse(self, strategy, held):
+        # exact Newton never reuses its last factorization: it is released
+        model = make_cantilever_model()
+        rho = np.full(model.mesh.n_el, 0.5)
+        ctx = ReanalysisContext()
+        _, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+                             strategy, ctx, outer_iter=1)
+        assert st.converged and st.factorizations > 0
+        assert ctx.initialized is held
+        assert ctx.global_newton_iters == st.iterations
+
     def test_non_finite_residual_raises_before_factoring(self):
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)

@@ -201,7 +201,9 @@ class TestOptimizeLoop:
         h = optimize(prob, OptimizerConfig(strategy=Strategy.UPK1G, budget=8))
         n = h.iterations
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
-                     "fallbacks", "guard_refreshes", "residual_inf", "gp_norm", "penalty",
+                     "fallbacks", "guard_fallbacks", "step_fallbacks",
+                     "linesearch_fallbacks", "adjoint_fallbacks",
+                     "guard_refreshes", "residual_inf", "gp_norm", "penalty",
                      "volume", "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
@@ -256,6 +258,10 @@ class TestOptimizeLoop:
             predicted = predicted_factorizations(strategy, h.newton_iters)
             assert h.total("factorizations") \
                 == predicted + h.total("fallbacks"), strategy.value
+            # the four reasons add up to the fallbacks of every iteration
+            assert [sum(reasons) for reasons in zip(
+                h.guard_fallbacks, h.step_fallbacks, h.linesearch_fallbacks,
+                h.adjoint_fallbacks)] == h.fallbacks, strategy.value
             refreshes += h.total("guard_refreshes")
         assert refreshes > 0
 

@@ -3,6 +3,7 @@ import pytest
 
 from icatop.reanalysis import (IcaReport, ReanalysisContext, ca_solve,
                                estimate_norm_B, ica_adjoint_solve, ica_solve)
+from icatop.errors import SingularMatrixError
 from icatop.sparse import SparseSym
 
 
@@ -73,9 +74,9 @@ class TestIcaSolve:
         ctx.refresh_delta(Kc)
         r = rng.standard_normal(20)
         s_star = np.linalg.solve(Kcd, -r)
-        from icatop.sparse import delta_apply
+        from icatop.sparse import delta_apply, difference
         s_next = ctx.solve_reference(-r) - ctx.solve_reference(
-            delta_apply(Kc, K0, s_star))
+            delta_apply(difference(Kc, K0), s_star))
         assert np.abs(s_next - s_star).max() <= 1e-10 * np.abs(s_star).max()
 
     def test_divergent_flagged_within_budget(self):
@@ -230,6 +231,35 @@ def test_counters_and_reset():
     ctx.refresh_delta(Kc)
     ctx.set_reference(Kc)
     assert ctx.global_newton_iters == 3      # global counter persists
+
+
+def test_failed_reference_leaves_the_context_empty():
+    rng = np.random.default_rng(15)
+    K0, Kc, _, _ = make_pair(rng, 10, 0.3)
+    ctx = ReanalysisContext(K0)
+    ctx.global_newton_iters = 4
+    bad = SparseSym(10, K0.indptr, K0.indices, np.full_like(K0.data, np.nan))
+    with pytest.raises(SingularMatrixError):
+        ctx.set_reference(bad)
+    assert (ctx.K0, ctx.Kcur, ctx.factorization) == (None, None, None)
+    assert not ctx.initialized and ctx.global_newton_iters == 4
+    ctx.set_reference(Kc)
+    assert ctx.initialized
+
+
+def test_delta_built_once_per_current_matrix():
+    rng = np.random.default_rng(16)
+    K0, Kc, K0d, Kcd = make_pair(rng, 12, 0.4)
+    ctx = ReanalysisContext(K0)
+    assert not ctx.delta.data.any()
+    ctx.refresh_delta(Kc)
+    delta = ctx.delta
+    assert ctx.delta is delta
+    assert np.allclose(delta.to_csr().toarray(), Kcd - K0d, atol=1e-12)
+    ica_solve(ctx, rng.standard_normal(12), eps=1e-12)
+    assert ctx.delta is delta
+    ctx.refresh_delta(K0)
+    assert ctx.delta is not delta and not ctx.delta.data.any()
 
 
 def test_pattern_mismatch_rejected():
