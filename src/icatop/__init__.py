@@ -1,7 +1,7 @@
 """Topology optimization of geometrically nonlinear 2D structures and
 compliant mechanisms, with factorization-reusing inexact Newton solvers."""
 
-from .assembly import DensityField, FeModel, GlobalSystem, assemble
+from .assembly import FeModel
 from .bench import (Problem, cantilever, desk, gripper, inverter,
                     linear_mode, slender)
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
@@ -13,8 +13,8 @@ from .nonlinear import (Action, NewtonStats, ReusePolicy, Strategy,
                         newton_solve, predicted_factorizations)
 from .optimizer import (OptimizerConfig, RunHistory, optimize,
                         projected_gradient_norm, slp_subproblem)
-from .reanalysis import (IcaReport, ReanalysisContext, ca_solve,
-                         estimate_norm_B, ica_adjoint_solve, ica_solve)
+from .reanalysis import (IcaReport, ReanalysisContext, estimate_norm_B,
+                         ica_adjoint_solve, ica_solve)
 from .sensitivity import AdjointSolution, objective_gradient, solve_adjoint
 from .sparse import Factorization, SparseSym, delta_apply, ldlt_factor
 

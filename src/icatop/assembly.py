@@ -33,8 +33,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -43,37 +41,6 @@ from .errors import NonPositiveJacobianError
 from .material import MaterialParams, gauss_shape_gradients
 from .mesh import LoadCase, Mesh
 from .sparse import BandOrder, SparseSym
-
-
-@dataclass
-class DensityField:
-    """Element densities with SIMP parameters and element volumes."""
-
-    rho: np.ndarray
-    p: float
-    rho_min: float
-    volumes: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.volumes = np.asarray(self.volumes, dtype=float)
-        if self.p < 1.0:
-            raise ValueError(f"SIMP exponent must be >= 1, got {self.p}")
-        if np.any(self.volumes <= 0):
-            raise ValueError("element volumes must be positive")
-        lo, hi = self.rho.min(), self.rho.max()
-        if lo < self.rho_min - 1e-12 or hi > 1.0 + 1e-12:
-            raise ValueError(f"densities outside [{self.rho_min}, 1]: [{lo}, {hi}]")
-
-
-@dataclass
-class GlobalSystem:
-    """Assembled free-DOF system at one state."""
-
-    K: SparseSym
-    r: np.ndarray
-    f_int: np.ndarray
-    f: np.ndarray
 
 
 # elements per kernel block: its F, J, w and Gauss-point sums, about
@@ -89,16 +56,6 @@ _SWAP = _POS[_UPPER[0] - _UPPER[0] % 2 + _UPPER[1] % 2,
              _UPPER[1] - _UPPER[1] % 2 + _UPPER[0] % 2]
 # signs of the cofactors: F^-T = [[F11, -F10], [-F01, F00]] / J
 _COFACTOR_SIGN = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
-
-
-def _mirror_lower(K: np.ndarray) -> None:
-    """Copy the strict lower triangle of an 8x8 matrix onto the upper one.
-
-    The tangent modulus has major symmetry, so the two triangles agree up
-    to summation roundoff; mirroring makes the matrix exactly symmetric.
-    """
-    lower = np.tril_indices(8, -1)
-    K[lower[::-1]] = K[lower]
 
 
 class FeModel:
@@ -295,7 +252,8 @@ class FeModel:
             for qp in range(4):
                 G = self.G[qp]
                 ke += G.T @ D0 @ G
-            _mirror_lower(ke)
+            # exactly symmetric: the upper triangle copies the lower one
+            ke[_UPPER] = ke.T[_UPPER]
             self._ke_linear = ke * self.quad_w
         return self._ke_linear
 
@@ -304,56 +262,3 @@ class FeModel:
         ke = self.linear_element_tangent()
         return self._assemble_upper(
             ke[_UPPER][:, None] * (np.asarray(rho) ** p))
-
-
-# -- single-element operations (convenience and test surface) --------------
-
-def element_tangent(rho_i, p, u_e, elem_w, elem_h, thickness,
-                    material: MaterialParams) -> np.ndarray:
-    """SIMP-scaled 8x8 element tangent, 2x2 Gauss."""
-    G = gauss_shape_gradients(elem_w, elem_h)
-    w = 0.25 * elem_w * elem_h * thickness
-    K = np.zeros((8, 8))
-    for qp in range(4):
-        F, J = mat_mod.deformation_gradient(G[qp], u_e)
-        if J <= 0:
-            raise NonPositiveJacobianError(f"det(F) = {J:.3e} <= 0")
-        D = mat_mod.tangent_modulus(F, material)
-        K += G[qp].T @ D @ G[qp]
-    _mirror_lower(K)
-    return (rho_i ** p) * w * K
-
-
-def element_internal_force(rho_i, p, u_e, elem_w, elem_h, thickness,
-                           material: MaterialParams) -> np.ndarray:
-    """SIMP-scaled element internal force vector of length 8."""
-    G = gauss_shape_gradients(elem_w, elem_h)
-    w = 0.25 * elem_w * elem_h * thickness
-    f = np.zeros(8)
-    for qp in range(4):
-        F, J = mat_mod.deformation_gradient(G[qp], u_e)
-        if J <= 0:
-            raise NonPositiveJacobianError(f"det(F) = {J:.3e} <= 0")
-        f += G[qp].T @ mat_mod.pk1_stress(F, material)
-    return (rho_i ** p) * w * f
-
-
-def assemble(model: FeModel, rho, p, u_free) -> GlobalSystem:
-    """Tangent and residual at one state, over free DOFs."""
-    K = model.tangent(rho, p, u_free)
-    f_int = model.internal_force(rho, p, u_free)
-    r = f_int + model.spring_free * u_free - model.f_free
-    return GlobalSystem(K=K, r=r, f_int=f_int, f=model.f_free.copy())
-
-
-def residual_density_derivative(model: FeModel, e: int, rho, p, u_free):
-    """d(residual)/d(rho_e): 8 values on the element's DOFs.
-
-    Returns (free_dof_indices, values); entries on fixed DOFs are dropped.
-    """
-    q = model.element_internal_forces(u_free)[e]
-    rho_e = float(np.asarray(rho)[e])
-    vals = p * rho_e ** (p - 1.0) * q
-    free_idx = model.elem_free[e]
-    keep = free_idx >= 0
-    return free_idx[keep], vals[keep]

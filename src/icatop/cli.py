@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
+from .filtering import KERNELS
 from .nonlinear import Strategy
 from .optimizer import OptimizerConfig, RunHistory, optimize
 from .timing import CATEGORIES
@@ -28,8 +29,34 @@ HISTORY_COLUMNS = [
     "max_normB",
 ] + list(CATEGORIES)
 
-COUNT_ROWS = ["Final F", "Outer iterations", "Newton iterations",
-              "Factorizations", "Fallbacks", "Guard refreshes"]
+# options of ``run`` that a config file may set too: key -> flag settings;
+# the flag is --key with dashes, and a file value obeys the flag's rules
+RUN_OPTIONS = {
+    "problem": {"choices": ["cantilever", "slender", "inverter", "gripper"]},
+    "mesh": {"help": "WxH element counts, e.g. 60x15"},
+    "strategy": {"choices": [m.value for m in Strategy]},
+    "budget": {"type": int},
+    "converge": {"type": float,
+                 "help": "stop on the projected-gradient criterion"},
+    "move_limit": {"type": float},
+    "filter_kernel": {"choices": KERNELS},
+    "filter_radius": {"type": float,
+                      "help": "radius in element lengths (default per problem)"},
+    "monitor_normB": {"action": "store_true"},
+    "linear": {"action": "store_true"},
+}
+BOOLEANS = {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}
+
+# rows of ``compare`` above the timings, in order
+COUNT_ROWS = {
+    "Final F": lambda r: r["final_objective"],
+    "Outer iterations": lambda r: r["outer_iterations"],
+    "Newton iterations": lambda r: r["newton_iterations"],
+    "Factorizations": lambda r: r["factorizations"],
+    "Fallbacks": lambda r: r["fallbacks"],
+    "Guard refreshes": lambda r: r.get("guard_refreshes"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,21 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one optimization")
     run.add_argument("--config", type=Path,
                      help="flat key=value file; flags override it")
-    run.add_argument("--problem",
-                     choices=["cantilever", "slender", "inverter", "gripper"])
-    run.add_argument("--mesh", help="WxH element counts, e.g. 60x15")
-    run.add_argument("--strategy", default=None,
-                     choices=[m.value for m in Strategy])
-    run.add_argument("--budget", type=int, default=None)
-    run.add_argument("--converge", type=float, default=None,
-                     help="stop on the projected-gradient criterion")
-    run.add_argument("--move-limit", type=float, default=None)
-    run.add_argument("--filter-kernel", choices=["cone", "gaussian"],
-                     default=None)
-    run.add_argument("--filter-radius", type=float, default=None,
-                     help="radius in element lengths (default per problem)")
-    run.add_argument("--monitor-normB", action="store_true", default=None)
-    run.add_argument("--linear", action="store_true", default=None)
+    for key, settings in RUN_OPTIONS.items():
+        run.add_argument("--" + key.replace("_", "-"), default=None,
+                         **settings)
     run.add_argument("--out", type=Path, default=Path("."))
 
     comp = sub.add_parser("compare", help="tabulate several run reports")
@@ -63,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: Path) -> dict:
-    """Flat key=value format; keys match the run flags."""
+    """Flat key=value format; keys and values follow the run flags."""
     opts = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
@@ -72,30 +87,34 @@ def read_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        opts[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        try:
+            opts[key] = _parse_option(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return opts
 
 
-_CONFIG_CASTS = {
-    "budget": int,
-    "converge": float,
-    "move_limit": float,
-    "filter_radius": float,
-    "monitor_normB": lambda s: s.lower() in ("1", "true", "yes"),
-    "linear": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _parse_option(key: str, text: str):
+    """A config-file value, checked as its flag would check it."""
+    if key not in RUN_OPTIONS:
+        raise ValueError(f"unknown key; expected one of {list(RUN_OPTIONS)}")
+    settings = RUN_OPTIONS[key]
+    if settings.get("action") == "store_true":
+        if text.lower() not in BOOLEANS:
+            raise ValueError(f"expected one of {list(BOOLEANS)}, got {text!r}")
+        return BOOLEANS[text.lower()]
+    value = settings.get("type", str)(text)
+    choices = settings.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice {text!r}; expected one of "
+                         f"{list(choices)}")
+    return value
 
 
 def _merge_options(args) -> dict:
-    opts = {}
-    if args.config is not None:
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            caster = _CONFIG_CASTS.get(key, str)
-            opts[key] = caster(value)
-    for key in ("problem", "mesh", "strategy", "budget", "converge",
-                "move_limit", "filter_kernel", "filter_radius",
-                "monitor_normB", "linear"):
+    opts = read_config_file(args.config) if args.config is not None else {}
+    for key in RUN_OPTIONS:
         value = getattr(args, key)
         if value is not None:
             opts[key] = value
@@ -275,17 +294,9 @@ def format_comparison(reports) -> str:
             cells.append(f"{text:>{width}}")
         return f"{label:24}" + "".join(cells)
 
-    getters = {
-        "Final F": lambda r: r["final_objective"],
-        "Outer iterations": lambda r: r["outer_iterations"],
-        "Newton iterations": lambda r: r["newton_iterations"],
-        "Factorizations": lambda r: r["factorizations"],
-        "Fallbacks": lambda r: r["fallbacks"],
-        "Guard refreshes": lambda r: r.get("guard_refreshes"),
-    }
-    for label in COUNT_ROWS:
-        values = [getters[label](r) for r in reports]
-        lines.append(row(label, values, base_value=getters[label](base)))
+    for label, get in COUNT_ROWS.items():
+        lines.append(row(label, [get(r) for r in reports],
+                         base_value=get(base)))
     lines.append("CPU time (s)")
     for name in CATEGORIES:
         values = [r["timings"].get(name) for r in reports]

@@ -25,8 +25,6 @@ KERNELS = ("cone", "gaussian")
 @dataclass
 class FilterOperator:
     weights: sp.csr_matrix     # row-stochastic
-    radius_elements: float
-    kernel: str
 
     def apply(self, rho_design: np.ndarray) -> np.ndarray:
         rho_design = np.asarray(rho_design, dtype=float)
@@ -95,4 +93,4 @@ def build_filter(mesh: Mesh, radius_in_elements: float,
     weighted = raw.multiply(volumes[None, :]).tocsr()
     row_sums = np.asarray(weighted.sum(axis=1)).ravel()
     W = sp.diags(1.0 / row_sums) @ weighted
-    return FilterOperator(W.tocsr(), radius_in_elements, kernel)
+    return FilterOperator(W.tocsr())

@@ -5,9 +5,11 @@ The stored energy per unit reference volume is
     W(F) = mu/2 * (tr(F^T F) - 2 - 2 ln J) + lam/4 * (J^2 - 1 - 2 ln J),
 
 a compressible neo-Hookean form whose stress-free reference state is F = I.
-The first Piola-Kirchhoff stress P = dW/dF and the tangent modulus
-A = dP/dF are returned flattened with the displacement-gradient component
-order (11, 12, 21, 22), matching the rows of the shape-derivative matrix G.
+The kernels take batches of deformation gradients.  The first
+Piola-Kirchhoff stress P = dW/dF is returned flattened with the
+displacement-gradient component order (11, 12, 21, 22), matching the rows
+of the shape-derivative matrix G; the tangent modulus A = dP/dF enters the
+assembly through its two weights (``tangent_weights``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ GAUSS_POINTS = np.array([
     [-1.0, +1.0],
     [+1.0, +1.0],
 ]) / np.sqrt(3.0)
-GAUSS_WEIGHTS = np.ones(4)
 
 
 @dataclass(frozen=True)
@@ -80,36 +81,14 @@ def gauss_shape_gradients(elem_w: float, elem_h: float) -> np.ndarray:
                      for xi, eta in GAUSS_POINTS])
 
 
-def deformation_gradient(G: np.ndarray, u_e: np.ndarray):
-    """F = I + grad(u) and J = det F from one quadrature point.
-
-    J <= 0 is returned, not raised; callers decide whether the state is
-    admissible (the line search rejects such trial steps).
-    """
-    u_e = np.asarray(u_e, dtype=float)
-    if u_e.shape != (8,):
-        raise ValueError(f"element displacement vector must have length 8, got {u_e.shape}")
-    H = (G @ u_e).reshape(2, 2)
-    F = np.eye(2) + H
-    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    return F, J
-
-
 def _as_batch(F):
+    """F as a float batch (n, 2, 2) and its determinants, all positive."""
     F = np.asarray(F, dtype=float)
-    single = F.ndim == 2
-    if single:
-        F = F[None]
     J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    return F, J, single
-
-
-def _check_positive(J, element_ids=None):
     bad = np.flatnonzero(J <= 0.0)
     if bad.size:
-        elem = None if element_ids is None else int(element_ids[bad[0]])
-        raise NonPositiveJacobianError(
-            f"det(F) = {J[bad[0]]:.3e} <= 0", element=elem)
+        raise NonPositiveJacobianError(f"det(F) = {J[bad[0]]:.3e} <= 0")
+    return F, J
 
 
 def _inverse_2x2(F, J):
@@ -122,42 +101,20 @@ def _inverse_2x2(F, J):
 
 
 def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Stored energy density W for a batch of deformation gradients."""
-    F, J, single = _as_batch(F)
-    _check_positive(J)
+    """Stored energy density W for a batch (n, 2, 2) of deformation gradients."""
+    F, J = _as_batch(F)
     trC = np.einsum("nij,nij->n", F, F)
     logJ = np.log(J)
-    W = 0.5 * mat.mu * (trC - 2.0 - 2.0 * logJ) \
+    return 0.5 * mat.mu * (trC - 2.0 - 2.0 * logJ) \
         + 0.25 * mat.lam * (J * J - 1.0 - 2.0 * logJ)
-    return W[0] if single else W
 
 
 def pk1_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """First Piola-Kirchhoff stress, flattened (n, 4) or (4,)."""
-    F, J, single = _as_batch(F)
-    _check_positive(J)
+    """First Piola-Kirchhoff stress of a batch, flattened (n, 4)."""
+    F, J = _as_batch(F)
     FinvT = np.swapaxes(_inverse_2x2(F, J), 1, 2)
     P = mat.mu * (F - FinvT) + 0.5 * mat.lam * ((J * J - 1.0))[:, None, None] * FinvT
-    out = P.reshape(-1, 4)
-    return out[0] if single else out
-
-
-def tangent_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Tangent modulus dP/dF, flattened (n, 4, 4) or (4, 4)."""
-    F, J, single = _as_batch(F)
-    _check_positive(J)
-    Finv = _inverse_2x2(F, J)
-    FinvT_flat = np.swapaxes(Finv, 1, 2).reshape(-1, 4)
-
-    n = F.shape[0]
-    a, b = tangent_weights(J, mat)
-    A = np.zeros((n, 4, 4))
-    A += mat.mu * np.eye(4)
-    A += a[:, None, None] * np.einsum("na,nb->nab", FinvT_flat, FinvT_flat)
-    # derivative of F^{-T}: d(F^-T)_{ij}/dF_{kl} = -(F^-1)_{jk} (F^-1)_{li}
-    A += b[:, None, None] \
-        * np.einsum("njk,nli->nijkl", Finv, Finv).reshape(n, 4, 4)
-    return A[0] if single else A
+    return P.reshape(-1, 4)
 
 
 def tangent_weights(J: np.ndarray, mat: MaterialParams):
@@ -168,21 +125,6 @@ def tangent_weights(J: np.ndarray, mat: MaterialParams):
     """
     J2 = J * J
     return mat.lam * J2, mat.mu - 0.5 * mat.lam * (J2 - 1.0)
-
-
-def strain_energy(F: np.ndarray, mat: MaterialParams) -> float:
-    """Energy density at one quadrature point."""
-    return float(energy_many(F, mat))
-
-
-def pk1_stress(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Flattened stress (P11, P12, P21, P22) at one quadrature point."""
-    return pk1_many(F, mat)
-
-
-def tangent_modulus(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """4x4 tangent consistent with pk1_stress; symmetric by construction."""
-    return tangent_many(F, mat)
 
 
 def elasticity_matrix(mat: MaterialParams) -> np.ndarray:

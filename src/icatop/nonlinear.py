@@ -200,8 +200,8 @@ def predicted_factorizations(strategy: Strategy, newton_iters_per_outer) -> int:
 
 def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                  ctx: ReanalysisContext, outer_iter: int, *,
-                 tol: float = 1e-5, max_iter: int = 50, eps_R: float = 1e-2,
-                 ica_kmax: int = 10, monitor_normB: bool = False, timers=None):
+                 tol: float = 1e-5, max_iter: int = 50,
+                 monitor_normB: bool = False, timers=None):
     """Solve the equilibrium residual to max-norm tolerance ``tol``.
 
     Returns (u, NewtonStats).  Raises NewtonConvergenceError when the
@@ -249,7 +249,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                     stats.max_normB = est if stats.max_normB is None \
                         else max(stats.max_normB, est)
                 with timers.scope("Linear systems"):
-                    s, report = ica_solve(ctx, -r, eps_R, ica_kmax)
+                    s, report = ica_solve(ctx, -r)
                 stats.ica_iterations.append(report.iterations)
                 slope = 2.0 * float(r @ ctx.Kcur.matvec(s)) if report.converged \
                     else np.inf

@@ -20,7 +20,14 @@ from .nonlinear import Strategy, linear_equilibrium, newton_solve
 from .reanalysis import ReanalysisContext
 from .sensitivity import (objective_gradient, objective_gradient_linear,
                           solve_adjoint)
-from .timing import CATEGORIES, Timers
+from .timing import Timers
+
+# SIMP continuation: p rises by P_STEP every P_EVERY outer iterations
+P_INITIAL, P_STEP, P_EVERY, P_MAX = 1.0, 0.1, 10, 3.0
+HARD_CAP = 100000       # outer iterations in convergence mode without a budget
+# convergence mode damps the move limit when the objective fails to
+# decrease; a fixed move limit lets the bang-bang updates cycle forever
+MOVE_SHRINK, MOVE_GROW, MOVE_FLOOR = 0.5, 1.1, 1e-4
 
 
 @dataclass
@@ -30,32 +37,22 @@ class OptimizerConfig:
     converge_tol: float = None        # if set, stop on the stationarity test
     move_limit: float = 0.05
     rho_min: float = 1e-3
-    p_initial: float = 1.0
-    p_step: float = 0.1
-    p_every: int = 10
-    p_max: float = 3.0
-    newton_tol: float = 1e-5
     newton_cap: int = 50
-    eps_R: float = 1e-2
-    eps_T: float = 1e-8
-    ica_kmax: int = 10
     filter_kernel: str = "cone"
     monitor_normB: bool = False
-    hard_cap: int = 100000            # safety bound in convergence mode
-    # convergence mode damps the move limit when the objective fails to
-    # decrease; a fixed move limit lets the bang-bang updates cycle forever
-    move_shrink: float = 0.5
-    move_grow: float = 1.1
-    move_floor: float = 1e-4
+
+    def __post_init__(self):
+        if self.budget is None and self.converge_tol is None:
+            raise ValueError("a budget or a convergence tolerance is needed")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
     def penalty_at(self, outer_iter: int) -> float:
-        step = (outer_iter - 1) // self.p_every
-        return min(self.p_max, self.p_initial + self.p_step * step)
+        step = (outer_iter - 1) // P_EVERY
+        return min(P_MAX, P_INITIAL + P_STEP * step)
 
     def max_outer(self) -> int:
-        if self.converge_tol is not None:
-            return self.budget if self.budget is not None else self.hard_cap
-        return self.budget
+        return HARD_CAP if self.budget is None else self.budget
 
 
 @dataclass
@@ -219,8 +216,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             else:
                 u_new, nstats = newton_solve(
                     model, rho_phys, p, u, config.strategy, ctx, t,
-                    tol=config.newton_tol, max_iter=config.newton_cap,
-                    eps_R=config.eps_R, ica_kmax=config.ica_kmax,
+                    max_iter=config.newton_cap,
                     monitor_normB=config.monitor_normB, timers=timers)
         except SingularMatrixError:
             return _aborted(history, rho_design, filt, timers)
@@ -247,8 +243,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         else:
             try:
                 adj = solve_adjoint(model, rho_phys, p, u_new, l_free,
-                                    config.strategy, ctx, eps_T=config.eps_T,
-                                    k_max=config.ica_kmax, timers=timers)
+                                    config.strategy, ctx, timers=timers)
             except SingularMatrixError:
                 return _aborted(history, rho_design, filt, timers)
             lam = adj.lam
@@ -293,12 +288,12 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             break
         if config.converge_tol is not None and len(history.objective) >= 2:
             if history.objective[-1] > history.objective[-2]:
-                move = max(config.move_floor, move * config.move_shrink)
+                move = max(MOVE_FLOOR, move * MOVE_SHRINK)
                 # redo the update from the current design with the tighter box
                 sub = slp_subproblem(grad_design, rho_design, move, bounds,
                                      v_eff, Vstar)
             else:
-                move = min(config.move_limit, move * config.move_grow)
+                move = min(config.move_limit, move * MOVE_GROW)
         prev = (rho_design.copy(), grad_design)
         rho_design = sub.rho_new
         retried = False

@@ -16,11 +16,10 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .sparse import (Factorization, SparseSym, delta_apply, difference,
                      ldlt_factor)
 from .timing import NullTimers
@@ -98,7 +97,8 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     Returns the first iterate whose relative residual against Kcur drops
     below ``eps``; if none of s_0 .. s_{k_max} qualifies, the best iterate
     is returned with ``converged=False`` and the caller decides whether to
-    refactor.
+    refactor.  The defaults are the paper's Newton forcing term
+    eps_R = 1e-2 and the sweep budget of both the Newton and adjoint solves.
     """
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
@@ -128,7 +128,7 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
 
 
 def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8,
-                      k_max: int = 10, timers=None):
+                      timers=None):
     """Solve Kcur lam = -l iteratively, with a direct fallback.
 
     The caller must have refreshed the context so Kcur holds the tangent at
@@ -140,7 +140,7 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
     timers = timers or NullTimers()
     l = np.asarray(l, dtype=float)
     with timers.scope("Linear systems"):
-        lam, rep = ica_solve(ctx, -l, eps_T, k_max)
+        lam, rep = ica_solve(ctx, -l, eps_T)
     if rep.converged:
         return lam, rep
     with timers.scope("Factorizations"):
@@ -150,40 +150,6 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
         norm_l = np.abs(l).max()
         res = np.abs(ctx.Kcur.matvec(lam) + l).max() / norm_l if norm_l else 0.0
     return lam, IcaReport(rep.iterations, float(res), True, fallback=True)
-
-
-def ca_solve(ctx: ReanalysisContext, rhs: np.ndarray, q: int):
-    """Classic reduced-basis variant: Galerkin solve on the first q sweeps.
-
-    Kept for baseline comparisons; the solver strategies use ica_solve.
-    A numerically singular reduced system shrinks q until q = 1, which
-    degenerates to the plain reused-factorization step.
-    """
-    if q < 1:
-        raise ValueError(f"basis size must be >= 1, got {q}")
-    rhs = np.asarray(rhs, dtype=float)
-    r = -rhs
-    s_tilde = ctx.solve_reference(rhs)
-    basis = []
-    s = s_tilde
-    for _ in range(q):
-        s = s_tilde - ctx.solve_reference(delta_apply(ctx.delta, s))
-        basis.append(s)
-    S = np.column_stack(basis)
-    KS = np.column_stack([ctx.Kcur.matvec(S[:, j]) for j in range(S.shape[1])])
-    while True:
-        m = S.shape[1]
-        red = S.T @ KS
-        b = -(S.T @ r)
-        if m == 1:
-            denom = red[0, 0]
-            if denom == 0.0:
-                return s_tilde
-            return (b[0] / denom) * S[:, 0]
-        if np.linalg.cond(red) < 1e14:
-            y = np.linalg.solve(red, b)
-            return S @ y
-        S, KS = S[:, :m - 1], KS[:, :m - 1]
 
 
 def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,

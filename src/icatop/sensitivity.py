@@ -30,8 +30,7 @@ class AdjointSolution:
 
 
 def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
-                  ctx: ReanalysisContext, *, eps_T: float = 1e-8,
-                  k_max: int = 10, timers=None) -> AdjointSolution:
+                  ctx: ReanalysisContext, *, timers=None) -> AdjointSolution:
     """Solve K_hat lam = -l at the converged state u_hat.
 
     Strategies with an iterative adjoint refresh the context to the tangent
@@ -49,7 +48,7 @@ def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
         K_hat = model.tangent(rho, p, u_hat)
     if strategy.adjoint_uses_ica and ctx.initialized:
         ctx.refresh_delta(K_hat)
-        lam, rep = ica_adjoint_solve(ctx, l_free, eps_T, k_max, timers)
+        lam, rep = ica_adjoint_solve(ctx, l_free, timers=timers)
         return AdjointSolution(lam, "ica", rep.residual,
                                factored=rep.fallback, fallback=rep.fallback)
 

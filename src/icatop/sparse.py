@@ -231,17 +231,3 @@ def delta_apply(dK: SparseSym, v: np.ndarray) -> np.ndarray:
     if v.shape != (dK.n,):
         raise ValueError(f"expected vector of length {dK.n}, got {v.shape}")
     return dK.to_csr() @ v
-
-
-def write_matrix_market(K: SparseSym, path) -> None:
-    """Write the lower triangle in coordinate Matrix Market format.
-
-    ASCII, 1-based indices, header
-    '%%MatrixMarket matrix coordinate real symmetric'.
-    """
-    lower = sp.tril(K.to_csr()).tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{K.n} {K.n} {lower.nnz}\n")
-        for i, j, val in zip(lower.row, lower.col, lower.data):
-            fh.write(f"{i + 1} {j + 1} {val:.17g}\n")

@@ -1,0 +1,77 @@
+"""Reference implementations the tests compare the vectorized kernels against.
+
+Per-element and per-point loops over the same constitutive law: the 8x8
+element tangent assembled from the full 4x4 tangent modulus, the element
+force from the batched stress kernel, and the modulus itself from its
+defining derivative of F^{-T}.
+"""
+
+import numpy as np
+
+from icatop.errors import NonPositiveJacobianError
+from icatop.material import (MaterialParams, _as_batch, _inverse_2x2,
+                             gauss_shape_gradients, pk1_many, tangent_weights)
+
+
+def deformation_gradient(G: np.ndarray, u_e: np.ndarray):
+    """F = I + grad(u) and J = det F from one quadrature point.
+
+    J <= 0 is returned, not raised; callers decide whether the state is
+    admissible (the line search rejects such trial steps).
+    """
+    u_e = np.asarray(u_e, dtype=float)
+    if u_e.shape != (8,):
+        raise ValueError(f"element displacement vector must have length 8, got {u_e.shape}")
+    H = (G @ u_e).reshape(2, 2)
+    F = np.eye(2) + H
+    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
+    return F, J
+
+
+def tangent_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """Tangent modulus dP/dF of a batch, flattened (n, 4, 4)."""
+    F, J = _as_batch(F)
+    Finv = _inverse_2x2(F, J)
+    FinvT_flat = np.swapaxes(Finv, 1, 2).reshape(-1, 4)
+
+    n = F.shape[0]
+    a, b = tangent_weights(J, mat)
+    A = np.zeros((n, 4, 4))
+    A += mat.mu * np.eye(4)
+    A += a[:, None, None] * np.einsum("na,nb->nab", FinvT_flat, FinvT_flat)
+    # derivative of F^{-T}: d(F^-T)_{ij}/dF_{kl} = -(F^-1)_{jk} (F^-1)_{li}
+    A += b[:, None, None] \
+        * np.einsum("njk,nli->nijkl", Finv, Finv).reshape(n, 4, 4)
+    return A
+
+
+def element_tangent(rho_i, p, u_e, elem_w, elem_h, thickness,
+                    material: MaterialParams) -> np.ndarray:
+    """SIMP-scaled 8x8 element tangent, 2x2 Gauss."""
+    G = gauss_shape_gradients(elem_w, elem_h)
+    w = 0.25 * elem_w * elem_h * thickness
+    K = np.zeros((8, 8))
+    for qp in range(4):
+        F, J = deformation_gradient(G[qp], u_e)
+        if J <= 0:
+            raise NonPositiveJacobianError(f"det(F) = {J:.3e} <= 0")
+        D = tangent_many(F[None], material)[0]
+        K += G[qp].T @ D @ G[qp]
+    # exactly symmetric: the upper triangle copies the lower one
+    upper = np.triu_indices(8)
+    K[upper] = K.T[upper]
+    return (rho_i ** p) * w * K
+
+
+def element_internal_force(rho_i, p, u_e, elem_w, elem_h, thickness,
+                           material: MaterialParams) -> np.ndarray:
+    """SIMP-scaled element internal force vector of length 8."""
+    G = gauss_shape_gradients(elem_w, elem_h)
+    w = 0.25 * elem_w * elem_h * thickness
+    f = np.zeros(8)
+    for qp in range(4):
+        F, J = deformation_gradient(G[qp], u_e)
+        if J <= 0:
+            raise NonPositiveJacobianError(f"det(F) = {J:.3e} <= 0")
+        f += G[qp].T @ pk1_many(F[None], material)[0]
+    return (rho_i ** p) * w * f

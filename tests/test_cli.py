@@ -113,7 +113,7 @@ def test_config_file_and_flag_override(tmp_path):
         "move-limit = 0.1\n")
     parsed = read_config_file(cfg)
     assert parsed == {"problem": "cantilever", "mesh": "12x4",
-                      "strategy": "upK1", "budget": "3", "move_limit": "0.1"}
+                      "strategy": "upK1", "budget": 3, "move_limit": 0.1}
     out = tmp_path / "out"
     code = main(["run", "--config", str(cfg), "--budget", "2",
                  "--out", str(out)])
@@ -129,6 +129,38 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("problem cantilever\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_config_booleans(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("linear = No\nmonitor-normB = TRUE\n")
+    assert read_config_file(cfg) == {"linear": False, "monitor_normB": True}
+
+
+@pytest.mark.parametrize("line, key", [
+    ("budgt = 2", "budgt"),
+    ("filter_kernel = box", "filter_kernel"),
+    ("problem = bridge", "problem"),
+    ("strategy = upK2", "strategy"),
+    ("linear = maybe", "linear"),
+    ("budget = two", "budget"),
+], ids=["unknown_key", "kernel", "problem", "strategy", "boolean", "int"])
+def test_config_rejects_bad_key_or_value(tmp_path, capsys, line, key):
+    # a bad entry stops the run before anything is written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = cantilever\nmesh = 12x4\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:3: {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_budget_exits_before_writing(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--budget", "-1")
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):

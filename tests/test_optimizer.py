@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from icatop import bench
 from icatop.errors import InfeasibleSubproblemError
 from icatop.nonlinear import Strategy, predicted_factorizations
-from icatop.optimizer import (OptimizerConfig, optimize,
+from icatop.optimizer import (HARD_CAP, OptimizerConfig, optimize,
                               projected_gradient_norm, slp_subproblem)
 
 
@@ -178,6 +178,15 @@ class TestOptimizeLoop:
         assert cfg.penalty_at(200) == pytest.approx(2.9)
         assert cfg.penalty_at(201) == 3.0
         assert cfg.penalty_at(5000) == 3.0
+
+    def test_invalid_budgets_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            OptimizerConfig(budget=-1)
+        with pytest.raises(ValueError, match="budget"):
+            OptimizerConfig(budget=None)
+        cfg = OptimizerConfig(budget=None, converge_tol=1e-3)
+        assert cfg.max_outer() == HARD_CAP
+        assert OptimizerConfig(budget=0).max_outer() == 0
 
     def test_penalty_monotone_in_history(self):
         prob = bench.build("cantilever", mesh=(12, 4))

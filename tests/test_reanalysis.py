@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from icatop.reanalysis import (IcaReport, ReanalysisContext, ca_solve,
-                               estimate_norm_B, ica_adjoint_solve, ica_solve)
+from icatop.reanalysis import (ReanalysisContext, estimate_norm_B,
+                               ica_adjoint_solve, ica_solve)
 from icatop.errors import SingularMatrixError
 from icatop.sparse import SparseSym
 
@@ -142,59 +142,6 @@ class TestAdjointSolve:
         ctx = ReanalysisContext(SparseSym.from_dense(np.eye(3)))
         lam, rep = ica_adjoint_solve(ctx, np.zeros(3))
         assert np.all(lam == 0.0) and rep.converged
-
-
-class TestCaSolve:
-    def test_zero_delta_returns_reference_solution(self):
-        rng = np.random.default_rng(9)
-        K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 2.0, 10)))
-        ctx = ReanalysisContext(K0)
-        rhs = rng.standard_normal(10)
-        for q in (1, 3):
-            s = ca_solve(ctx, rhs, q)
-            assert np.allclose(s, rhs / K0.to_csr().diagonal(), rtol=1e-10)
-
-    def test_q1_beats_first_sweep_in_energy(self):
-        rng = np.random.default_rng(10)
-        K0, Kc, K0d, Kcd = make_pair(rng, 30, 0.6)
-        ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
-        r = rng.standard_normal(30)
-        s_star = np.linalg.solve(Kcd, -r)
-        s_hat = ca_solve(ctx, -r, 1)
-        _, rep = ica_solve(ctx, -r, eps=1e-15, k_max=1, keep_iterates=True)
-        s1 = rep.iterates[1]
-
-        def energy(e):
-            return float(e @ (Kcd @ e))
-
-        assert energy(s_hat - s_star) <= energy(s1 - s_star) * (1.0 + 1e-10)
-
-    def test_full_basis_is_exact(self):
-        # B constructed with well-separated order-one eigenvalues so the
-        # unorthogonalized basis stays well conditioned
-        rng = np.random.default_rng(11)
-        n = 4
-        A = rng.standard_normal((n, n))
-        K0d = A @ A.T + n * np.eye(n)
-        U, S, _ = np.linalg.svd(K0d)
-        lam_B = np.array([0.9, -0.7, 0.4, -0.2])
-        dK = U @ np.diag(S * lam_B) @ U.T
-        dK = 0.5 * (dK + dK.T)
-        Kcd = K0d + dK
-        K0 = SparseSym.from_dense(K0d)
-        Kc = SparseSym(n, K0.indptr, K0.indices, SparseSym.from_dense(Kcd).data)
-        ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
-        r = rng.standard_normal(n)
-        s_hat = ca_solve(ctx, -r, n)
-        expect = np.linalg.solve(Kcd, -r)
-        assert np.abs(s_hat - expect).max() <= 1e-10 * np.abs(expect).max()
-
-    def test_invalid_basis_size(self):
-        ctx = ReanalysisContext(SparseSym.from_dense(np.eye(3)))
-        with pytest.raises(ValueError):
-            ca_solve(ctx, np.ones(3), 0)
 
 
 class TestNormB:

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from conftest import make_cantilever_model
 from icatop.errors import SingularMatrixError
 from icatop.sparse import (BandOrder, Factorization, SparseSym, delta_apply,
-                           difference, ldlt_factor, write_matrix_market)
+                           difference, ldlt_factor)
 
 
 def random_spd(rng, n):
@@ -197,24 +197,3 @@ class TestDeltaApply:
         other = SparseSym.from_csr(sp.csr_matrix(np.diag(np.ones(15))))
         with pytest.raises(ValueError):
             difference(other, self.K_old)
-
-
-def test_matrix_market_export(tmp_path):
-    A = np.array([[4.0, 1.0, 0.0],
-                  [1.0, 3.0, 0.5],
-                  [0.0, 0.5, 2.0]])
-    path = tmp_path / "K.mtx"
-    write_matrix_market(SparseSym.from_dense(A), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
-    n_rows, n_cols, nnz = map(int, lines[1].split())
-    assert (n_rows, n_cols) == (3, 3)
-    entries = [line.split() for line in lines[2:]]
-    assert len(entries) == nnz
-    B = np.zeros((3, 3))
-    for i, j, val in entries:
-        i, j = int(i) - 1, int(j) - 1
-        assert i >= j                    # lower triangle, 1-based
-        B[i, j] = float(val)
-        B[j, i] = float(val)
-    assert np.array_equal(B, A)
