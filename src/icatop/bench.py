@@ -75,12 +75,15 @@ def _resolve_mesh(name, scale, mesh):
     else:
         nx, ny = round(cx * scale), round(cy * scale)
     if nx < 1 or ny < 1:
-        raise ValueError(f"scale {scale} yields an empty mesh")
+        given = f"scale {scale}" if mesh is None else f"mesh {nx}x{ny}"
+        raise ValueError(f"{given} yields an empty mesh")
     return nx, ny, cx
 
 
 def _radius(canonical_radius, nx, cx, override):
     if override is not None:
+        if not override >= 0:
+            raise ValueError(f"filter radius must be >= 0, got {override}")
         return float(override)
     return max(_MIN_RADIUS, canonical_radius * nx / cx)
 

@@ -145,12 +145,10 @@ def run_command(args) -> int:
             budget=opts.get("budget", 100 if "converge" not in opts else None),
             converge_tol=opts.get("converge"),
             monitor_normB=bool(opts.get("monitor_normB", False)),
+            **{key: opts[key] for key in ("move_limit", "filter_kernel")
+               if key in opts},
         )
-        if "move_limit" in opts:
-            config.move_limit = opts["move_limit"]
-        if "filter_kernel" in opts:
-            config.filter_kernel = opts["filter_kernel"]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

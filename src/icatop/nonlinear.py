@@ -4,10 +4,11 @@ The paper's seven strategies are the rows of ``Strategy``; each row says how
 often the tangent is factored, how often the drifting current-matrix values
 are refreshed, and whether the adjoint system is solved iteratively.  One
 ``ReusePolicy`` per equilibrium solve turns a row into the action of each
-Newton iteration; ``newton_solve`` carries out the numerics.  Whatever the
-strategy, the first five outer iterations run exact Newton and every
-accepted solution satisfies the same max-norm residual tolerance; the
-policies trade cost, never accuracy.
+Newton iteration; ``newton_solve`` carries out the numerics.  Every
+factorization goes through the ``ReanalysisContext``, which counts it and
+holds at most one.  Whatever the strategy, the first five outer iterations
+run exact Newton and every accepted solution satisfies the same max-norm
+residual tolerance; the policies trade cost, never accuracy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import NewtonConvergenceError, NonPositiveJacobianError
 from .reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
-from .sparse import ldlt_factor
 from .timing import NullTimers
 
 FULL_NEWTON_UNTIL = 5   # outer iterations that always run exact Newton
@@ -137,7 +137,6 @@ class ReusePolicy:
 @dataclass
 class NewtonStats:
     iterations: int = 0
-    factorizations: int = 0
     ica_iterations: list = field(default_factory=list)
     backtracks: int = 0
     # extra factorizations by reason: the slow-progress guard's refactor,
@@ -150,7 +149,6 @@ class NewtonStats:
     residual_inf: float = np.inf
     converged: bool = False
     max_normB: float = None
-    factorization: object = None     # linear mode keeps its factor for reuse
 
     @property
     def fallbacks(self) -> int:
@@ -212,9 +210,8 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     refactorizations, and the exact steps taken because a reused direction
     was not a descent direction or failed the line search.
     ``stats.guard_refreshes`` counts the guard escalations that only
-    refreshed the delta values.  A strategy that refactors at every Newton
-    iteration never reuses the held factorization, so the context releases
-    it when the solve ends.
+    refreshed the delta values.  Every factorization is made and counted
+    by ``ctx``, which keeps the last one until the next replaces it.
     """
     timers = timers or NullTimers()
     stats = NewtonStats()
@@ -238,7 +235,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
             action = policy.decide(it, ctx)
             exact = action is Action.REFACTOR
             if exact:
-                s, slope = _exact_step(model, rho, p, u, r, ctx, stats, timers)
+                s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
             else:
                 if action is Action.REUSE_FRESH_DELTA:
                     with timers.scope("K_T"):
@@ -256,8 +253,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                 if slope >= 0.0:
                     # stale approximation: refactor and take the exact step
                     stats.step_fallbacks += 1
-                    s, slope = _exact_step(model, rho, p, u, r, ctx, stats,
-                                           timers)
+                    s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
                     exact = True
 
             def merit(alpha, _u=u):
@@ -275,7 +271,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                 # the stale direction looked like descent but was not; one
                 # more chance through the exact path before giving up
                 stats.linesearch_fallbacks += 1
-                s, slope = _exact_step(model, rho, p, u, r, ctx, stats, timers)
+                s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
                 alpha, r_new, backtracks = armijo_linesearch(
                     merit, float(r @ r), slope)
                 stats.backtracks += backtracks
@@ -297,38 +293,31 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     finally:
         stats.guard_fallbacks = policy.fallbacks
         stats.guard_refreshes = policy.guard_refreshes
-        if strategy.refactor_every_newton_iter:
-            ctx.release()
 
 
-def _exact_step(model, rho, p, u, r, ctx, stats, timers):
+def _exact_step(model, rho, p, u, r, ctx, timers):
     """Assemble, factor, and solve exactly; resets the reuse window."""
     with timers.scope("K_T"):
         K = model.tangent(rho, p, u)
     with timers.scope("Factorizations"):
         ctx.set_reference(K)
-    stats.factorizations += 1
     with timers.scope("Linear systems"):
         s = ctx.solve_reference(-r)
     return s, -2.0 * float(r @ r)
 
 
-def linear_equilibrium(model, rho, p, timers=None):
+def linear_equilibrium(model, rho, p, ctx: ReanalysisContext, timers=None):
     """Small-displacement solve: density-only stiffness, one factorization.
 
-    Returns (u, NewtonStats) with a stats object mirroring the nonlinear
-    path (one factorization, zero Newton iterations of the outer kind).
+    The stiffness is factored into ``ctx``, where the adjoint reuses it.
+    Returns (u, NewtonStats) mirroring the nonlinear path.
     """
     timers = timers or NullTimers()
-    stats = NewtonStats(converged=True)
     with timers.scope("K_T"):
         K = model.linear_tangent(rho, p)
     with timers.scope("Factorizations"):
-        fact = ldlt_factor(K)
-    stats.factorizations = 1
-    stats.factorization = fact
+        ctx.set_reference(K)
     with timers.scope("Linear systems"):
-        u = fact.solve(model.f_free)
-    stats.iterations = 1
-    stats.residual_inf = float(np.abs(K.matvec(u) - model.f_free).max())
-    return u, stats
+        u = ctx.solve_reference(model.f_free)
+    residual = float(np.abs(K.matvec(u) - model.f_free).max())
+    return u, NewtonStats(iterations=1, residual_inf=residual, converged=True)

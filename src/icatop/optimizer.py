@@ -46,6 +46,9 @@ class OptimizerConfig:
             raise ValueError("a budget or a convergence tolerance is needed")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if not 0.0 < self.move_limit < np.inf:
+            raise ValueError(f"move_limit must be finite and > 0, "
+                             f"got {self.move_limit}")
 
     def penalty_at(self, outer_iter: int) -> float:
         step = (outer_iter - 1) // P_EVERY
@@ -206,13 +209,15 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         t += 1
         p = config.penalty_at(t)
         before = timers.table()
+        factorizations = ctx.factorizations
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
 
         try:
             if problem.linear:
-                u_new, nstats = linear_equilibrium(model, rho_phys, p, timers)
+                u_new, nstats = linear_equilibrium(model, rho_phys, p, ctx,
+                                                   timers)
             else:
                 u_new, nstats = newton_solve(
                     model, rho_phys, p, u, config.strategy, ctx, t,
@@ -237,9 +242,9 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         if problem.linear:
             # the equilibrium factorization serves the adjoint as well
             with timers.scope("Linear systems"):
-                lam = nstats.factorization.solve(-l_free)
+                lam = ctx.solve_reference(-l_free)
             gradient = objective_gradient_linear
-            adj_factored = adj_fallback = False
+            adj_fallback = False
         else:
             try:
                 adj = solve_adjoint(model, rho_phys, p, u_new, l_free,
@@ -248,7 +253,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 return _aborted(history, rho_design, filt, timers)
             lam = adj.lam
             gradient = objective_gradient
-            adj_factored, adj_fallback = adj.factored, adj.fallback
+            adj_fallback = adj.fallback
         with timers.scope("grad F(rho)"):
             grad_phys = gradient(model, rho_phys, p, u_new, lam)
             grad_design = filt.backpropagate(grad_phys)
@@ -264,8 +269,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         after = timers.table()
         history.objective.append(F)
         history.newton_iters.append(nstats.iterations)
-        history.factorizations.append(
-            nstats.factorizations + (1 if adj_factored else 0))
+        history.factorizations.append(ctx.factorizations - factorizations)
         history.ica_iters.append(int(sum(nstats.ica_iterations)))
         history.fallbacks.append(nstats.fallbacks + int(adj_fallback))
         history.guard_fallbacks.append(nstats.guard_fallbacks)

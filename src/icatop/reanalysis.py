@@ -39,13 +39,15 @@ class IcaReport:
 class ReanalysisContext:
     """Held factorization plus the drifting current-matrix values.
 
-    The context is confined to one equilibrium solve at a time.  It also
-    counts the Newton iterations of the whole run, which the delta-refresh
-    period is measured against.
+    Owns every factorization of a run: ``set_reference`` makes and counts
+    each one, Newton and adjoint alike, and holds at most one.  The given
+    matrices are kept, not copied; nothing edits a tangent in place.  The
+    global Newton-iteration count paces the delta refresh.
     """
 
     def __init__(self, K0: SparseSym = None):
         self.global_newton_iters = 0
+        self.factorizations = 0
         self.release()
         if K0 is not None:
             self.set_reference(K0)
@@ -62,20 +64,20 @@ class ReanalysisContext:
         return self._delta
 
     def release(self) -> None:
-        """Drop the held matrices and factorization; the counter stays."""
+        """Drop the held matrices and factorization; the counters stay."""
         self.K0 = self.Kcur = self._delta = None
         self.factorization: Factorization = None
 
     def set_reference(self, K: SparseSym) -> None:
-        """Factor K and restart the approximation at dK = 0.
+        """Factor K, count it, and restart the approximation at dK = 0.
 
-        The superseded factorization is dropped first, so two are never
-        held at once; if factoring fails, the context is left empty.
+        The superseded factorization is dropped first; if factoring fails,
+        the context is left empty and the count unchanged.
         """
         self.release()
-        K0 = K.copy()
-        self.factorization = ldlt_factor(K0)
-        self.K0, self.Kcur = K0, K0.copy()
+        self.factorization = ldlt_factor(K)
+        self.factorizations += 1
+        self.K0 = self.Kcur = K
 
     def refresh_delta(self, K: SparseSym) -> None:
         """Adopt new current-matrix values; the factorization is untouched."""
@@ -83,7 +85,7 @@ class ReanalysisContext:
             raise RuntimeError("context holds no factorization")
         if not K.same_pattern(self.K0):
             raise ValueError("pattern mismatch against the held reference")
-        self.Kcur = K.copy()
+        self.Kcur = K
         self._delta = None
 
     def solve_reference(self, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .nonlinear import Strategy
 from .reanalysis import ReanalysisContext, ica_adjoint_solve
-from .sparse import ldlt_factor
 from .timing import NullTimers
 
 
@@ -25,7 +24,6 @@ class AdjointSolution:
     lam: np.ndarray
     method: str            # "direct" | "ica"
     residual: float        # max-norm relative residual achieved
-    factored: bool         # True when this solve created a factorization
     fallback: bool = False
 
 
@@ -34,30 +32,29 @@ def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
     """Solve K_hat lam = -l at the converged state u_hat.
 
     Strategies with an iterative adjoint refresh the context to the tangent
-    at u_hat and sweep; the others factor that tangent and solve directly.
-    The tangent, factorization and solves are booked under the same timer
-    categories as the equilibrium solve's.
+    at u_hat and sweep; the others factor that tangent into the context
+    and solve directly.  The tangent, factorization and solves are booked
+    under the same timer categories as the equilibrium solve's.
     """
     timers = timers or NullTimers()
     l_free = np.asarray(l_free, dtype=float)
     norm_l = np.abs(l_free).max() if l_free.size else 0.0
     if norm_l == 0.0:
-        return AdjointSolution(np.zeros_like(l_free), "direct", 0.0, False)
+        return AdjointSolution(np.zeros_like(l_free), "direct", 0.0)
 
     with timers.scope("K_T"):
         K_hat = model.tangent(rho, p, u_hat)
     if strategy.adjoint_uses_ica and ctx.initialized:
         ctx.refresh_delta(K_hat)
         lam, rep = ica_adjoint_solve(ctx, l_free, timers=timers)
-        return AdjointSolution(lam, "ica", rep.residual,
-                               factored=rep.fallback, fallback=rep.fallback)
+        return AdjointSolution(lam, "ica", rep.residual, rep.fallback)
 
     with timers.scope("Factorizations"):
-        fact = ldlt_factor(K_hat)
+        ctx.set_reference(K_hat)
     with timers.scope("Linear systems"):
-        lam = fact.solve(-l_free)
+        lam = ctx.solve_reference(-l_free)
         res = float(np.abs(K_hat.matvec(lam) + l_free).max() / norm_l)
-    return AdjointSolution(lam, "direct", res, factored=True)
+    return AdjointSolution(lam, "direct", res)
 
 
 def objective_gradient(model, rho, p, u_hat, lam) -> np.ndarray:

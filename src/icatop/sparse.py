@@ -1,14 +1,14 @@
 """Symmetric sparse matrices with reusable band factorizations and delta products.
 
-Matrices share one sparsity pattern per mesh; assembly rewrites values in
-place.  A pattern may carry a band-reducing symmetric order of its rows
-(``BandOrder``); the finite-element model gives its tangents a sweep along
-the grid's longer axis.  Factorizations are computed once in that order and
-reused across many solves.  The factorization is a banded Cholesky LL^T
-(LAPACK ``dpbtrf``), the symmetric LDL^T-family factorization the paper's
-solver relies on.  An indefinite tangent falls back to banded LU with
-partial pivoting (``dgbtrf``) on the same band.  The entry point keeps the
-name ``ldlt_factor`` for that symmetric family.
+Matrices share one sparsity pattern per mesh; each assembly writes new
+values, never into a matrix already made.  A pattern may carry a
+band-reducing symmetric order of its rows (``BandOrder``); the finite-element
+model sweeps its tangents along the grid's longer axis.  Factorizations,
+made once in that order and reused across many solves, are banded
+Cholesky LL^T (LAPACK ``dpbtrf``), the symmetric LDL^T-family
+factorization the paper's solver relies on; an indefinite tangent falls
+back to banded LU with partial pivoting (``dgbtrf``) on the same band.
+The entry point keeps the name ``ldlt_factor`` for that symmetric family.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ class SparseSym:
                                 shape=(self.n, self.n))
             self._csr = csr
         return csr
-
-    def copy(self) -> "SparseSym":
-        """Value copy; the pattern arrays and the order stay shared."""
-        return SparseSym(self.n, self.indptr, self.indices, self.data.copy(),
-                         self.order)
 
     def same_pattern(self, other: "SparseSym") -> bool:
         if self.indices is other.indices and self.indptr is other.indptr:

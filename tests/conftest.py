@@ -1,10 +1,11 @@
+import weakref
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from icatop import nonlinear, optimizer, reanalysis, sensitivity
+from icatop import optimizer, reanalysis
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
 from icatop.mesh import LoadCase, build_grid, fix_region
@@ -46,13 +47,16 @@ def random_positive_state(model, seed=0, scale=0.3):
 
 @pytest.fixture
 def factor_scopes(monkeypatch):
-    """Log the timer categories open at every ldlt_factor call.
+    """Log the timer categories open, and the factorizations alive, at
+    every ldlt_factor call.
 
     ``optimize`` runs on the returned ``timers`` class; ``at_factor`` gets
-    the tuple of open categories per factorization and ``nested`` every
-    category opened while another was open.
+    the tuple of open categories per factorization, ``alive`` the number
+    of earlier factorizations still referenced when it starts, and
+    ``nested`` every category opened while another was open.
     """
-    log = SimpleNamespace(open=[], nested=[], at_factor=[])
+    log = SimpleNamespace(open=[], nested=[], at_factor=[], alive=[])
+    made = []       # weak references to every factorization so far
 
     class RecordingTimers(Timers):
         @contextmanager
@@ -66,11 +70,15 @@ def factor_scopes(monkeypatch):
             finally:
                 log.open.pop()
 
-    for module in (nonlinear, reanalysis, sensitivity):
-        def factor(K, _real=module.ldlt_factor):
-            log.at_factor.append(tuple(log.open))
-            return _real(K)
-        monkeypatch.setattr(module, "ldlt_factor", factor)
+    def factor(K, _real=reanalysis.ldlt_factor):
+        log.at_factor.append(tuple(log.open))
+        log.alive.append(sum(ref() is not None for ref in made))
+        fact = _real(K)
+        made.append(weakref.ref(fact))
+        return fact
+
+    # the context's set_reference is the one lookup site
+    monkeypatch.setattr(reanalysis, "ldlt_factor", factor)
     monkeypatch.setattr(optimizer, "Timers", RecordingTimers)
     log.timers = RecordingTimers
     return log

@@ -310,7 +310,7 @@ def test_criterion_10_linear_limit():
     ctx = ReanalysisContext()
     u_nl, _ = newton_solve(model, rho, 3.0, np.zeros(prob.mesh.n_free),
                            Strategy.N, ctx, 1, tol=1e-12)
-    u_lin, _ = linear_equilibrium(model, rho, 3.0)
+    u_lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
     rel = np.abs(u_nl - u_lin).max() / np.abs(u_lin).max()
     assert rel <= 1e-3, rel
     announce(10, f"scaled-load displacements agree to rel {rel:.2e}")

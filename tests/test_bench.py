@@ -120,6 +120,18 @@ def test_unknown_problem():
         bench.build("bridge")
 
 
+def test_out_of_range_sizes_rejected():
+    for radius in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="filter radius"):
+            bench.build("cantilever", mesh=(12, 4), filter_radius=radius)
+    assert bench.build("cantilever", mesh=(12, 4),
+                       filter_radius=0.0).filter_radius_elements == 0.0
+    with pytest.raises(ValueError, match="mesh 0x4 yields an empty mesh"):
+        bench.build("cantilever", mesh=(0, 4))
+    with pytest.raises(ValueError, match="scale 0.001 yields an empty mesh"):
+        bench.build("cantilever", scale=0.001)
+
+
 class TestLinearMode:
     def test_flag_set(self):
         prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
@@ -134,7 +146,7 @@ class TestLinearMode:
         ctx = ReanalysisContext()
         u_nl, _ = newton_solve(model, rho, 3.0, np.zeros(prob.mesh.n_free),
                                Strategy.N, ctx, 1, tol=1e-12)
-        u_lin, _ = linear_equilibrium(model, rho, 3.0)
+        u_lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
         assert np.abs(u_nl - u_lin).max() <= 1e-3 * np.abs(u_lin).max()
 
     def test_linear_compliance_quadratic_in_load(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from icatop import nonlinear, optimizer, reanalysis, sensitivity
+from icatop import nonlinear, optimizer, reanalysis
 from icatop.cli import main, read_config_file
 from icatop.errors import NewtonConvergenceError, SingularMatrixError
 from icatop.reanalysis import IcaReport
@@ -155,11 +155,28 @@ def test_config_rejects_bad_key_or_value(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-def test_negative_budget_exits_before_writing(tmp_path, capsys):
-    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
-                        "--budget", "-1")
+def test_missing_config_exits_before_writing(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, out = run_cli(tmp_path, "--config", str(missing))
     assert code == 2
-    assert "budget" in capsys.readouterr().err
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--budget", "-1"], "budget must be >= 0"),
+    (["--move-limit", "-0.5"], "move_limit must be finite and > 0"),
+    (["--move-limit", "nan"], "move_limit must be finite and > 0"),
+    (["--filter-radius", "-1"], "filter radius must be >= 0"),
+    (["--mesh", "0x4"], "mesh 0x4 yields an empty mesh"),
+], ids=["budget_negative", "move_limit_negative", "move_limit_nan",
+        "filter_radius_negative", "empty_mesh"])
+def test_out_of_range_number_exits_before_writing(tmp_path, capsys, args,
+                                                  message):
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--budget", "1", *args)
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -186,24 +203,35 @@ def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["aborted"] is True
 
 
-@pytest.mark.parametrize("site", [reanalysis, sensitivity],
+@pytest.mark.parametrize("in_adjoint", [False, True],
                          ids=["newton", "adjoint"])
 def test_singular_factorization_aborts_with_artifacts(tmp_path, monkeypatch,
-                                                      site):
-    real_newton, real_factor = optimizer.newton_solve, site.ldlt_factor
-    outer = {}
+                                                      in_adjoint):
+    # the first factorization of outer iteration 3 in the equilibrium
+    # solve, or in the adjoint solve, hits a zero pivot
+    real_newton, real_adjoint, real_factor = optimizer.newton_solve, \
+        optimizer.solve_adjoint, reanalysis.ldlt_factor
+    state = {"adjoint": False}
 
     def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
-        outer["t"] = outer_iter
+        state["t"] = outer_iter
         return real_newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
 
+    def adjoint(*args, **kw):
+        state["adjoint"] = True
+        try:
+            return real_adjoint(*args, **kw)
+        finally:
+            state["adjoint"] = False
+
     def factor(K):
-        if outer["t"] == 3:
+        if state["t"] == 3 and state["adjoint"] is in_adjoint:
             raise SingularMatrixError("injected zero pivot")
         return real_factor(K)
 
     monkeypatch.setattr(optimizer, "newton_solve", newton)
-    monkeypatch.setattr(site, "ldlt_factor", factor)
+    monkeypatch.setattr(optimizer, "solve_adjoint", adjoint)
+    monkeypatch.setattr(reanalysis, "ldlt_factor", factor)
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
                         "--strategy", "N", "--budget", "5")
     assert code == 1
@@ -225,11 +253,12 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
         if site == "residual" and outer_iter == 3:
             rho = rho.copy()
             rho[0] = np.nan
+        before = ctx.factorizations
         try:
             return real_newton(model, rho, p, u0, strategy, ctx, outer_iter,
                                **kw)
-        except NewtonConvergenceError as exc:
-            failed.append(exc.stats)
+        except NewtonConvergenceError:
+            failed.append(ctx.factorizations - before)
             raise
 
     def gradient(*args):
@@ -250,7 +279,7 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
     # a poisoned residual fails at once, before any factorization, both on
     # the first attempt and on the retry with a halved move limit
     expected = 2 if site == "residual" else 0
-    assert [s.factorizations for s in failed] == [0] * expected
+    assert failed == [0] * expected
 
 
 def read_history(out):

@@ -151,6 +151,15 @@ class TestProjectedGradient:
             pytest.approx(expect, rel=1e-15)
 
 
+def run_small(strategy):
+    """Eight design updates on a 20x5 cantilever; "linear" is N in linear
+    mode."""
+    prob = bench.build("cantilever", mesh=(20, 5))
+    if strategy == "linear":
+        prob, strategy = bench.linear_mode(prob), Strategy.N
+    return optimize(prob, OptimizerConfig(strategy=strategy, budget=8))
+
+
 class TestOptimizeLoop:
     def test_budget_zero_single_evaluation(self):
         prob = bench.build("cantilever", mesh=(12, 4))
@@ -187,6 +196,11 @@ class TestOptimizeLoop:
         cfg = OptimizerConfig(budget=None, converge_tol=1e-3)
         assert cfg.max_outer() == HARD_CAP
         assert OptimizerConfig(budget=0).max_outer() == 0
+
+    @pytest.mark.parametrize("move", [0.0, -0.5, np.nan, np.inf])
+    def test_invalid_move_limits_rejected(self, move):
+        with pytest.raises(ValueError, match="move_limit"):
+            OptimizerConfig(move_limit=move)
 
     def test_penalty_monotone_in_history(self):
         prob = bench.build("cantilever", mesh=(12, 4))
@@ -225,15 +239,21 @@ class TestOptimizeLoop:
         assert h.iterations == 0
         assert h.rho_phys is not None       # partial state still reported
 
-    @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.UPK03K100G])
+    @pytest.mark.parametrize("strategy", [*Strategy, "linear"])
     def test_factorizations_booked_in_their_scope(self, factor_scopes,
                                                   strategy):
         # the adjoint's factorizations too, and no category inside another
-        prob = bench.build("cantilever", mesh=(20, 5))
-        h = optimize(prob, OptimizerConfig(strategy=strategy, budget=8))
+        h = run_small(strategy)
         assert len(factor_scopes.at_factor) == h.total("factorizations")
         assert set(factor_scopes.at_factor) == {("Factorizations",)}
         assert not factor_scopes.nested
+
+    @pytest.mark.parametrize("strategy", [*Strategy, "linear"])
+    def test_never_two_factorizations_alive(self, factor_scopes, strategy):
+        # each factorization starts after the one before it was dropped
+        h = run_small(strategy)
+        assert h.total("factorizations") > 0
+        assert factor_scopes.alive == [0] * h.total("factorizations")
 
     def test_upk1_refreshes_the_delta_every_iteration(self):
         prob = bench.desk("cantilever")

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import icatop
 from icatop.reanalysis import (ReanalysisContext, estimate_norm_B,
                                ica_adjoint_solve, ica_solve)
 from icatop.errors import SingularMatrixError
@@ -178,6 +182,7 @@ def test_counters_and_reset():
     ctx.refresh_delta(Kc)
     ctx.set_reference(Kc)
     assert ctx.global_newton_iters == 3      # global counter persists
+    assert ctx.factorizations == 2           # one per reference, not per delta
 
 
 def test_failed_reference_leaves_the_context_empty():
@@ -190,8 +195,18 @@ def test_failed_reference_leaves_the_context_empty():
         ctx.set_reference(bad)
     assert (ctx.K0, ctx.Kcur, ctx.factorization) == (None, None, None)
     assert not ctx.initialized and ctx.global_newton_iters == 4
+    assert ctx.factorizations == 1           # the failed one is not counted
     ctx.set_reference(Kc)
-    assert ctx.initialized
+    assert ctx.initialized and ctx.factorizations == 2
+
+
+def test_only_the_context_factors():
+    # set_reference is the one caller of ldlt_factor in the package
+    holders = {name for _, name, _ in pkgutil.iter_modules(icatop.__path__)
+               if "ldlt_factor" in vars(importlib.import_module(
+                   f"icatop.{name}"))}
+    assert holders == {"sparse", "reanalysis"}
+    assert "ldlt_factor" not in vars(icatop)
 
 
 def test_delta_built_once_per_current_matrix():
