@@ -82,8 +82,9 @@ def _resolve_mesh(name, scale, mesh):
 
 def _radius(canonical_radius, nx, cx, override):
     if override is not None:
-        if not override >= 0:
-            raise ValueError(f"filter radius must be >= 0, got {override}")
+        if not (np.isfinite(override) and override >= 0):
+            raise ValueError(
+                f"filter radius must be >= 0 and finite, got {override}")
         return float(override)
     return max(_MIN_RADIUS, canonical_radius * nx / cx)
 

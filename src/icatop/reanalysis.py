@@ -135,9 +135,10 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
 
     The caller must have refreshed the context so Kcur holds the tangent at
     the converged equilibrium state.  On non-convergence the context is
-    refactored from Kcur and the system solved exactly.  The sweeps and
-    solves are booked under "Linear systems", the fallback factorization
-    under "Factorizations".
+    refactored from Kcur and the system solved exactly; the report then
+    keeps the sweeps' own count and best residual, with ``converged`` and
+    ``fallback`` set.  The sweeps and solves are booked under "Linear
+    systems", the fallback factorization under "Factorizations".
     """
     timers = timers or NullTimers()
     l = np.asarray(l, dtype=float)
@@ -149,9 +150,7 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
         ctx.set_reference(ctx.Kcur)
     with timers.scope("Linear systems"):
         lam = ctx.solve_reference(-l)
-        norm_l = np.abs(l).max()
-        res = np.abs(ctx.Kcur.matvec(lam) + l).max() / norm_l if norm_l else 0.0
-    return lam, IcaReport(rep.iterations, float(res), True, fallback=True)
+    return lam, IcaReport(rep.iterations, rep.residual, True, fallback=True)
 
 
 def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,

@@ -23,7 +23,6 @@ from .timing import NullTimers
 class AdjointSolution:
     lam: np.ndarray
     method: str            # "direct" | "ica"
-    residual: float        # max-norm relative residual achieved
     fallback: bool = False
 
 
@@ -40,21 +39,20 @@ def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
     l_free = np.asarray(l_free, dtype=float)
     norm_l = np.abs(l_free).max() if l_free.size else 0.0
     if norm_l == 0.0:
-        return AdjointSolution(np.zeros_like(l_free), "direct", 0.0)
+        return AdjointSolution(np.zeros_like(l_free), "direct")
 
     with timers.scope("K_T"):
         K_hat = model.tangent(rho, p, u_hat)
     if strategy.adjoint_uses_ica and ctx.initialized:
         ctx.refresh_delta(K_hat)
         lam, rep = ica_adjoint_solve(ctx, l_free, timers=timers)
-        return AdjointSolution(lam, "ica", rep.residual, rep.fallback)
+        return AdjointSolution(lam, "ica", rep.fallback)
 
     with timers.scope("Factorizations"):
         ctx.set_reference(K_hat)
     with timers.scope("Linear systems"):
         lam = ctx.solve_reference(-l_free)
-        res = float(np.abs(K_hat.matvec(lam) + l_free).max() / norm_l)
-    return AdjointSolution(lam, "direct", res)
+    return AdjointSolution(lam, "direct")
 
 
 def objective_gradient(model, rho, p, u_hat, lam) -> np.ndarray:

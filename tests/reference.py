@@ -3,12 +3,15 @@
 Per-element and per-point loops over the same constitutive law: the 8x8
 element tangent assembled from the full 4x4 tangent modulus, the element
 force from the batched stress kernel, and the modulus itself from its
-defining derivative of F^{-T}.
+defining derivative of F^{-T}.  The density filter's reference is its
+explicit sparse weight matrix, built offset by offset.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from icatop.errors import NonPositiveJacobianError
+from icatop.filtering import _kernel_weight
 from icatop.material import (MaterialParams, _as_batch, _inverse_2x2,
                              gauss_shape_gradients, pk1_many, tangent_weights)
 
@@ -75,3 +78,40 @@ def element_internal_force(rho_i, p, u_e, elem_w, elem_h, thickness,
             raise NonPositiveJacobianError(f"det(F) = {J:.3e} <= 0")
         f += G[qp].T @ pk1_many(F[None], material)[0]
     return (rho_i ** p) * w * f
+
+
+def filter_matrix(mesh, radius_in_elements, kernel="cone") -> sp.csr_matrix:
+    """Row-stochastic CSR matrix W of the volume-weighted density filter.
+
+    Row i holds w_ij v_j / sum_j w_ij v_j over the neighbors j inside the
+    grid, so rows at the edges renormalize over a clipped neighborhood.
+    """
+    nx, ny = mesh.nx, mesh.ny
+    n_el = mesh.n_el
+    radius = radius_in_elements * mesh.elem_w
+    reach = int(np.ceil(radius_in_elements))
+
+    rows, cols, vals = [], [], []
+    EX, EY = np.meshgrid(np.arange(nx), np.arange(ny))
+    eid = (EY * nx + EX).ravel()
+    EX, EY = EX.ravel(), EY.ravel()
+    safe_radius = max(radius, np.finfo(float).tiny)
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            dist = np.hypot(dx * mesh.elem_w, dy * mesh.elem_h)
+            w = float(_kernel_weight(np.array(dist), safe_radius, kernel))
+            if w <= 0.0:
+                continue
+            ok = ((EX + dx >= 0) & (EX + dx < nx)
+                  & (EY + dy >= 0) & (EY + dy < ny))
+            rows.append(eid[ok])
+            cols.append(eid[ok] + dy * nx + dx)
+            vals.append(np.full(ok.sum(), w))
+
+    volumes = np.full(n_el, mesh.elem_volume)
+    raw = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_el, n_el))
+    weighted = raw.multiply(volumes[None, :]).tocsr()
+    row_sums = np.asarray(weighted.sum(axis=1)).ravel()
+    return (sp.diags(1.0 / row_sums) @ weighted).tocsr()

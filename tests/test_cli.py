@@ -168,9 +168,12 @@ def test_missing_config_exits_before_writing(tmp_path, capsys):
     (["--move-limit", "-0.5"], "move_limit must be finite and > 0"),
     (["--move-limit", "nan"], "move_limit must be finite and > 0"),
     (["--filter-radius", "-1"], "filter radius must be >= 0"),
+    (["--filter-radius", "inf"], "filter radius must be >= 0 and finite, got inf"),
+    (["--filter-radius", "nan"], "filter radius must be >= 0 and finite, got nan"),
     (["--mesh", "0x4"], "mesh 0x4 yields an empty mesh"),
 ], ids=["budget_negative", "move_limit_negative", "move_limit_nan",
-        "filter_radius_negative", "empty_mesh"])
+        "filter_radius_negative", "filter_radius_inf", "filter_radius_nan",
+        "empty_mesh"])
 def test_out_of_range_number_exits_before_writing(tmp_path, capsys, args,
                                                   message):
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",

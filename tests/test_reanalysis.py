@@ -135,6 +135,8 @@ class TestAdjointSolve:
         lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8,
                                      timers=factor_scopes.timers())
         assert rep.fallback and rep.converged
+        # the report keeps the sweeps' count and best residual
+        assert rep.residual >= 1e-8 and rep.iterations <= 10
         # the fallback factorization is booked as one, outside the sweeps
         assert factor_scopes.at_factor[-1] == ("Factorizations",)
         assert not factor_scopes.nested

@@ -29,6 +29,21 @@ class TestSolveAdjoint:
         assert adj.method == "direct" and ctx.factorizations == before + 1
         assert np.abs(K.matvec(adj.lam) + l_free).max() <= 1e-10 * np.abs(l_free).max()
 
+    def test_direct_adjoint_forms_no_product(self, monkeypatch):
+        from icatop.sparse import SparseSym
+        model = make_cantilever_model()
+        rho = np.full(model.mesh.n_el, 0.6)
+        u, ctx = converge(model, rho, 3.0)
+        matvec, calls = SparseSym.matvec, []
+
+        def counted(self, x):
+            calls.append(x)
+            return matvec(self, x)
+
+        monkeypatch.setattr(SparseSym, "matvec", counted)
+        solve_adjoint(model, rho, 3.0, u, model.f_free, Strategy.N, ctx)
+        assert calls == []
+
     def test_mechanism_unit_output_is_inverse_column(self):
         mesh = build_grid(6, 3, 6.0, 3.0, 1.0)
         mesh = fix_region(mesh, lambda x, y: x <= 1e-12, axes="both")
