@@ -3,32 +3,46 @@
 A FeModel binds a mesh, a load case, and a material.  The sparsity pattern
 over free DOFs and its band-reducing order are computed once; every
 assembly rewrites values on that pattern.  Since the grid elements are
-congruent, the shape-derivative matrices G_q at the Gauss points are shared
-across elements.
+congruent, the shape-derivative matrices G_q at the Gauss points, and every
+fixed matrix built from them below, are shared across elements.
 
-The element kernels run over blocks of BLOCK_ELEMENTS elements, so each
-block's deformation gradients, weights and Gauss-point sums stay in cache.
-A block gathers its element displacements u_e, forms the displacement
-gradients at all four Gauss points with one product u_e @ G2 (G2 is G
-reshaped to 8 x 16), evaluates the constitutive law of ``material`` on
-them, and writes its rows of the result.  A non-positive det(F) raises
-NonPositiveJacobianError naming the first such element of the mesh.
+Both element kernels are one matrix product per block of BLOCK_ELEMENTS
+elements: a fixed matrix, built once per model, times a few rows of
+per-Gauss-point invariants, one column per element.  A block works
+component-major: its displacement gradients H = Gc u_e come out as 16 rows
+ordered (component, Gauss point) (Gc is G with its rows in that order), so
+each gradient component at the four Gauss points is one contiguous slab
+and every elementwise step is one pass over it.  A non-positive det(F)
+raises NonPositiveJacobianError naming the first such element of the mesh.
 
-The element tangent has a closed form.  The neo-Hookean modulus is
-A = mu I + a f(x)f + b T (see ``material.tangent_weights``), and with
-w_q = G_q^T f_q, the gradient of ln J at Gauss point q,
+Internal forces.  With dV the quadrature weight, Kbar = dV sum_q G_q^T G_q
+and P the first Piola-Kirchhoff stress of ``material``,
 
-    K_e[(I,c),(J,d)] = rho_e^p [mu Kbar + sum_q (a_q w_{q,Ic} w_{q,Jd}
-                                               + b_q w_{q,Id} w_{q,Jc})],
+    q_e = dV sum_q G_q^T P_q = mu Kbar u_e + dV sum_q G_q^T (P_q - mu H_q),
+    P - mu H = (mu (J I - cof F) + c cof F) / J,   c = lam (J^2 - 1) / 2,
 
-where Kbar = sum_q G_q^T G_q times the quadrature weight is shared by all
-elements and a_q, b_q carry the weight too.  Only the 36 upper entries of
-each element matrix are computed.  The pattern is built from the upper
-keys (min(i, j), max(i, j)) of the elements alone: assembly sums the
-element entries in element order into the global upper triangle, and a
-fixed ``mirror`` map copies every upper value into both (i, j) and (j, i)
-of the full CSR values, so the tangent is exactly symmetric by
-construction.
+where cof F = J F^-T.  J - 1 and every entry of J I - cof F are expanded
+in H, so nothing cancels against the identity and q is exactly zero at
+u = 0.  So q_e is the fixed (8 x 24) matrix [mu Kbar, dV Gc^T] times the
+column [u_e; P - mu H].
+
+Tangent.  The modulus is A = mu I + a f(x)f + b T with f = vec(F^-T),
+a = lam J^2 and b = mu - c, and with w_q = G_q^T f_q
+
+    K_e[(I,c),(J,d)] = rho_e^p [mu Kbar + dV sum_q (a_q w_{q,Ic} w_{q,Jd}
+                                                 + b_q w_{q,Id} w_{q,Jc})].
+
+J f = cof F = S vec(F) for a fixed signed permutation S, so
+a_q w_{q,r} w_{q,s} = lam sum_ij (S G_q)_ir (S G_q)_js F_i F_j.  The 36
+upper entries of an element are therefore the fixed (36 x 81) matrix
+times 81 rows: the ten products F_i F_j (i <= j) at each Gauss point,
+the same products times b_q / J_q^2, and a row of ones that carries
+mu Kbar.  The kernel writes them element-major, (n_el, 36).  The pattern
+is built from the upper keys (min(i, j), max(i, j)) of the elements
+alone: assembly sums the element entries in element order into the global
+upper triangle, reading the kernel output in place, and a fixed
+``mirror`` map copies every upper value into both (i, j) and (j, i) of
+the full CSR values, so the tangent is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -43,8 +57,9 @@ from .mesh import LoadCase, Mesh
 from .sparse import BandOrder, SparseSym
 
 
-# elements per kernel block: its F, J, w and Gauss-point sums, about
-# 1.5 MB, stay in a 2 MiB L2 cache; 512 to 2048 time the same
+# elements per kernel block: the tangent's 81 invariant rows (0.66 MB),
+# its output rows and the gradients, about 1.2 MB, stay in a 2 MiB L2
+# cache; 512 to 2048 time the same
 BLOCK_ELEMENTS = 1024
 
 # the 36 upper entries (r <= s) of an 8x8 element matrix, row by row
@@ -54,8 +69,25 @@ _POS[_UPPER] = _POS[_UPPER[::-1]] = np.arange(_UPPER[0].size)
 # entry ((I,c),(J,d)) -> position of ((I,d),(J,c)), which the T term reads
 _SWAP = _POS[_UPPER[0] - _UPPER[0] % 2 + _UPPER[1] % 2,
              _UPPER[1] - _UPPER[1] % 2 + _UPPER[0] % 2]
-# signs of the cofactors: F^-T = [[F11, -F10], [-F01, F00]] / J
-_COFACTOR_SIGN = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+# the ten component pairs i <= j of vec(F); pairs sharing i are consecutive
+_PAIRS = np.triu_indices(4)
+# the signed permutation S with cof F = J vec(F^-T) = S vec(F):
+# F^-T = [[F22, -F21], [-F12, F11]] / J
+_COFACTOR = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0],
+                      [1, 0, 0, 0]], dtype=float)
+
+
+def _check_jacobian(J: np.ndarray, start: int) -> None:
+    """Raise for the first element of a block with det(F) <= 0.
+
+    J is (4, blk): Gauss point, element; the block starts at ``start``.
+    """
+    bad = np.flatnonzero((J <= 0.0).any(axis=0))
+    if bad.size:
+        e = start + int(bad[0])
+        raise NonPositiveJacobianError(
+            f"det(F) = {J[:, bad[0]].min():.3e} <= 0 in element {e}",
+            element=e)
 
 
 class FeModel:
@@ -73,34 +105,50 @@ class FeModel:
 
         self.elem_dofs = mesh.elem_dofs
         self.elem_free = mesh.full_to_free[self.elem_dofs]       # (n_el, 8), -1 fixed
+        self._dofs_t = np.ascontiguousarray(self.elem_dofs.T)   # (8, n_el)
 
         self.f_free = mesh.gather(loads.force_vector(mesh))
         self.spring_free = mesh.gather(loads.spring_vector(mesh))
 
-        # H = u_e @ G2 holds the displacement gradients at the four Gauss
-        # points; w_q = G_q^T f_q; the mu term of the tangent is shared
-        self._G2 = np.ascontiguousarray(self.G.transpose(2, 0, 1).reshape(8, 16))
-        self._Gt = np.ascontiguousarray(self.G.transpose(0, 2, 1))
-        kbar = self.quad_w * np.einsum("qra,qrb->ab", self.G, self.G)
-        self._mu_kbar = material.mu * kbar[_UPPER][:, None]
-
+        self._build_kernels()
         self._build_pattern()
         self._ke_linear = None
 
+    def _build_kernels(self):
+        """The fixed matrices of both element kernels (see the module doc)."""
+        G, dv = self.G, self.quad_w
+        mu, lam = self.material.mu, self.material.lam
+        # row 4 c + q of Gc is gradient component c at Gauss point q
+        self._Gc = np.ascontiguousarray(G.transpose(1, 0, 2).reshape(16, 8))
+        kbar = dv * np.einsum("qra,qrb->ab", G, G)
+        self._force_gemm = np.ascontiguousarray(
+            np.hstack([mu * kbar, dv * self._Gc.T]).T)           # (24, 8)
+        # C[q, p, k]: coefficient of F_i F_j (pair p) at Gauss point q in
+        # J^2 w_{q,r} w_{q,s}, for upper entry k = (r, s)
+        SG = _COFACTOR @ G                                       # (4, 4, 8)
+        (i, j), (r, s) = _PAIRS, _UPPER
+        C = SG[:, i][..., r] * SG[:, j][..., s]
+        C += (i != j)[:, None] * SG[:, j][..., r] * SG[:, i][..., s]
+        # one column per (pair, Gauss point), the row order of a block
+        C = C.transpose(2, 1, 0).reshape(r.size, -1)             # (36, 40)
+        M = np.hstack([lam * dv * C, dv * C[_SWAP], mu * kbar[_UPPER][:, None]])
+        self._tangent_gemm = np.ascontiguousarray(M.T)           # (81, 36)
+
     # -- pattern ---------------------------------------------------------
     def _build_pattern(self):
-        n, n_el = self.mesh.n_free, self.mesh.n_el
+        n = self.mesh.n_free
         i = self.elem_free[:, _UPPER[0]]
         j = self.elem_free[:, _UPPER[1]]
         keep = (i >= 0) & (j >= 0)                               # (n_el, 36)
         lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
-        upper_lin, self._uidx = np.unique(lo.astype(np.int64) * n + hi,
-                                          return_inverse=True)
-        # kept element entries in element order, as positions in a
-        # (36, n_el) array of upper entries
-        self._usrc = (np.arange(_UPPER[0].size) * n_el
-                      + np.arange(n_el)[:, None])[keep]
+        upper_lin, kept = np.unique(lo.astype(np.int64) * n + hi,
+                                    return_inverse=True)
         self._n_upper = upper_lin.size
+        # global upper position of every element entry in element order;
+        # entries on a fixed DOF go to one extra bin that assembly drops
+        self._uidx = np.full(keep.shape, self._n_upper, dtype=np.intp)
+        self._uidx[keep] = kept
+        self._uidx = self._uidx.ravel()
         rows, cols = np.divmod(upper_lin, n)
         up_ptr = np.searchsorted(rows, np.arange(n + 1))
         self._diag = up_ptr[:-1]        # each upper row starts on the diagonal
@@ -124,9 +172,9 @@ class FeModel:
         self._mirror[at_low] = low.data
         self._mirror[at_up] = np.arange(upper_lin.size)
 
+        # free index of every element DOF, fixed ones to a dropped bin
         fvec = self.elem_free.ravel()
-        self._fkeep = fvec >= 0
-        self._fidx = fvec[self._fkeep]
+        self._fidx = np.where(fvec >= 0, fvec, n)
 
         # sweep along the longer grid axis, then the shorter one, then the
         # component: every element then couples free DOFs at most
@@ -140,23 +188,13 @@ class FeModel:
     def displacement_full(self, u_free: np.ndarray) -> np.ndarray:
         return self.mesh.scatter(u_free)
 
-    def _deformation(self, u_full: np.ndarray, start: int, stop: int):
-        """F and J at the Gauss points of elements start:stop.
+    def _gradients(self, u_e: np.ndarray) -> np.ndarray:
+        """Displacement gradients H of a block, (4, 4, blk).
 
-        Shapes (blk, 4, 4) and (blk, 4): element, Gauss point, and for F
-        the flattened components (11, 12, 21, 22).
+        ``u_e`` holds one element displacement per column, (8, blk); H is
+        indexed by component (11, 12, 21, 22), Gauss point, element.
         """
-        F = (u_full[self.elem_dofs[start:stop]] @ self._G2).reshape(-1, 4, 4)
-        F[..., 0] += 1.0
-        F[..., 3] += 1.0
-        J = F[..., 0] * F[..., 3] - F[..., 1] * F[..., 2]
-        bad = np.flatnonzero((J <= 0.0).any(axis=1))
-        if bad.size:
-            e = start + int(bad[0])
-            raise NonPositiveJacobianError(
-                f"det(F) = {J[bad[0]].min():.3e} <= 0 in element {e}",
-                element=e)
-        return F, J
+        return (self._Gc @ u_e).reshape(4, 4, -1)
 
     # -- element quantities ----------------------------------------------
     def _blocks(self):
@@ -171,67 +209,89 @@ class FeModel:
         the same kernel feeds the density derivative of the residual.
         """
         u_full = self.displacement_full(u_free)
+        mu, lam = self.material.mu, self.material.lam
         q = np.empty((self.mesh.n_el, 8))
+        buf = np.empty(24 * min(BLOCK_ELEMENTS, self.mesh.n_el))
         for start, stop in self._blocks():
-            F, _ = self._deformation(u_full, start, stop)
-            P = mat_mod.pk1_many(F.reshape(-1, 2, 2), self.material)
-            q[start:stop] = P.reshape(-1, 16) @ self._G2.T
-        return q * self.quad_w
+            # rows: u_e, then P - mu H by (component, Gauss point)
+            X = buf[:24 * (stop - start)].reshape(24, -1)
+            X[:8] = u_full[self._dofs_t[:, start:stop]]
+            h11, h12, h21, h22 = self._gradients(X[:8])
+            d = h12 * h21
+            jm1 = h11 + h22 + (h11 * h22 - d)                   # J - 1
+            J = 1.0 + jm1
+            _check_jacobian(J, start)
+            c = (0.5 * lam) * jm1 * (J + 1.0)
+            inv_j = 1.0 / J
+            off = (mu - c) * inv_j
+            Y = X[8:].reshape(4, 4, -1)
+            # J I - cof F = [[h11 F22 - d, h21], [h12, h22 F11 - d]]
+            Y[0] = ((mu * h11 + c) * (1.0 + h22) - mu * d) * inv_j
+            np.multiply(off, h21, out=Y[1])
+            np.multiply(off, h12, out=Y[2])
+            Y[3] = ((mu * h22 + c) * (1.0 + h11) - mu * d) * inv_j
+            np.matmul(X.T, self._force_gemm, out=q[start:stop])
+        return q
 
     def upper_element_tangents(self, u_free: np.ndarray) -> np.ndarray:
-        """Unpenalized element tangents as their 36 upper entries, (36, n_el).
+        """Unpenalized element tangents as their 36 upper entries, (n_el, 36).
 
-        Row k holds entry (_UPPER[0][k], _UPPER[1][k]) of every element.
+        Column k holds entry (_UPPER[0][k], _UPPER[1][k]) of every element.
         """
         u_full = self.displacement_full(u_free)
-        K = np.empty((_UPPER[0].size, self.mesh.n_el))
+        mu, lam = self.material.mu, self.material.lam
+        K = np.empty((self.mesh.n_el, _UPPER[0].size))
+        buf = np.empty(81 * min(BLOCK_ELEMENTS, self.mesh.n_el))
         for start, stop in self._blocks():
-            F, J = self._deformation(u_full, start, stop)
-            # Gauss point, component, element
-            F = np.ascontiguousarray(F.transpose(1, 2, 0))
-            J = np.ascontiguousarray(J.T)
-            f = F[:, ::-1] * (_COFACTOR_SIGN / J[:, None, :])   # vec(F^-T)
-            w = self._Gt @ f                                    # (4, 8, blk)
-            a, b = mat_mod.tangent_weights(J, self.material)
-            a *= self.quad_w
-            b *= self.quad_w
-            Ka = np.zeros((_UPPER[0].size, stop - start))
-            Kb = np.zeros_like(Ka)
-            for qp in range(4):
-                ww = w[qp, _UPPER[0]] * w[qp, _UPPER[1]]
-                Ka += a[qp] * ww
-                Kb += b[qp] * ww
-            Ka += Kb[_SWAP]
-            Ka += self._mu_kbar
-            K[:, start:stop] = Ka
+            # rows: F_i F_j by (pair, Gauss point), the same times
+            # b / J^2, then ones
+            X = buf[:81 * (stop - start)].reshape(81, -1)
+            X[80] = 1.0
+            F = self._gradients(u_full[self._dofs_t[:, start:stop]])
+            F[0] += 1.0
+            F[3] += 1.0
+            J = F[0] * F[3] - F[1] * F[2]
+            _check_jacobian(J, start)
+            FF = X[:80].reshape(20, 4, -1)
+            row = 0
+            for i in range(4):
+                np.multiply(F[i], F[i:], out=FF[row:row + 4 - i])
+                row += 4 - i
+            inv_j2 = 1.0 / (J * J)
+            np.multiply(FF[:10], mu * inv_j2 - (0.5 * lam) * (1.0 - inv_j2),
+                        out=FF[10:])
+            np.matmul(X.T, self._tangent_gemm, out=K[start:stop])
         return K
 
     def strain_energy_density(self, u_free: np.ndarray) -> np.ndarray:
         """Element energy integrals without the SIMP factor, (n_el,)."""
-        F, _ = self._deformation(self.displacement_full(u_free), 0,
-                                 self.mesh.n_el)
-        W = mat_mod.energy_many(F.reshape(-1, 2, 2), self.material)
+        F = self._gradients(self.displacement_full(u_free)[self._dofs_t])
+        F[0] += 1.0
+        F[3] += 1.0
+        _check_jacobian(F[0] * F[3] - F[1] * F[2], 0)
+        W = mat_mod.energy_many(F.transpose(2, 1, 0).reshape(-1, 2, 2),
+                                self.material)
         return W.reshape(-1, 4).sum(axis=1) * self.quad_w
 
     # -- global quantities -------------------------------------------------
     def internal_force(self, rho, p, u_free) -> np.ndarray:
         q = self.element_internal_forces(u_free)
         scaled = (np.asarray(rho) ** p)[:, None] * q
-        return np.bincount(self._fidx, weights=scaled.ravel()[self._fkeep],
-                           minlength=self.mesh.n_free)
+        return np.bincount(self._fidx, weights=scaled.ravel(),
+                           minlength=self.mesh.n_free + 1)[:-1]
 
     def residual(self, rho, p, u_free) -> np.ndarray:
         return self.internal_force(rho, p, u_free) + self.spring_free * u_free - self.f_free
 
     def tangent(self, rho, p, u_free) -> SparseSym:
         upper = self.upper_element_tangents(u_free)
-        upper *= np.asarray(rho) ** p
+        upper *= (np.asarray(rho) ** p)[:, None]
         return self._assemble_upper(upper)
 
     def _assemble_upper(self, upper: np.ndarray) -> SparseSym:
-        """Global matrix from (36, n_el) upper element entries plus springs."""
-        data = np.bincount(self._uidx, weights=upper.ravel()[self._usrc],
-                           minlength=self._n_upper)
+        """Global matrix from (n_el, 36) upper element entries plus springs."""
+        data = np.bincount(self._uidx, weights=upper.ravel(),
+                           minlength=self._n_upper + 1)[:-1]
         data[self._diag] += self.spring_free
         return SparseSym(self.mesh.n_free, self._indptr, self._indices,
                          data[self._mirror], self._order)
@@ -261,4 +321,4 @@ class FeModel:
         """Density-only stiffness of the small-displacement model."""
         ke = self.linear_element_tangent()
         return self._assemble_upper(
-            ke[_UPPER][:, None] * (np.asarray(rho) ** p))
+            (np.asarray(rho) ** p)[:, None] * ke[_UPPER])

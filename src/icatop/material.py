@@ -5,11 +5,16 @@ The stored energy per unit reference volume is
     W(F) = mu/2 * (tr(F^T F) - 2 - 2 ln J) + lam/4 * (J^2 - 1 - 2 ln J),
 
 a compressible neo-Hookean form whose stress-free reference state is F = I.
-The kernels take batches of deformation gradients.  The first
-Piola-Kirchhoff stress P = dW/dF is returned flattened with the
-displacement-gradient component order (11, 12, 21, 22), matching the rows
-of the shape-derivative matrix G; the tangent modulus A = dP/dF enters the
-assembly through its two weights (``tangent_weights``).
+Displacement gradients are flattened in the component order
+(11, 12, 21, 22), matching the rows of the shape-derivative matrix G.  The
+first Piola-Kirchhoff stress P = dW/dF and the tangent modulus A = dP/dF,
+
+    P = mu (F - F^-T) + lam/2 (J^2 - 1) F^-T,
+    A = mu I + lam J^2 f(x)f + (mu - lam/2 (J^2 - 1)) T,
+
+with f = vec(F^-T) and T_{ij,kl} = (F^-1)_{jk} (F^-1)_{li}, are not
+formed here: ``assembly`` folds them, per Gauss point, into the fixed
+matrices of its element kernels.  ``energy_many`` evaluates W on a batch.
 """
 
 from __future__ import annotations
@@ -91,15 +96,6 @@ def _as_batch(F):
     return F, J
 
 
-def _inverse_2x2(F, J):
-    inv = np.empty_like(F)
-    inv[:, 0, 0] = F[:, 1, 1]
-    inv[:, 0, 1] = -F[:, 0, 1]
-    inv[:, 1, 0] = -F[:, 1, 0]
-    inv[:, 1, 1] = F[:, 0, 0]
-    return inv / J[:, None, None]
-
-
 def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
     """Stored energy density W for a batch (n, 2, 2) of deformation gradients."""
     F, J = _as_batch(F)
@@ -107,24 +103,6 @@ def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
     logJ = np.log(J)
     return 0.5 * mat.mu * (trC - 2.0 - 2.0 * logJ) \
         + 0.25 * mat.lam * (J * J - 1.0 - 2.0 * logJ)
-
-
-def pk1_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """First Piola-Kirchhoff stress of a batch, flattened (n, 4)."""
-    F, J = _as_batch(F)
-    FinvT = np.swapaxes(_inverse_2x2(F, J), 1, 2)
-    P = mat.mu * (F - FinvT) + 0.5 * mat.lam * ((J * J - 1.0))[:, None, None] * FinvT
-    return P.reshape(-1, 4)
-
-
-def tangent_weights(J: np.ndarray, mat: MaterialParams):
-    """Weights (a, b) of the tangent modulus A = mu I + a f(x)f + b T.
-
-    Here f = vec(F^-T) and T_{ij,kl} = (F^-1)_{jk} (F^-1)_{li}; the weights
-    depend on F only through J.
-    """
-    J2 = J * J
-    return mat.lam * J2, mat.mu - 0.5 * mat.lam * (J2 - 1.0)
 
 
 def elasticity_matrix(mat: MaterialParams) -> np.ndarray:

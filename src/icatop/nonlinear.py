@@ -248,7 +248,9 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                 with timers.scope("Linear systems"):
                     s, report = ica_solve(ctx, -r)
                 stats.ica_iterations.append(report.iterations)
-                slope = 2.0 * float(r @ ctx.Kcur.matvec(s)) if report.converged \
+                # the merit |r|^2 has slope 2 r^T Kcur s along s; the
+                # sweep formed Kcur s for its residual
+                slope = 2.0 * float(r @ report.Ks) if report.converged \
                     else np.inf
                 if slope >= 0.0:
                     # stale approximation: refactor and take the exact step

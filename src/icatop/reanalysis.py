@@ -27,13 +27,18 @@ from .timing import NullTimers
 
 @dataclass
 class IcaReport:
-    """Outcome of one iterative solve."""
+    """Outcome of one iterative solve.
+
+    ``Ks`` is Kcur @ s for the returned iterate s, the product its residual
+    was judged by; a direct fallback solve forms none and leaves it None.
+    """
 
     iterations: int
     residual: float
     converged: bool
     fallback: bool = False
     iterates: list = None
+    Ks: np.ndarray = None
 
 
 class ReanalysisContext:
@@ -108,25 +113,29 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     r = -rhs
     norm_r = np.abs(r).max() if r.size else 0.0
     if norm_r == 0.0:
-        rep = IcaReport(0, 0.0, True, iterates=[np.zeros_like(rhs)] if keep_iterates else None)
+        rep = IcaReport(0, 0.0, True,
+                        iterates=[np.zeros_like(rhs)] if keep_iterates else None,
+                        Ks=np.zeros_like(rhs))
         return np.zeros_like(rhs), rep
 
     s_tilde = ctx.solve_reference(rhs)
     s = s_tilde
     trace = [] if keep_iterates else None
-    best_s, best_res, best_k = s, np.inf, 0
+    best_s, best_Ks, best_res, best_k = s, None, np.inf, 0
     for k in range(k_max + 1):
         if keep_iterates:
             trace.append(s.copy())
-        res = np.abs(ctx.Kcur.matvec(s) + r).max() / norm_r
+        Ks = ctx.Kcur.matvec(s)
+        res = np.abs(Ks + r).max() / norm_r
         if res < best_res:
-            best_s, best_res, best_k = s, res, k
+            best_s, best_Ks, best_res, best_k = s, Ks, res, k
         if res < eps:
-            return s, IcaReport(k, float(res), True, iterates=trace)
+            return s, IcaReport(k, float(res), True, iterates=trace, Ks=Ks)
         if k == k_max:
             break
         s = s_tilde - ctx.solve_reference(delta_apply(ctx.delta, s))
-    return best_s, IcaReport(best_k, float(best_res), False, iterates=trace)
+    return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
+                             Ks=best_Ks)
 
 
 def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8,

@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the vectorized kernels against.
 
-Per-element and per-point loops over the same constitutive law: the 8x8
-element tangent assembled from the full 4x4 tangent modulus, the element
-force from the batched stress kernel, and the modulus itself from its
-defining derivative of F^{-T}.  The density filter's reference is its
-explicit sparse weight matrix, built offset by offset.
+Per-element and per-point loops over the same constitutive law: the
+stress P = mu (F - F^-T) + lam/2 (J^2 - 1) F^-T in its direct form, the
+tangent modulus from its defining derivative of F^{-T}, the 8x8 element
+tangent assembled from the full 4x4 modulus, and the element force from
+the stress.  The density filter's reference is its explicit sparse weight
+matrix, built offset by offset.
 """
 
 import numpy as np
@@ -12,8 +13,34 @@ import scipy.sparse as sp
 
 from icatop.errors import NonPositiveJacobianError
 from icatop.filtering import _kernel_weight
-from icatop.material import (MaterialParams, _as_batch, _inverse_2x2,
-                             gauss_shape_gradients, pk1_many, tangent_weights)
+from icatop.material import MaterialParams, _as_batch, gauss_shape_gradients
+
+
+def _inverse_2x2(F, J):
+    inv = np.empty_like(F)
+    inv[:, 0, 0] = F[:, 1, 1]
+    inv[:, 0, 1] = -F[:, 0, 1]
+    inv[:, 1, 0] = -F[:, 1, 0]
+    inv[:, 1, 1] = F[:, 0, 0]
+    return inv / J[:, None, None]
+
+
+def pk1_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """First Piola-Kirchhoff stress of a batch, flattened (n, 4)."""
+    F, J = _as_batch(F)
+    FinvT = np.swapaxes(_inverse_2x2(F, J), 1, 2)
+    P = mat.mu * (F - FinvT) + 0.5 * mat.lam * ((J * J - 1.0))[:, None, None] * FinvT
+    return P.reshape(-1, 4)
+
+
+def tangent_weights(J: np.ndarray, mat: MaterialParams):
+    """Weights (a, b) of the tangent modulus A = mu I + a f(x)f + b T.
+
+    Here f = vec(F^-T) and T_{ij,kl} = (F^-1)_{jk} (F^-1)_{li}; the weights
+    depend on F only through J.
+    """
+    J2 = J * J
+    return mat.lam * J2, mat.mu - 0.5 * mat.lam * (J2 - 1.0)
 
 
 def deformation_gradient(G: np.ndarray, u_e: np.ndarray):

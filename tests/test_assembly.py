@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cantilever_model, random_positive_state
 from icatop import assembly
@@ -105,6 +107,18 @@ class TestGlobalAssembly:
         rho = np.full(model.mesh.n_el, 0.6)
         r = model.residual(rho, 3.0, np.zeros(model.mesh.n_free))
         assert np.array_equal(r, -model.f_free)
+
+    def test_small_displacement_force_is_linear(self, cantilever_model):
+        # at |grad u| ~ 1e-9 the force is the small-strain force up to
+        # O(1e-9) relative; a stress formed as F - F^-T would lose about
+        # eps / 1e-9 ~ 1e-7 of it to cancellation against the identity
+        model = cantilever_model
+        rng = np.random.default_rng(12)
+        u = 1e-9 * model.mesh.elem_w * rng.standard_normal(model.mesh.n_free)
+        u_e = model.displacement_full(u)[model.elem_dofs]
+        linear = u_e @ model.linear_element_tangent()
+        q = model.element_internal_forces(u)
+        assert np.abs(q - linear).max() <= 1e-8 * np.abs(linear).max()
 
     def test_single_element_tangent_matches_global(self, monkeypatch):
         # the closed-form kernel against element_tangent, element by element;
@@ -271,6 +285,44 @@ class TestGlobalAssembly:
         with pytest.raises(NonPositiveJacobianError) as err:
             model.residual(rho, 3.0, mesh.gather(full))
         assert err.value.element is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 4),
+       elem_w=st.floats(0.4, 3.0), elem_h=st.floats(0.4, 3.0),
+       scale=st.floats(0.01, 0.6), seed=st.integers(0, 2 ** 32 - 1))
+def test_gemm_kernels_match_element_oracles(nx, ny, elem_w, elem_h, scale,
+                                            seed):
+    # both block kernels against the per-element loops of reference.py,
+    # on states with det F > 0 and in blocks of 7, so most meshes split
+    mesh = build_grid(nx, ny, elem_w * nx, elem_h * ny, 1.3)
+    mesh = fix_region(mesh, lambda x, y: x <= 1e-12, axes="both")
+    model = FeModel(mesh, LoadCase(), MAT)
+    G = gauss_shape_gradients(mesh.elem_w, mesh.elem_h)
+    rng = np.random.default_rng(seed)
+    u = scale * min(mesh.elem_w, mesh.elem_h) \
+        * rng.standard_normal(mesh.n_free)
+    while min(deformation_gradient(G[q], mesh.scatter(u)[dofs])[1]
+              for dofs in mesh.elem_dofs for q in range(4)) <= 0.0:
+        u *= 0.5
+    u_full = mesh.scatter(u)
+    zero = np.zeros(mesh.n_free)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "BLOCK_ELEMENTS", 7)
+        K, q = model.upper_element_tangents(u), model.element_internal_forces(u)
+        K0 = model.upper_element_tangents(zero)
+        q0 = model.element_internal_forces(zero)
+    upper = np.triu_indices(8)
+    args = (mesh.elem_w, mesh.elem_h, mesh.thickness, MAT)
+    for e, dofs in enumerate(mesh.elem_dofs):
+        Ke = element_tangent(1.0, 1.0, u_full[dofs], *args)
+        assert np.abs(K[e] - Ke[upper]).max() <= 1e-12 * np.abs(Ke).max()
+        fe = element_internal_force(1.0, 1.0, u_full[dofs], *args)
+        assert np.abs(q[e] - fe).max() <= 1e-12 * np.abs(fe).max()
+    # the reference state: no force at all, and the small-strain tangent
+    assert np.all(q0 == 0.0)
+    ke = model.linear_element_tangent()[upper]
+    assert np.abs(K0 - ke).max() <= 1e-14 * np.abs(ke).max()
 
 
 def density_derivative(model, e, rho, p, u):

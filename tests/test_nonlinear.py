@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cantilever_model
+from icatop import nonlinear
 from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
                               armijo_linesearch, linear_equilibrium,
@@ -253,6 +254,42 @@ class TestNewtonSolve:
             newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
                          Strategy.N, ctx, outer_iter=1, max_iter=3)
         assert err.value.stats.iterations == 3
+
+    def test_inexact_steps_reuse_the_sweep_product(self, monkeypatch):
+        # a reuse solve forms Kcur products only inside the sweeps, which
+        # judge each iterate by one; the Armijo slope reads the accepted
+        # iterate's product off the report
+        model = make_cantilever_model()
+        n = model.mesh.n_free
+        rho = np.full(model.mesh.n_el, 0.5)
+        ctx = ReanalysisContext()
+        u, _ = newton_solve(model, rho, 3.0, np.zeros(n), Strategy.N, ctx,
+                            outer_iter=1)
+        rho2 = np.clip(rho + np.random.default_rng(1).uniform(
+            -0.05, 0.05, rho.size), 1e-3, 1.0)
+        products, sweeping, reports = [], [], []
+        real_matvec, real_sweep = SparseSym.matvec, nonlinear.ica_solve
+
+        def matvec(self, v):
+            products.append(bool(sweeping))
+            return real_matvec(self, v)
+
+        def sweep(ctx, rhs, *args, **kw):
+            sweeping.append(True)
+            try:
+                s, rep = real_sweep(ctx, rhs, *args, **kw)
+            finally:
+                sweeping.pop()
+            reports.append(rep)
+            assert np.array_equal(rep.Ks, real_matvec(ctx.Kcur, s))
+            return s, rep
+
+        monkeypatch.setattr(SparseSym, "matvec", matvec)
+        monkeypatch.setattr(nonlinear, "ica_solve", sweep)
+        _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,
+                             outer_iter=10)
+        assert st.converged and sum(r.converged for r in reports) >= 2
+        assert products and all(products)
 
     def test_first_five_outers_force_full_newton(self):
         model = make_cantilever_model()

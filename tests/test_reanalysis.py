@@ -42,6 +42,22 @@ class TestIcaSolve:
         assert rep.converged and rep.residual == 0.0
         assert np.all(s == 0.0)
 
+    def test_report_carries_the_judged_product(self):
+        # Ks is the Kcur product the returned iterate was judged by,
+        # converged or not
+        rng = np.random.default_rng(5)
+        K0, Kc, _, _ = make_pair(rng, 25, 0.6)
+        ctx = ReanalysisContext(K0)
+        ctx.refresh_delta(Kc)
+        b = rng.standard_normal(25)
+        for eps, k_max in ((1e-2, 10), (1e-14, 3)):
+            s, rep = ica_solve(ctx, b, eps=eps, k_max=k_max)
+            assert rep.converged is (eps == 1e-2)
+            assert np.array_equal(rep.Ks, Kc.matvec(s))
+            assert rep.residual == np.abs(rep.Ks - b).max() / np.abs(b).max()
+        _, rep = ica_solve(ctx, np.zeros(25))
+        assert np.all(rep.Ks == 0.0)
+
     def test_converges_to_dense_solution(self):
         rng = np.random.default_rng(1)
         for target in (0.2, 0.5, 0.8):
