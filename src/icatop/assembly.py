@@ -263,16 +263,6 @@ class FeModel:
             np.matmul(X.T, self._tangent_gemm, out=K[start:stop])
         return K
 
-    def strain_energy_density(self, u_free: np.ndarray) -> np.ndarray:
-        """Element energy integrals without the SIMP factor, (n_el,)."""
-        F = self._gradients(self.displacement_full(u_free)[self._dofs_t])
-        F[0] += 1.0
-        F[3] += 1.0
-        _check_jacobian(F[0] * F[3] - F[1] * F[2], 0)
-        W = mat_mod.energy_many(F.transpose(2, 1, 0).reshape(-1, 2, 2),
-                                self.material)
-        return W.reshape(-1, 4).sum(axis=1) * self.quad_w
-
     # -- global quantities -------------------------------------------------
     def internal_force(self, rho, p, u_free) -> np.ndarray:
         q = self.element_internal_forces(u_free)
@@ -295,13 +285,6 @@ class FeModel:
         data[self._diag] += self.spring_free
         return SparseSym(self.mesh.n_free, self._indptr, self._indices,
                          data[self._mirror], self._order)
-
-    def potential_energy(self, rho, p, u_free) -> float:
-        """Total potential; the residual is its gradient in u."""
-        W = self.strain_energy_density(u_free)
-        elastic = float(np.asarray(rho) ** p @ W)
-        springs = 0.5 * float(self.spring_free @ (u_free * u_free))
-        return elastic - float(self.f_free @ u_free) + springs
 
     # -- small-strain variant ----------------------------------------------
     def linear_element_tangent(self) -> np.ndarray:

@@ -20,13 +20,12 @@ from . import bench
 from .filtering import KERNELS
 from .nonlinear import Strategy
 from .optimizer import OptimizerConfig, RunHistory, optimize
+from .reanalysis import REASONS
 from .timing import CATEGORIES
 
 HISTORY_COLUMNS = [
     "iteration", "objective", "newton_iters", "factorizations", "ica_iters",
-    "fallbacks", "guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
-    "adjoint_fallbacks", "guard_refreshes", "gp_norm_inf", "penalty", "volume",
-    "max_normB",
+    "fallbacks", *REASONS, "gp_norm_inf", "penalty", "volume", "max_normB",
 ] + list(CATEGORIES)
 
 # options of ``run`` that a config file may set too: key -> flag settings;
@@ -191,11 +190,7 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "factorizations": history.total("factorizations"),
         "ica_iterations": history.total("ica_iters"),
         "fallbacks": history.total("fallbacks"),
-        "guard_fallbacks": history.total("guard_fallbacks"),
-        "step_fallbacks": history.total("step_fallbacks"),
-        "linesearch_fallbacks": history.total("linesearch_fallbacks"),
-        "adjoint_fallbacks": history.total("adjoint_fallbacks"),
-        "guard_refreshes": history.total("guard_refreshes"),
+        **{name: history.total(name) for name in REASONS},
         "final_gp_norm": history.gp_norm[-1] if history.gp_norm else None,
         "final_volume": history.volume[-1] if history.volume else None,
         "final_penalty": history.penalty[-1] if history.penalty else None,
@@ -220,11 +215,7 @@ def write_history_csv(path: Path, history: RunHistory) -> None:
                 history.factorizations[i],
                 history.ica_iters[i],
                 history.fallbacks[i],
-                history.guard_fallbacks[i],
-                history.step_fallbacks[i],
-                history.linesearch_fallbacks[i],
-                history.adjoint_fallbacks[i],
-                history.guard_refreshes[i],
+                *(getattr(history, name)[i] for name in REASONS),
                 repr(history.gp_norm[i]),
                 history.penalty[i],
                 repr(history.volume[i]),

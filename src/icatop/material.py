@@ -14,7 +14,7 @@ first Piola-Kirchhoff stress P = dW/dF and the tangent modulus A = dP/dF,
 
 with f = vec(F^-T) and T_{ij,kl} = (F^-1)_{jk} (F^-1)_{li}, are not
 formed here: ``assembly`` folds them, per Gauss point, into the fixed
-matrices of its element kernels.  ``energy_many`` evaluates W on a batch.
+matrices of its element kernels.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonPositiveJacobianError
 
 # 2x2 Gauss points on the reference square, fixed order
 GAUSS_POINTS = np.array([
@@ -84,25 +82,6 @@ def gauss_shape_gradients(elem_w: float, elem_h: float) -> np.ndarray:
     """G matrices at the four 2x2 Gauss points, shape (4, 4, 8)."""
     return np.stack([shape_gradients(elem_w, elem_h, xi, eta)
                      for xi, eta in GAUSS_POINTS])
-
-
-def _as_batch(F):
-    """F as a float batch (n, 2, 2) and its determinants, all positive."""
-    F = np.asarray(F, dtype=float)
-    J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    bad = np.flatnonzero(J <= 0.0)
-    if bad.size:
-        raise NonPositiveJacobianError(f"det(F) = {J[bad[0]]:.3e} <= 0")
-    return F, J
-
-
-def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Stored energy density W for a batch (n, 2, 2) of deformation gradients."""
-    F, J = _as_batch(F)
-    trC = np.einsum("nij,nij->n", F, F)
-    logJ = np.log(J)
-    return 0.5 * mat.mu * (trC - 2.0 - 2.0 * logJ) \
-        + 0.25 * mat.lam * (J * J - 1.0 - 2.0 * logJ)
 
 
 def elasticity_matrix(mat: MaterialParams) -> np.ndarray:

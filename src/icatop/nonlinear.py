@@ -4,11 +4,13 @@ The paper's seven strategies are the rows of ``Strategy``; each row says how
 often the tangent is factored, how often the drifting current-matrix values
 are refreshed, and whether the adjoint system is solved iteratively.  One
 ``ReusePolicy`` per equilibrium solve turns a row into the action of each
-Newton iteration; ``newton_solve`` carries out the numerics.  Every
-factorization goes through the ``ReanalysisContext``, which counts it and
-holds at most one.  Whatever the strategy, the first five outer iterations
-run exact Newton and every accepted solution satisfies the same max-norm
-residual tolerance; the policies trade cost, never accuracy.
+Newton iteration; ``newton_solve`` carries out the numerics, taking every
+exact step down one path.  Every factorization goes through the
+``ReanalysisContext``, which counts it, books the reason of each one off
+the schedule, and holds at most one.  Whatever the strategy, the first
+five outer iterations run exact Newton and every accepted solution
+satisfies the same max-norm residual tolerance; the policies trade cost,
+never accuracy.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ class ReusePolicy:
     factorization, the approximation is judged too stale.  The guard
     escalates gradually: first the delta values are refreshed at the
     current state (one assembly, no factorization), and only if progress
-    stays slow does the fallback refactorization fire.  A delta-only
-    escalation counts in ``guard_refreshes``, a refactorization in
-    ``fallbacks``.  Without the guard, a drifted reference whose
+    stays slow does the fallback refactorization fire.  ``decide`` names
+    the first reason ``guard_refreshes``, the second ``guard_fallbacks``.
+    Without the guard, a drifted reference whose
     delta happens to be zero would creep for dozens of iterations with a
     formally tiny linear residual.  Modified Newton is exempt: creeping is
     its definition.
@@ -96,31 +98,29 @@ class ReusePolicy:
         self.slow_streak = 0
         self.since_exact = 0
         self.guard_refreshed = False
-        self.guard_refreshes = 0
-        self.fallbacks = 0
 
-    def decide(self, it: int, ctx: ReanalysisContext) -> Action:
-        """Action for Newton iteration ``it`` of this solve."""
+    def decide(self, it: int, ctx: ReanalysisContext):
+        """(action, reason) for Newton iteration ``it`` of this solve; the
+        reason is None when the strategy's schedule predicts the action."""
         s = self.strategy
         if (s.refactor_every_newton_iter or self.outer_iter <= FULL_NEWTON_UNTIL
                 or not ctx.initialized
                 or (it == 0 and self.outer_iter % s.refactor_outer_period == 0)):
-            return Action.REFACTOR
+            return Action.REFACTOR, None
         if s.delta_refresh_period is None:
-            return Action.REUSE_HELD_DELTA
+            return Action.REUSE_HELD_DELTA, None
         fresh = ctx.global_newton_iters % s.delta_refresh_period == 0
         if self.slow_streak >= 2 or (not fresh and self.since_exact >= STALE_CAP):
             self.slow_streak = 0
             # fresh delta values and still stalling: the factorization
             # itself is too stale
             if fresh or self.guard_refreshed:
-                self.fallbacks += 1
-                return Action.REFACTOR
-            self.guard_refreshes += 1
+                return Action.REFACTOR, "guard_fallbacks"
             self.guard_refreshed = True
             self.since_exact = 0
-            return Action.REUSE_FRESH_DELTA
-        return Action.REUSE_FRESH_DELTA if fresh else Action.REUSE_HELD_DELTA
+            return Action.REUSE_FRESH_DELTA, "guard_refreshes"
+        return (Action.REUSE_FRESH_DELTA if fresh else Action.REUSE_HELD_DELTA,
+                None)
 
     def observe(self, exact: bool, contraction: float) -> None:
         """Record an accepted step: exact, or inexact with the given
@@ -139,22 +139,10 @@ class NewtonStats:
     iterations: int = 0
     ica_iterations: list = field(default_factory=list)
     backtracks: int = 0
-    # extra factorizations by reason: the slow-progress guard's refactor,
-    # an ICA step that did not converge or was no descent direction, and
-    # the exact step that rescues a failed line search
-    guard_fallbacks: int = 0
-    step_fallbacks: int = 0
-    linesearch_fallbacks: int = 0
-    guard_refreshes: int = 0    # guard escalations that only refreshed delta
+    fallbacks: int = 0     # extra factorizations; ctx.reasons says why
     residual_inf: float = np.inf
     converged: bool = False
     max_normB: float = None
-
-    @property
-    def fallbacks(self) -> int:
-        """Extra factorizations, whatever their reason."""
-        return self.guard_fallbacks + self.step_fallbacks \
-            + self.linesearch_fallbacks
 
 
 def armijo_linesearch(merit_fn, merit0: float, slope: float, c1: float = 1e-4,
@@ -205,13 +193,12 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     Returns (u, NewtonStats).  Raises NewtonConvergenceError when the
     iteration cap or the line-search budget is exhausted, or at once when
     a residual it would accept or step from is not finite; the stats
-    travel on the exception.  ``stats.fallbacks`` counts the factorizations
-    the strategy's schedule does not predict, split by reason: the guard's
-    refactorizations, and the exact steps taken because a reused direction
-    was not a descent direction or failed the line search.
-    ``stats.guard_refreshes`` counts the guard escalations that only
-    refreshed the delta values.  Every factorization is made and counted
-    by ``ctx``, which keeps the last one until the next replaces it.
+    travel on the exception.  An iteration takes the exact step when the
+    policy refactors, or when a reused direction was no descent direction
+    or failed the line search.  ``stats.fallbacks`` counts the exact steps
+    off the strategy's schedule; ``ctx`` makes and counts every
+    factorization, books the reason of each fallback and guard refresh,
+    and keeps the last factorization until the next replaces it.
     """
     timers = timers or NullTimers()
     stats = NewtonStats()
@@ -222,90 +209,89 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     with timers.scope("RHS"):
         r = model.residual(rho, p, u)
 
-    try:
-        for it in range(max_iter):
-            stats.residual_inf = float(np.abs(r).max())
-            if stats.residual_inf <= tol:
-                stats.converged = True
-                return u, stats
-            if not np.isfinite(stats.residual_inf):
-                raise NewtonConvergenceError(
-                    f"non-finite residual at Newton iteration {it}", stats)
-
-            action = policy.decide(it, ctx)
-            exact = action is Action.REFACTOR
-            if exact:
-                s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
-            else:
-                if action is Action.REUSE_FRESH_DELTA:
-                    with timers.scope("K_T"):
-                        ctx.refresh_delta(model.tangent(rho, p, u))
-                if monitor_normB:
-                    with timers.scope("Linear systems"):
-                        est = estimate_norm_B(ctx)
-                    stats.max_normB = est if stats.max_normB is None \
-                        else max(stats.max_normB, est)
-                with timers.scope("Linear systems"):
-                    s, report = ica_solve(ctx, -r)
-                stats.ica_iterations.append(report.iterations)
-                # the merit |r|^2 has slope 2 r^T Kcur s along s; the
-                # sweep formed Kcur s for its residual
-                slope = 2.0 * float(r @ report.Ks) if report.converged \
-                    else np.inf
-                if slope >= 0.0:
-                    # stale approximation: refactor and take the exact step
-                    stats.step_fallbacks += 1
-                    s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
-                    exact = True
-
-            def merit(alpha, _u=u):
-                try:
-                    with timers.scope("RHS"):
-                        r_trial = model.residual(rho, p, _u + alpha * s)
-                except NonPositiveJacobianError:
-                    return np.inf, None
-                return float(r_trial @ r_trial), r_trial
-
-            alpha, r_new, backtracks = armijo_linesearch(merit, float(r @ r),
-                                                         slope)
-            stats.backtracks += backtracks
-            if alpha is None and not exact:
-                # the stale direction looked like descent but was not; one
-                # more chance through the exact path before giving up
-                stats.linesearch_fallbacks += 1
-                s, slope = _exact_step(model, rho, p, u, r, ctx, timers)
-                alpha, r_new, backtracks = armijo_linesearch(
-                    merit, float(r @ r), slope)
-                stats.backtracks += backtracks
-            if alpha is None:
-                stats.residual_inf = float(np.abs(r).max())
-                raise NewtonConvergenceError(
-                    f"line search failed at Newton iteration {it}", stats)
-            policy.observe(exact, np.abs(r_new).max()
-                           / max(np.abs(r).max(), 1e-300))
-            u += alpha * s
-            r = r_new
-            stats.iterations += 1
-            ctx.global_newton_iters += 1
-
+    for it in range(max_iter):
         stats.residual_inf = float(np.abs(r).max())
-        raise NewtonConvergenceError(
-            f"no convergence within {max_iter} Newton iterations "
-            f"(residual {stats.residual_inf:.3e})", stats)
-    finally:
-        stats.guard_fallbacks = policy.fallbacks
-        stats.guard_refreshes = policy.guard_refreshes
+        if stats.residual_inf <= tol:
+            stats.converged = True
+            return u, stats
+        if not np.isfinite(stats.residual_inf):
+            raise NewtonConvergenceError(
+                f"non-finite residual at Newton iteration {it}", stats)
+
+        action, reason = policy.decide(it, ctx)
+        exact = action is Action.REFACTOR
+        if not exact:
+            if action is Action.REUSE_FRESH_DELTA:
+                with timers.scope("K_T"):
+                    ctx.refresh_delta(model.tangent(rho, p, u), reason)
+            if monitor_normB:
+                with timers.scope("Linear systems"):
+                    est = estimate_norm_B(ctx)
+                stats.max_normB = est if stats.max_normB is None \
+                    else max(stats.max_normB, est)
+            with timers.scope("Linear systems"):
+                s, report = ica_solve(ctx, -r)
+            stats.ica_iterations.append(report.iterations)
+            # the merit |r|^2 has slope 2 r^T Kcur s along s; the sweep
+            # formed Kcur s for its residual
+            slope = 2.0 * float(r @ report.Ks) if report.converged else np.inf
+            if slope >= 0.0:
+                # stale approximation: refactor and take the exact step
+                exact, reason = True, "step_fallbacks"
+            else:
+                alpha, r_new = _line_search(model, rho, p, u, r, s, slope,
+                                            timers, stats)
+                if alpha is None:
+                    # the stale direction looked like descent but was not;
+                    # one more chance through the exact path
+                    exact, reason = True, "linesearch_fallbacks"
+        if exact:
+            s, slope = _exact_step(model, rho, p, u, r, ctx, timers, reason)
+            stats.fallbacks += reason is not None
+            alpha, r_new = _line_search(model, rho, p, u, r, s, slope,
+                                        timers, stats)
+        if alpha is None:
+            stats.residual_inf = float(np.abs(r).max())
+            raise NewtonConvergenceError(
+                f"line search failed at Newton iteration {it}", stats)
+        policy.observe(exact, np.abs(r_new).max()
+                       / max(np.abs(r).max(), 1e-300))
+        u += alpha * s
+        r = r_new
+        stats.iterations += 1
+        ctx.global_newton_iters += 1
+
+    stats.residual_inf = float(np.abs(r).max())
+    raise NewtonConvergenceError(
+        f"no convergence within {max_iter} Newton iterations "
+        f"(residual {stats.residual_inf:.3e})", stats)
 
 
-def _exact_step(model, rho, p, u, r, ctx, timers):
-    """Assemble, factor, and solve exactly; resets the reuse window."""
+def _exact_step(model, rho, p, u, r, ctx, timers, reason):
+    """Assemble, factor (booked under ``reason``), and solve exactly."""
     with timers.scope("K_T"):
         K = model.tangent(rho, p, u)
     with timers.scope("Factorizations"):
-        ctx.set_reference(K)
+        ctx.set_reference(K, reason)
     with timers.scope("Linear systems"):
         s = ctx.solve_reference(-r)
     return s, -2.0 * float(r @ r)
+
+
+def _line_search(model, rho, p, u, r, s, slope, timers, stats):
+    """Armijo search along s on the merit |r|^2: (alpha, r_new), or
+    (None, None) when it fails; the backtracks are added to ``stats``."""
+    def merit(alpha):
+        try:
+            with timers.scope("RHS"):
+                r_trial = model.residual(rho, p, u + alpha * s)
+        except NonPositiveJacobianError:
+            return np.inf, None
+        return float(r_trial @ r_trial), r_trial
+
+    alpha, r_new, backtracks = armijo_linesearch(merit, float(r @ r), slope)
+    stats.backtracks += backtracks
+    return alpha, r_new
 
 
 def linear_equilibrium(model, rho, p, ctx: ReanalysisContext, timers=None):

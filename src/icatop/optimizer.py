@@ -17,7 +17,7 @@ from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
 from .filtering import build_filter
 from .nonlinear import Strategy, linear_equilibrium, newton_solve
-from .reanalysis import ReanalysisContext
+from .reanalysis import FALLBACKS, REASONS, ReanalysisContext
 from .sensitivity import (objective_gradient, objective_gradient_linear,
                           solve_adjoint)
 from .timing import Timers
@@ -144,7 +144,8 @@ class RunHistory:
     newton_iters: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     ica_iters: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)     # sum of the four below
+    fallbacks: list = field(default_factory=list)     # sum of the FALLBACKS
+    # one list per name in REASONS
     guard_fallbacks: list = field(default_factory=list)
     step_fallbacks: list = field(default_factory=list)
     linesearch_fallbacks: list = field(default_factory=list)
@@ -208,8 +209,10 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     while t < max_outer + 1:
         t += 1
         p = config.penalty_at(t)
-        before = timers.table()
-        factorizations = ctx.factorizations
+        if not retried:     # a retried row books its failed attempt too
+            before = timers.table()
+            factorizations = ctx.factorizations
+            booked = ctx.reasons.copy()
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
@@ -244,7 +247,6 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             with timers.scope("Linear systems"):
                 lam = ctx.solve_reference(-l_free)
             gradient = objective_gradient_linear
-            adj_fallback = False
         else:
             try:
                 adj = solve_adjoint(model, rho_phys, p, u_new, l_free,
@@ -253,7 +255,6 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 return _aborted(history, rho_design, filt, timers)
             lam = adj.lam
             gradient = objective_gradient
-            adj_fallback = adj.fallback
         with timers.scope("grad F(rho)"):
             grad_phys = gradient(model, rho_phys, p, u_new, lam)
             grad_design = filt.backpropagate(grad_phys)
@@ -271,12 +272,10 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         history.newton_iters.append(nstats.iterations)
         history.factorizations.append(ctx.factorizations - factorizations)
         history.ica_iters.append(int(sum(nstats.ica_iterations)))
-        history.fallbacks.append(nstats.fallbacks + int(adj_fallback))
-        history.guard_fallbacks.append(nstats.guard_fallbacks)
-        history.step_fallbacks.append(nstats.step_fallbacks)
-        history.linesearch_fallbacks.append(nstats.linesearch_fallbacks)
-        history.adjoint_fallbacks.append(int(adj_fallback))
-        history.guard_refreshes.append(nstats.guard_refreshes)
+        reasons = ctx.reasons - booked
+        history.fallbacks.append(sum(reasons[name] for name in FALLBACKS))
+        for name in REASONS:
+            getattr(history, name).append(reasons[name])
         history.residual_inf.append(nstats.residual_inf)
         history.gp_norm.append(gp)
         history.penalty.append(p)

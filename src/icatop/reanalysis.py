@@ -11,11 +11,14 @@ consistent norm of B is below one.  Each sweep costs one delta product and
 one solve with the held factorization.  The difference dK is built once
 per new current matrix or reference, on the first sweep that needs it.
 Acceptance is judged by the max-norm relative residual of the *current*
-matrix.
+matrix.  The ``ReanalysisContext`` makes and counts every factorization,
+and books each one off the strategy's schedule, and each guard-driven
+delta refresh, under its reason from ``REASONS``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,12 @@ import numpy as np
 from .sparse import (Factorization, SparseSym, delta_apply, difference,
                      ldlt_factor)
 from .timing import NullTimers
+
+# reasons for work off the strategy's schedule, named as in the run
+# report: extra factorizations (fallbacks), then the guard's delta refresh
+FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
+             "adjoint_fallbacks")
+REASONS = FALLBACKS + ("guard_refreshes",)
 
 
 @dataclass
@@ -45,14 +54,16 @@ class ReanalysisContext:
     """Held factorization plus the drifting current-matrix values.
 
     Owns every factorization of a run: ``set_reference`` makes and counts
-    each one, Newton and adjoint alike, and holds at most one.  The given
-    matrices are kept, not copied; nothing edits a tangent in place.  The
-    global Newton-iteration count paces the delta refresh.
+    each one, Newton and adjoint alike, and holds at most one; ``reasons``
+    counts the reasons its callers give.  The given matrices are kept, not
+    copied; nothing edits a tangent in place.  The global Newton-iteration
+    count paces the delta refresh.
     """
 
     def __init__(self, K0: SparseSym = None):
         self.global_newton_iters = 0
         self.factorizations = 0
+        self.reasons = Counter()
         self.release()
         if K0 is not None:
             self.set_reference(K0)
@@ -73,18 +84,20 @@ class ReanalysisContext:
         self.K0 = self.Kcur = self._delta = None
         self.factorization: Factorization = None
 
-    def set_reference(self, K: SparseSym) -> None:
+    def set_reference(self, K: SparseSym, reason: str = None) -> None:
         """Factor K, count it, and restart the approximation at dK = 0.
 
         The superseded factorization is dropped first; if factoring fails,
-        the context is left empty and the count unchanged.
+        the context is left empty and the counts unchanged.
         """
         self.release()
         self.factorization = ldlt_factor(K)
         self.factorizations += 1
         self.K0 = self.Kcur = K
+        if reason is not None:
+            self.reasons[reason] += 1
 
-    def refresh_delta(self, K: SparseSym) -> None:
+    def refresh_delta(self, K: SparseSym, reason: str = None) -> None:
         """Adopt new current-matrix values; the factorization is untouched."""
         if not self.initialized:
             raise RuntimeError("context holds no factorization")
@@ -92,6 +105,8 @@ class ReanalysisContext:
             raise ValueError("pattern mismatch against the held reference")
         self.Kcur = K
         self._delta = None
+        if reason is not None:
+            self.reasons[reason] += 1
 
     def solve_reference(self, b: np.ndarray) -> np.ndarray:
         return self.factorization.solve(b)
@@ -144,10 +159,11 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
 
     The caller must have refreshed the context so Kcur holds the tangent at
     the converged equilibrium state.  On non-convergence the context is
-    refactored from Kcur and the system solved exactly; the report then
-    keeps the sweeps' own count and best residual, with ``converged`` and
-    ``fallback`` set.  The sweeps and solves are booked under "Linear
-    systems", the fallback factorization under "Factorizations".
+    refactored from Kcur, booked as ``adjoint_fallbacks``, and the system
+    solved exactly; the report then keeps the sweeps' own count and best
+    residual, with ``converged`` and ``fallback`` set.  The sweeps and
+    solves are timed under "Linear systems", the fallback factorization
+    under "Factorizations".
     """
     timers = timers or NullTimers()
     l = np.asarray(l, dtype=float)
@@ -156,7 +172,7 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
     if rep.converged:
         return lam, rep
     with timers.scope("Factorizations"):
-        ctx.set_reference(ctx.Kcur)
+        ctx.set_reference(ctx.Kcur, "adjoint_fallbacks")
     with timers.scope("Linear systems"):
         lam = ctx.solve_reference(-l)
     return lam, IcaReport(rep.iterations, rep.residual, True, fallback=True)

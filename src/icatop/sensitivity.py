@@ -23,7 +23,6 @@ from .timing import NullTimers
 class AdjointSolution:
     lam: np.ndarray
     method: str            # "direct" | "ica"
-    fallback: bool = False
 
 
 def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
@@ -45,8 +44,8 @@ def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
         K_hat = model.tangent(rho, p, u_hat)
     if strategy.adjoint_uses_ica and ctx.initialized:
         ctx.refresh_delta(K_hat)
-        lam, rep = ica_adjoint_solve(ctx, l_free, timers=timers)
-        return AdjointSolution(lam, "ica", rep.fallback)
+        lam, _ = ica_adjoint_solve(ctx, l_free, timers=timers)
+        return AdjointSolution(lam, "ica")
 
     with timers.scope("Factorizations"):
         ctx.set_reference(K_hat)

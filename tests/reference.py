@@ -1,11 +1,13 @@
 """Reference implementations the tests compare the vectorized kernels against.
 
 Per-element and per-point loops over the same constitutive law: the
-stress P = mu (F - F^-T) + lam/2 (J^2 - 1) F^-T in its direct form, the
-tangent modulus from its defining derivative of F^{-T}, the 8x8 element
-tangent assembled from the full 4x4 modulus, and the element force from
-the stress.  The density filter's reference is its explicit sparse weight
-matrix, built offset by offset.
+stored energy W(F) the stress derives from, the stress
+P = mu (F - F^-T) + lam/2 (J^2 - 1) F^-T in its direct form, the tangent
+modulus from its defining derivative of F^{-T}, the 8x8 element tangent
+assembled from the full 4x4 modulus, the element force from the stress,
+and a model's total potential, whose gradient the residual must be.  The
+density filter's reference is its explicit sparse weight matrix, built
+offset by offset.
 """
 
 import numpy as np
@@ -13,7 +15,37 @@ import scipy.sparse as sp
 
 from icatop.errors import NonPositiveJacobianError
 from icatop.filtering import _kernel_weight
-from icatop.material import MaterialParams, _as_batch, gauss_shape_gradients
+from icatop.material import MaterialParams, gauss_shape_gradients
+
+
+def _as_batch(F):
+    """F as a float batch (n, 2, 2) and its determinants, all positive."""
+    F = np.asarray(F, dtype=float)
+    J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+    bad = np.flatnonzero(J <= 0.0)
+    if bad.size:
+        raise NonPositiveJacobianError(f"det(F) = {J[bad[0]]:.3e} <= 0")
+    return F, J
+
+
+def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """Stored energy density W for a batch (n, 2, 2) of deformation gradients."""
+    F, J = _as_batch(F)
+    trC = np.einsum("nij,nij->n", F, F)
+    logJ = np.log(J)
+    return 0.5 * mat.mu * (trC - 2.0 - 2.0 * logJ) \
+        + 0.25 * mat.lam * (J * J - 1.0 - 2.0 * logJ)
+
+
+def potential_energy(model, rho, p, u_free) -> float:
+    """Total potential of a FeModel at (rho, u): SIMP-scaled stored energy
+    plus spring energy minus the work of the loads."""
+    u_e = model.displacement_full(u_free)[model.elem_dofs]        # (n_el, 8)
+    F = np.einsum("qij,nj->nqi", model.G, u_e).reshape(-1, 2, 2) + np.eye(2)
+    W = energy_many(F, model.material).reshape(-1, 4).sum(axis=1) * model.quad_w
+    elastic = float(np.asarray(rho) ** p @ W)
+    springs = 0.5 * float(model.spring_free @ (u_free * u_free))
+    return elastic - float(model.f_free @ u_free) + springs
 
 
 def _inverse_2x2(F, J):

@@ -14,14 +14,14 @@ import pytest
 
 from icatop import bench
 from icatop.assembly import FeModel
-from icatop.material import MaterialParams, energy_many
+from icatop.material import MaterialParams
 from icatop.nonlinear import (Strategy, linear_equilibrium, newton_solve,
                               predicted_factorizations)
 from icatop.optimizer import OptimizerConfig, optimize, slp_subproblem
 from icatop.reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 from icatop.sensitivity import objective_gradient, solve_adjoint
 from icatop.sparse import SparseSym
-from reference import pk1_many, tangent_many
+from reference import energy_many, pk1_many, tangent_many
 
 ALL_STRATEGIES = [Strategy.N, Strategy.MN, Strategy.UPK1, Strategy.UPK1G,
                   Strategy.UPK100, Strategy.UPK100G, Strategy.UPK03K100G]

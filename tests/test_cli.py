@@ -35,6 +35,31 @@ def test_run_produces_artifacts(tmp_path):
     assert not (out / "normB.csv").exists()
 
 
+# the run artifacts' schema, as scripts that read them rely on it
+REPORT_KEYS = [
+    "aborted", "adjoint_fallbacks", "budget", "converge_tol", "converged",
+    "factorizations", "fallbacks", "filter_kernel", "filter_radius_elements",
+    "final_gp_norm", "final_objective", "final_penalty", "final_volume",
+    "guard_fallbacks", "guard_refreshes", "ica_iterations", "linear",
+    "linesearch_fallbacks", "mesh", "mode", "move_limit", "newton_iterations",
+    "outer_iterations", "problem", "step_fallbacks", "strategy", "timings"]
+HISTORY_HEADER = (
+    "iteration,objective,newton_iters,factorizations,ica_iters,fallbacks,"
+    "guard_fallbacks,step_fallbacks,linesearch_fallbacks,adjoint_fallbacks,"
+    "guard_refreshes,gp_norm_inf,penalty,volume,max_normB,Total,F(rho),K_T,"
+    "RHS,Factorizations,Linear systems,grad F(rho),Subproblem solving,"
+    "Filtering,Other")
+
+
+def test_output_schema_is_pinned(tmp_path):
+    code, out = run_cli(tmp_path, "--problem", "inverter", "--mesh", "12x6",
+                        "--strategy", "upK03K100g", "--budget", "2")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report) == REPORT_KEYS
+    assert (out / "history.csv").read_text().splitlines()[0] == HISTORY_HEADER
+
+
 def test_budget_zero_report(tmp_path):
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
                         "--strategy", "N", "--budget", "0")

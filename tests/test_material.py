@@ -3,9 +3,8 @@ import pytest
 
 from icatop.errors import NonPositiveJacobianError
 from icatop.material import (GAUSS_POINTS, MaterialParams, elasticity_matrix,
-                             energy_many, gauss_shape_gradients,
-                             shape_gradients)
-from reference import deformation_gradient, pk1_many, tangent_many
+                             gauss_shape_gradients, shape_gradients)
+from reference import deformation_gradient, energy_many, pk1_many, tangent_many
 
 MAT = MaterialParams(3000.0, 0.4)
 

@@ -7,7 +7,7 @@ from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
                               armijo_linesearch, linear_equilibrium,
                               newton_solve, predicted_factorizations)
-from icatop.reanalysis import ReanalysisContext
+from icatop.reanalysis import FALLBACKS, ReanalysisContext
 from icatop.sparse import SparseSym
 
 ALL = [Strategy.N, Strategy.MN, Strategy.UPK1, Strategy.UPK1G,
@@ -50,42 +50,48 @@ def held_context(global_newton_iters: int) -> ReanalysisContext:
 
 
 def decide(strategy, outer_iter, newton_iter_in_call, global_newton_counter):
-    """The first action of a fresh policy on a factored context."""
+    """The first (action, reason) of a fresh policy on a factored context."""
     return ReusePolicy(strategy, outer_iter).decide(
         newton_iter_in_call, held_context(global_newton_counter))
+
+
+SCHEDULED_REFACTOR = (Action.REFACTOR, None)
+FRESH = (Action.REUSE_FRESH_DELTA, None)
+HELD = (Action.REUSE_HELD_DELTA, None)
+GUARD_REFRESH = (Action.REUSE_FRESH_DELTA, "guard_refreshes")
+GUARD_REFACTOR = (Action.REFACTOR, "guard_fallbacks")
 
 
 class TestDecideAction:
     def test_newton_always_refactors(self):
         for outer, it, counter in ((1, 0, 0), (50, 3, 911), (7, 9, 100)):
-            assert decide(Strategy.N, outer, it, counter) is Action.REFACTOR
+            assert decide(Strategy.N, outer, it, counter) == SCHEDULED_REFACTOR
 
     def test_first_iteration_policies(self):
         for s in (Strategy.MN, Strategy.UPK1, Strategy.UPK100):
-            assert decide(s, 10, 0, 57) is Action.REFACTOR
+            assert decide(s, 10, 0, 57) == SCHEDULED_REFACTOR
 
     def test_mn_holds_zero_delta(self):
-        assert decide(Strategy.MN, 10, 3, 57) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.MN, 10, 3, 57) == HELD
 
     def test_upk1_refreshes_every_iteration(self):
-        assert decide(Strategy.UPK1, 10, 4, 57) is Action.REUSE_FRESH_DELTA
+        assert decide(Strategy.UPK1, 10, 4, 57) == FRESH
 
     def test_upk100_crossing_rule(self):
-        assert decide(Strategy.UPK100, 10, 3, 200) is Action.REUSE_FRESH_DELTA
-        assert decide(Strategy.UPK100, 10, 3, 201) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.UPK100, 10, 3, 200) == FRESH
+        assert decide(Strategy.UPK100, 10, 3, 201) == HELD
 
     def test_upk03_outer_rule(self):
-        assert decide(Strategy.UPK03K100G, 7, 0, 400) in (
-            Action.REUSE_FRESH_DELTA, Action.REUSE_HELD_DELTA)
-        assert decide(Strategy.UPK03K100G, 9, 0, 401) is Action.REFACTOR
-        assert decide(Strategy.UPK03K100G, 9, 1, 401) is Action.REUSE_HELD_DELTA
+        assert decide(Strategy.UPK03K100G, 7, 0, 400) in (FRESH, HELD)
+        assert decide(Strategy.UPK03K100G, 9, 0, 401) == SCHEDULED_REFACTOR
+        assert decide(Strategy.UPK03K100G, 9, 1, 401) == HELD
 
     def test_first_five_outers_and_empty_context_refactor(self):
         for s in ALL:
             assert ReusePolicy(s, 5).decide(3, held_context(201)) \
-                is Action.REFACTOR
+                == SCHEDULED_REFACTOR
             assert ReusePolicy(s, 10).decide(3, ReanalysisContext()) \
-                is Action.REFACTOR
+                == SCHEDULED_REFACTOR
 
 
 class TestSlowProgressGuard:
@@ -94,35 +100,30 @@ class TestSlowProgressGuard:
         policy.observe(True, 0.0)
         for _ in range(2):
             policy.observe(False, 0.9)
-        assert policy.decide(2, ctx) is Action.REUSE_FRESH_DELTA
-        assert (policy.guard_refreshes, policy.fallbacks) == (1, 0)
+        assert policy.decide(2, ctx) == GUARD_REFRESH
         for _ in range(2):
             policy.observe(False, 0.9)
-        assert policy.decide(4, ctx) is Action.REFACTOR
-        assert (policy.guard_refreshes, policy.fallbacks) == (1, 1)
+        assert policy.decide(4, ctx) == GUARD_REFACTOR
 
     def test_stale_cap_refreshes_the_held_delta(self):
         policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
         policy.observe(True, 0.0)
         for it in range(1, STALE_CAP):
-            assert policy.decide(it, ctx) is Action.REUSE_HELD_DELTA
+            assert policy.decide(it, ctx) == HELD
             policy.observe(False, 0.1)
-        assert policy.decide(STALE_CAP, ctx) is Action.REUSE_FRESH_DELTA
-        assert (policy.guard_refreshes, policy.fallbacks) == (1, 0)
+        assert policy.decide(STALE_CAP, ctx) == GUARD_REFRESH
 
     def test_slow_fresh_delta_refactors(self):
         policy, ctx = ReusePolicy(Strategy.UPK1, 10), held_context(57)
         for _ in range(2):
             policy.observe(False, 0.9)
-        assert policy.decide(2, ctx) is Action.REFACTOR
-        assert (policy.guard_refreshes, policy.fallbacks) == (0, 1)
+        assert policy.decide(2, ctx) == GUARD_REFACTOR
 
     def test_modified_newton_is_not_guarded(self):
         policy, ctx = ReusePolicy(Strategy.MN, 10), held_context(200)
         for _ in range(2 * STALE_CAP):
             policy.observe(False, 0.99)
-        assert policy.decide(3, ctx) is Action.REUSE_HELD_DELTA
-        assert (policy.guard_refreshes, policy.fallbacks) == (0, 0)
+        assert policy.decide(3, ctx) == HELD
 
 
 class TestArmijo:
@@ -221,6 +222,43 @@ class TestNewtonSolve:
                              Strategy.UPK100G, ctx, outer_iter=50)
         assert st.converged
         assert st.fallbacks >= 1
+        # every extra factorization is booked with its reason
+        assert sum(ctx.reasons[name] for name in FALLBACKS) == st.fallbacks
+
+    def test_line_search_rescue_is_an_exact_step(self, monkeypatch):
+        # the first line search along a reused direction fails; the exact
+        # step that rescues it restarts the slow-progress guard's window
+        model = make_cantilever_model()
+        n = model.mesh.n_free
+        rho = np.full(model.mesh.n_el, 0.5)
+        ctx = ReanalysisContext()
+        u, _ = newton_solve(model, rho, 3.0, np.zeros(n), Strategy.N, ctx,
+                            outer_iter=1)
+        rho2 = np.clip(rho + np.random.default_rng(1).uniform(
+            -0.05, 0.05, rho.size), 1e-3, 1.0)
+        real_search, real_observe = nonlinear.armijo_linesearch, \
+            ReusePolicy.observe
+        failed, observed = [], []
+
+        def search(merit_fn, merit0, slope, *args):
+            if slope != -2.0 * merit0 and not failed:
+                failed.append(slope)
+                return None, None, 20
+            return real_search(merit_fn, merit0, slope, *args)
+
+        def observe(policy, exact, contraction):
+            observed.append(exact)
+            real_observe(policy, exact, contraction)
+
+        monkeypatch.setattr(nonlinear, "armijo_linesearch", search)
+        monkeypatch.setattr(ReusePolicy, "observe", observe)
+        before = ctx.factorizations
+        _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,
+                             outer_iter=10)
+        assert st.converged and len(failed) == 1
+        assert (st.fallbacks, ctx.factorizations - before) == (1, 1)
+        assert ctx.reasons == {"linesearch_fallbacks": 1}
+        assert observed[0] is True
 
     @pytest.mark.parametrize("strategy, held", [(Strategy.MN, True)])
     def test_factorization_held_only_for_reuse(self, strategy, held):

@@ -294,25 +294,37 @@ class TestOptimizeLoop:
             refreshes += h.total("guard_refreshes")
         assert refreshes > 0
 
-    def test_newton_failure_halves_move_and_retries(self, monkeypatch):
+    def test_newton_failure_halves_move_and_retries(self, monkeypatch,
+                                                    factor_scopes):
+        # the solve of outer iteration 3 fails once, at once or after it
+        # has factored; the retried row books the failed attempt too
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError
         real = opt.newton_solve
-        calls = {"n": 0, "failed": False}
-
-        def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
-            calls["n"] += 1
-            if outer_iter == 3 and not calls["failed"]:
-                calls["failed"] = True
-                raise NewtonConvergenceError("synthetic failure", None)
-            return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
-
-        monkeypatch.setattr(opt, "newton_solve", flaky)
         prob = bench.build("cantilever", mesh=(12, 4))
-        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5))
-        assert calls["failed"]
-        assert not h.aborted
-        assert h.iterations == 6            # full budget despite the retry
+        for strategy, after_work in ((Strategy.N, False), (Strategy.N, True),
+                                     (Strategy.UPK100, True)):
+            calls = {"n": 0, "failed": False}
+
+            def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+                calls["n"] += 1
+                if outer_iter == 3 and not calls["failed"]:
+                    calls["failed"] = True
+                    stats = real(model, rho, p, u0, strategy, ctx,
+                                 outer_iter, **kw)[1] if after_work else None
+                    raise NewtonConvergenceError("synthetic failure", stats)
+                return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+            monkeypatch.setattr(opt, "newton_solve", flaky)
+            factors = len(factor_scopes.at_factor)
+            h = optimize(prob, OptimizerConfig(strategy=strategy, budget=5))
+            assert calls["failed"]
+            assert not h.aborted
+            assert h.iterations == 6            # full budget despite the retry
+            assert h.total("factorizations") \
+                == len(factor_scopes.at_factor) - factors
+            assert sum(row["Factorizations"] for row in h.times) \
+                == pytest.approx(h.timing_table["Factorizations"], rel=1e-9)
 
     def test_second_newton_failure_aborts(self, monkeypatch):
         import icatop.optimizer as opt
