@@ -10,7 +10,7 @@ import numpy as np
 from icatop import bench
 from icatop.cli import write_density_pgm
 from icatop.nonlinear import Strategy
-from icatop.optimizer import OptimizerConfig, optimize
+from icatop.optimizer import RHO_MIN, OptimizerConfig, optimize
 
 problem = bench.desk("cantilever")
 print(f"domain {problem.mesh.width} x {problem.mesh.height} mm, "
@@ -32,7 +32,7 @@ print(f"\nfinal compliance {history.final_objective:.2f} after "
       f"{history.total('newton_iters')} Newton iterations")
 
 write_density_pgm("cantilever_density.pgm", history.rho_phys,
-                  problem.mesh.nx, problem.mesh.ny, config.rho_min)
+                  problem.mesh.nx, problem.mesh.ny, RHO_MIN)
 print("material distribution written to cantilever_density.pgm")
 
 solid = np.mean(history.rho_phys > 0.9)

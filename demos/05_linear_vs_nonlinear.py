@@ -12,7 +12,7 @@ from icatop import bench
 from icatop.assembly import FeModel
 from icatop.cli import write_density_pgm
 from icatop.nonlinear import Strategy, linear_equilibrium, newton_solve
-from icatop.optimizer import OptimizerConfig, optimize
+from icatop.optimizer import RHO_MIN, OptimizerConfig, optimize
 from icatop.reanalysis import ReanalysisContext
 
 problem = bench.build("slender", mesh=(80, 10))
@@ -41,7 +41,7 @@ print(f"  mean |density gap| {diff.mean():.3f}, max {diff.max():.2f}; the "
       f"gap widens as the continuation pushes the designs toward 0/1")
 
 write_density_pgm("slender_nonlinear.pgm", nonlinear_run.rho_phys,
-                  problem.mesh.nx, problem.mesh.ny, cfg.rho_min)
+                  problem.mesh.nx, problem.mesh.ny, RHO_MIN)
 write_density_pgm("slender_linear.pgm", linear_run.rho_phys,
-                  problem.mesh.nx, problem.mesh.ny, cfg.rho_min)
+                  problem.mesh.nx, problem.mesh.ny, RHO_MIN)
 print("  layouts written to slender_nonlinear.pgm / slender_linear.pgm")

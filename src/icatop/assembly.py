@@ -37,18 +37,21 @@ a_q w_{q,r} w_{q,s} = lam sum_ij (S G_q)_ir (S G_q)_js F_i F_j.  The 36
 upper entries of an element are therefore the fixed (36 x 81) matrix
 times 81 rows: the ten products F_i F_j (i <= j) at each Gauss point,
 the same products times b_q / J_q^2, and a row of ones that carries
-mu Kbar.  The kernel writes them element-major, (n_el, 36).  The pattern
-is built from the upper keys (min(i, j), max(i, j)) of the elements
-alone: assembly sums the element entries in element order into the global
-upper triangle, reading the kernel output in place, and a fixed
-``mirror`` map copies every upper value into both (i, j) and (j, i) of
-the full CSR values, so the tangent is exactly symmetric by construction.
+mu Kbar.  The kernel writes them element-major, (n_el, 36).
+
+Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
+to the free DOFs of the 3x3 node block around its node, an ascending
+18-slot stencil on the grid of free ids padded with -1; the CSR rows, the
+upper numbering and positions, the mirrors and the band order all follow
+from it without a sort.  Assembly sums element entries in element order
+into the upper triangle, and ``mirror`` copies each upper value into
+(i, j) and (j, i), so the tangent is exactly symmetric by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import material as mat_mod
 from .errors import NonPositiveJacobianError
@@ -69,6 +72,11 @@ _POS[_UPPER] = _POS[_UPPER[::-1]] = np.arange(_UPPER[0].size)
 # entry ((I,c),(J,d)) -> position of ((I,d),(J,c)), which the T term reads
 _SWAP = _POS[_UPPER[0] - _UPPER[0] % 2 + _UPPER[1] % 2,
              _UPPER[1] - _UPPER[1] % 2 + _UPPER[0] % 2]
+# stencil offset 6 dy + 2 dx + component of each element DOF from node 0;
+# upper entry k sits in the row of element DOF _LO[k], stencil slot _SLOT[k]
+_STEP = np.array([0, 1, 2, 3, 8, 9, 6, 7])
+_LO = np.where(_STEP[_UPPER[0]] <= _STEP[_UPPER[1]], *_UPPER)
+_SLOT = 8 + np.abs(_STEP[_UPPER[0]] - _STEP[_UPPER[1]]) + _LO % 2
 # the ten component pairs i <= j of vec(F); pairs sharing i are consecutive
 _PAIRS = np.triu_indices(4)
 # the signed permutation S with cof F = J vec(F^-T) = S vec(F):
@@ -136,53 +144,39 @@ class FeModel:
 
     # -- pattern ---------------------------------------------------------
     def _build_pattern(self):
-        n = self.mesh.n_free
-        i = self.elem_free[:, _UPPER[0]]
-        j = self.elem_free[:, _UPPER[1]]
-        keep = (i >= 0) & (j >= 0)                               # (n_el, 36)
-        lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
-        upper_lin, kept = np.unique(lo.astype(np.int64) * n + hi,
-                                    return_inverse=True)
-        self._n_upper = upper_lin.size
-        # global upper position of every element entry in element order;
-        # entries on a fixed DOF go to one extra bin that assembly drops
-        self._uidx = np.full(keep.shape, self._n_upper, dtype=np.intp)
-        self._uidx[keep] = kept
-        self._uidx = self._uidx.ravel()
-        rows, cols = np.divmod(upper_lin, n)
-        up_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._diag = up_ptr[:-1]        # each upper row starts on the diagonal
-        if not np.array_equal(upper_lin.take(self._diag, mode="clip"),
-                              np.arange(n) * (n + 1)):
-            raise RuntimeError("pattern is missing diagonal entries")
-        # the strict lower triangle is the transpose of the strict upper
-        # one; row r of the full pattern is its lower entries, then its
-        # upper entries
-        strict = np.flatnonzero(rows != cols)
-        low = sp.csr_matrix((strict, cols[strict], up_ptr - np.arange(n + 1)),
-                            shape=(n, n)).tocsc()
-        low_rows = np.repeat(np.arange(n), np.diff(low.indptr))
-        at_low = np.arange(strict.size) + up_ptr[low_rows]
-        at_up = np.arange(upper_lin.size) + low.indptr[rows + 1]
-        self._indptr = (up_ptr + low.indptr).astype(np.int32)
-        self._indices = np.empty(self._indptr[-1], dtype=np.int32)
-        self._indices[at_low] = low.indices
-        self._indices[at_up] = cols
-        self._mirror = np.empty(self._indptr[-1], dtype=np.intp)
-        self._mirror[at_low] = low.data
-        self._mirror[at_up] = np.arange(upper_lin.size)
-
+        mesh, n = self.mesh, self.mesh.n_free
+        # free DOF ids on the node grid; -1 on fixed DOFs and on the border
+        ids = np.full((mesh.ny + 3, mesh.nx + 3, 2), -1, dtype=np.intp)
+        ids[1:-1, 1:-1] = mesh.full_to_free.reshape(mesh.ny + 1, mesh.nx + 1, 2)
+        # row r's stencil, ascending, with r itself in slot 8 + comp
+        nbr = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18)[mesh.free // 2]
+        comp = (mesh.free % 2)[:, None]
+        slot = np.arange(18)
+        keep = nbr >= 0
+        upper = keep & (slot >= 8 + comp)
+        # upper position of entry (r, nbr[r, k]); the dropped bin n_upper
+        # off the upper triangle and on row n, which fixed DOFs (-1) read
+        self._n_upper = int(np.count_nonzero(upper))
+        rank = np.full((n + 1, 18), self._n_upper, dtype=np.intp)
+        rank[:-1][upper] = np.arange(self._n_upper)
+        self._diag = rank[np.arange(n), 8 + comp[:, 0]]
+        self._uidx = rank[self.elem_free[:, _LO], _SLOT].ravel()
+        self._indptr = np.append(0, keep.sum(axis=1).cumsum()).astype(np.int32)
+        self._indices = nbr[keep].astype(np.int32)
+        # lower slot k of row r holds (r, j); row j holds (j, r) in slot
+        # 16 - k + k % 2 + comp
+        mirror = rank[nbr, 16 - slot + slot % 2 + comp]
+        np.copyto(mirror, rank[:-1], where=upper)
+        self._mirror = mirror[keep]
         # free index of every element DOF, fixed ones to a dropped bin
-        fvec = self.elem_free.ravel()
-        self._fidx = np.where(fvec >= 0, fvec, n)
+        self._fidx = np.where(self.elem_free >= 0, self.elem_free, n).ravel()
 
         # sweep along the longer grid axis, then the shorter one, then the
         # component: every element then couples free DOFs at most
         # 2 * min(nx, ny) + 5 positions apart, the factorization's band
-        node, comp = np.divmod(self.mesh.free, 2)
-        iy, ix = np.divmod(node, self.mesh.nx + 1)
-        keys = (comp, iy, ix) if self.mesh.nx >= self.mesh.ny else (comp, ix, iy)
-        self._order = BandOrder(np.lexsort(keys))
+        grid = ids[1:-1, 1:-1]
+        perm = (grid.transpose(1, 0, 2) if mesh.nx >= mesh.ny else grid).ravel()
+        self._order = BandOrder(perm[perm >= 0])
 
     # -- kinematics ------------------------------------------------------
     def displacement_full(self, u_free: np.ndarray) -> np.ndarray:

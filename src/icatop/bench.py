@@ -193,7 +193,11 @@ def build(name: str, scale: float = 1.0, mesh=None, filter_radius=None) -> Probl
     if name not in BUILDERS:
         raise ValueError(f"unknown problem {name!r}; expected one of "
                          f"{sorted(BUILDERS)}")
-    return BUILDERS[name](scale, mesh, filter_radius)
+    problem = BUILDERS[name](scale, mesh, filter_radius)
+    if problem.mesh.n_free == 0:
+        raise ValueError(f"mesh {problem.mesh.nx}x{problem.mesh.ny} leaves "
+                         f"{name} no free DOFs")
+    return problem
 
 
 def desk(name: str) -> Problem:

@@ -19,7 +19,7 @@ import numpy as np
 from . import bench
 from .filtering import KERNELS
 from .nonlinear import Strategy
-from .optimizer import OptimizerConfig, RunHistory, optimize
+from .optimizer import RHO_MIN, OptimizerConfig, RunHistory, optimize
 from .reanalysis import REASONS
 from .timing import CATEGORIES
 
@@ -158,7 +158,7 @@ def run_command(args) -> int:
     write_report(out / "report.json", problem, config, history)
     write_history_csv(out / "history.csv", history)
     write_density_pgm(out / "density.pgm", history.rho_phys,
-                      problem.mesh.nx, problem.mesh.ny, config.rho_min)
+                      problem.mesh.nx, problem.mesh.ny, RHO_MIN)
     if config.monitor_normB:
         write_normB_csv(out / "normB.csv", history)
 

@@ -16,7 +16,7 @@ from .assembly import FeModel
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
 from .filtering import build_filter
-from .nonlinear import Strategy, linear_equilibrium, newton_solve
+from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
 from .reanalysis import FALLBACKS, REASONS, ReanalysisContext
 from .sensitivity import (objective_gradient, objective_gradient_linear,
                           solve_adjoint)
@@ -24,6 +24,7 @@ from .timing import Timers
 
 # SIMP continuation: p rises by P_STEP every P_EVERY outer iterations
 P_INITIAL, P_STEP, P_EVERY, P_MAX = 1.0, 0.1, 10, 3.0
+RHO_MIN = 1e-3          # lower density bound of the design box
 HARD_CAP = 100000       # outer iterations in convergence mode without a budget
 # convergence mode damps the move limit when the objective fails to
 # decrease; a fixed move limit lets the bang-bang updates cycle forever
@@ -36,8 +37,6 @@ class OptimizerConfig:
     budget: int = 100                 # outer iterations with a design update
     converge_tol: float = None        # if set, stop on the stationarity test
     move_limit: float = 0.05
-    rho_min: float = 1e-3
-    newton_cap: int = 50
     filter_kernel: str = "cone"
     monitor_normB: bool = False
 
@@ -192,7 +191,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     v = model.element_volumes
     v_eff = filt.backpropagate(v)     # design-space volume coefficients
     Vstar = problem.volume_fraction * float(v.sum())
-    bounds = (config.rho_min, 1.0)
+    bounds = (RHO_MIN, 1.0)
 
     rho_design = np.full(mesh.n_el, problem.volume_fraction)
     u = np.zeros(mesh.n_free)
@@ -213,6 +212,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             before = timers.table()
             factorizations = ctx.factorizations
             booked = ctx.reasons.copy()
+            failed = NewtonStats()
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
@@ -224,15 +224,15 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             else:
                 u_new, nstats = newton_solve(
                     model, rho_phys, p, u, config.strategy, ctx, t,
-                    max_iter=config.newton_cap,
                     monitor_normB=config.monitor_normB, timers=timers)
         except SingularMatrixError:
             return _aborted(history, rho_design, filt, timers)
-        except NewtonConvergenceError:
+        except NewtonConvergenceError as exc:
             if retried or prev is None:
                 return _aborted(history, rho_design, filt, timers)
             # back off once: halve the move limit and redo the last update
             retried = True
+            failed = exc.stats or failed
             move *= 0.5
             rho_prev, grad_prev = prev
             sub = slp_subproblem(grad_prev, rho_prev, move, bounds, v_eff, Vstar)
@@ -269,9 +269,10 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
         after = timers.table()
         history.objective.append(F)
-        history.newton_iters.append(nstats.iterations)
+        history.newton_iters.append(failed.iterations + nstats.iterations)
         history.factorizations.append(ctx.factorizations - factorizations)
-        history.ica_iters.append(int(sum(nstats.ica_iterations)))
+        history.ica_iters.append(int(sum(failed.ica_iterations)
+                                     + sum(nstats.ica_iterations)))
         reasons = ctx.reasons - booked
         history.fallbacks.append(sum(reasons[name] for name in FALLBACKS))
         for name in REASONS:

@@ -1,10 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cantilever_model, random_positive_state
-from icatop import assembly
+from icatop import assembly, bench
 from icatop.assembly import FeModel
 from icatop.errors import NonPositiveJacobianError
 from icatop.material import MaterialParams, gauss_shape_gradients
@@ -101,6 +104,83 @@ class TestElementOperations:
             element_tangent(1.0, 3.0, u_e, 1.0, 1.0, 1.0, MAT)
 
 
+def assert_pattern_matches_full_keys(model):
+    """Pattern, element map, band order and tangent of ``model`` against
+    one np.unique over all 64 keys of every element."""
+    mesh, n = model.mesh, model.mesh.n_free
+    rows = np.repeat(model.elem_free, 8, axis=1).ravel()
+    cols = np.tile(model.elem_free, (1, 8)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    full = np.unique(rows[keep] * n + cols[keep])
+    ref_rows, ref_cols = np.divmod(full, n) if n else (full, full)
+    ref_indptr = np.searchsorted(ref_rows, np.arange(n + 1))
+    ref_diag = np.searchsorted(full, np.arange(n) * (n + 1))
+    rho = np.full(mesh.n_el, 0.5)
+    K = model.tangent(rho, 3.0, np.zeros(n))
+    assert np.array_equal(K.indptr, ref_indptr)
+    assert np.array_equal(K.indices, ref_cols)
+    assert np.array_equal(K.indices[ref_diag], np.arange(n))
+    # every full entry reads the upper entry (min(i, j), max(i, j))
+    upper = full[ref_rows <= ref_cols]
+    assert model._n_upper == upper.size
+    ref_mirror = np.searchsorted(
+        upper, np.minimum(ref_rows, ref_cols) * n
+        + np.maximum(ref_rows, ref_cols))
+    assert np.array_equal(model._mirror, ref_mirror)
+    assert np.array_equal(model._mirror[ref_diag], model._diag)
+    # every element entry on two free DOFs lands on its upper key, the
+    # others in the dropped bin
+    i, j = (model.elem_free[:, k] for k in assembly._UPPER)
+    kept = (i >= 0) & (j >= 0)
+    uidx = model._uidx.reshape(kept.shape)
+    assert np.array_equal(uidx[kept], np.searchsorted(
+        upper, np.minimum(i, j)[kept] * n + np.maximum(i, j)[kept]))
+    assert (uidx[~kept] == model._n_upper).all()
+    # the band order: longer grid axis, shorter axis, component
+    node, comp = np.divmod(mesh.free, 2)
+    iy, ix = np.divmod(node, mesh.nx + 1)
+    keys = (comp, iy, ix) if mesh.nx >= mesh.ny else (comp, ix, iy)
+    assert np.array_equal(model._order.perm, np.lexsort(keys))
+    # values: a dense scatter of the element entries, then the springs
+    ke = np.zeros((mesh.n_el, 8, 8))
+    ke[:, assembly._UPPER[0], assembly._UPPER[1]] = \
+        ke[:, assembly._UPPER[1], assembly._UPPER[0]] = \
+        0.5 ** 3 * model.upper_element_tangents(np.zeros(n))
+    at = np.where(model.elem_free >= 0, model.elem_free, n)
+    dense = np.zeros((n + 1, n + 1))
+    np.add.at(dense, (at[:, :, None], at[:, None, :]), ke)
+    dense = dense[:n, :n] + np.diag(model.spring_free)
+    assert np.array_equal(K.to_csr().toarray(), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@example(nx=1, ny=1, bits=2 ** 98 - 1)           # every DOF fixed
+@example(nx=6, ny=6, bits=2 ** 98 - 1)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6),
+       bits=st.integers(0, 2 ** 98 - 1))
+def test_pattern_matches_full_keys_on_any_supports(nx, ny, bits):
+    # bit k of ``bits`` fixes DOF k (a 6x6 grid has 98 DOFs)
+    mesh = build_grid(nx, ny, 2.0 * nx, 1.0 * ny, 1.0)
+    fixed = np.array([(bits >> k) & 1 for k in range(mesh.n_dof)], dtype=bool)
+    mesh = replace(mesh, fixed=fixed)
+    assert_pattern_matches_full_keys(FeModel(mesh, LoadCase(), MAT))
+
+
+def test_model_build_peaks_small():
+    # the perfbench mesh, 20,400 free DOFs: the pattern is read off the
+    # node stencil; a sort and transpose of the element keys peaks at 36 MiB
+    problem = bench.build("cantilever", mesh=(200, 50))
+    FeModel(problem.mesh, problem.loads, problem.material)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        FeModel(problem.mesh, problem.loads, problem.material)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 26 * 2 ** 20
+
+
 class TestGlobalAssembly:
     def test_residual_at_zero_is_minus_load(self, cantilever_model):
         model = cantilever_model
@@ -191,32 +271,28 @@ class TestGlobalAssembly:
                 kernel()
             assert err.value.element == mesh.n_el - 1
 
-    @pytest.mark.parametrize("nx, ny, spring", [(6, 3, 0.0), (3, 6, 0.0),
-                                                (12, 4, 7.5)])
-    def test_upper_first_pattern_matches_full_key_pattern(self, nx, ny,
+    @pytest.mark.parametrize("name, nx, ny, spring", [
+        pytest.param(None, 6, 3, 0.0, id="6-3-0.0"),
+        pytest.param(None, 3, 6, 0.0, id="3-6-0.0"),
+        pytest.param(None, 12, 4, 7.5, id="12-4-7.5"),
+        *(pytest.param(name, nx, ny, spring,
+                       id=f"{name}-{nx}x{ny}-{spring}")
+          for name in bench.BUILDERS
+          for nx, ny in ((1, 1), (1, 4), (4, 1), (7, 13), (13, 7))
+          for spring in (0.0, 7.5))])
+    def test_upper_first_pattern_matches_full_key_pattern(self, name, nx, ny,
                                                           spring):
-        model = make_cantilever_model(nx=nx, ny=ny, spring=spring)
-        n = model.mesh.n_free
-        # reference: one np.unique over all 64 keys of every element
-        rows = np.repeat(model.elem_free, 8, axis=1).ravel()
-        cols = np.tile(model.elem_free, (1, 8)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        full = np.unique(rows[keep] * n + cols[keep])
-        ref_rows, ref_cols = np.divmod(full, n)
-        ref_indptr = np.searchsorted(ref_rows, np.arange(n + 1))
-        ref_diag = np.searchsorted(full, np.arange(n) * (n + 1))
-        K = model.tangent(np.full(model.mesh.n_el, 0.5), 3.0,
-                          np.zeros(n))
-        assert np.array_equal(K.indptr, ref_indptr)
-        assert np.array_equal(K.indices, ref_cols)
-        assert np.array_equal(K.indices[ref_diag], np.arange(n))
-        # every full entry reads the upper entry (min(i, j), max(i, j))
-        upper = full[ref_rows <= ref_cols]
-        ref_mirror = np.searchsorted(
-            upper, np.minimum(ref_rows, ref_cols) * n
-            + np.maximum(ref_rows, ref_cols))
-        assert np.array_equal(model._mirror, ref_mirror)
-        assert np.array_equal(model._mirror[ref_diag], model._diag)
+        if name is None:
+            model = make_cantilever_model(nx=nx, ny=ny, spring=spring)
+        else:
+            # the builder itself: bench.build rejects a mesh with no free
+            # DOF (slender 1x1), the model must still build its pattern
+            prob = bench.BUILDERS[name](mesh=(nx, ny))
+            loads = LoadCase(list(prob.loads.point_loads))
+            if spring and prob.mesh.n_free:
+                loads.add_spring(*divmod(int(prob.mesh.free[-1]), 2), spring)
+            model = FeModel(prob.mesh, loads, prob.material)
+        assert_pattern_matches_full_keys(model)
 
     def test_tangent_is_residual_jacobian(self, cantilever_model):
         model = cantilever_model

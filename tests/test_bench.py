@@ -130,6 +130,9 @@ def test_out_of_range_sizes_rejected():
         bench.build("cantilever", mesh=(0, 4))
     with pytest.raises(ValueError, match="scale 0.001 yields an empty mesh"):
         bench.build("cantilever", scale=0.001)
+    # both edges clamped: a single column of elements has no free DOF
+    with pytest.raises(ValueError, match="mesh 1x1 leaves slender no free DOFs"):
+        bench.build("slender", mesh=(1, 1))
 
 
 class TestLinearMode:

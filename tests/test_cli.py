@@ -196,9 +196,11 @@ def test_missing_config_exits_before_writing(tmp_path, capsys):
     (["--filter-radius", "inf"], "filter radius must be >= 0 and finite, got inf"),
     (["--filter-radius", "nan"], "filter radius must be >= 0 and finite, got nan"),
     (["--mesh", "0x4"], "mesh 0x4 yields an empty mesh"),
+    (["--problem", "slender", "--mesh", "1x1"],
+     "mesh 1x1 leaves slender no free DOFs"),
 ], ids=["budget_negative", "move_limit_negative", "move_limit_nan",
         "filter_radius_negative", "filter_radius_inf", "filter_radius_nan",
-        "empty_mesh"])
+        "empty_mesh", "no_free_dofs"])
 def test_out_of_range_number_exits_before_writing(tmp_path, capsys, args,
                                                   message):
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -230,11 +231,13 @@ class TestOptimizeLoop:
                      "volume", "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
-    def test_first_iteration_failure_aborts(self):
+    def test_first_iteration_failure_aborts(self, monkeypatch):
         # an iteration cap the cold start cannot meet: nothing to retry from
+        import icatop.optimizer as opt
+        monkeypatch.setattr(opt, "newton_solve",
+                            functools.partial(opt.newton_solve, max_iter=2))
         prob = bench.build("cantilever", mesh=(12, 4))
-        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5,
-                                           newton_cap=2))
+        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5))
         assert h.aborted
         assert h.iterations == 0
         assert h.rho_phys is not None       # partial state still reported
@@ -297,23 +300,31 @@ class TestOptimizeLoop:
     def test_newton_failure_halves_move_and_retries(self, monkeypatch,
                                                     factor_scopes):
         # the solve of outer iteration 3 fails once, at once or after it
-        # has factored; the retried row books the failed attempt too
+        # has factored; the retried row books the failed attempt too: its
+        # factorizations, time, Newton iterations and sweeps
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError
         real = opt.newton_solve
         prob = bench.build("cantilever", mesh=(12, 4))
         for strategy, after_work in ((Strategy.N, False), (Strategy.N, True),
                                      (Strategy.UPK100, True)):
-            calls = {"n": 0, "failed": False}
+            calls = {"n": 0, "failed": False, "newton": 0, "sweeps": 0}
+
+            def solve(*args, **kw):
+                u, stats = real(*args, **kw)
+                calls["newton"] += stats.iterations
+                calls["sweeps"] += sum(stats.ica_iterations)
+                return u, stats
 
             def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
                 calls["n"] += 1
                 if outer_iter == 3 and not calls["failed"]:
                     calls["failed"] = True
-                    stats = real(model, rho, p, u0, strategy, ctx,
-                                 outer_iter, **kw)[1] if after_work else None
+                    stats = solve(model, rho, p, u0, strategy, ctx,
+                                  outer_iter, **kw)[1] if after_work else None
                     raise NewtonConvergenceError("synthetic failure", stats)
-                return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+                return solve(model, rho, p, u0, strategy, ctx, outer_iter,
+                             **kw)
 
             monkeypatch.setattr(opt, "newton_solve", flaky)
             factors = len(factor_scopes.at_factor)
@@ -325,6 +336,11 @@ class TestOptimizeLoop:
                 == len(factor_scopes.at_factor) - factors
             assert sum(row["Factorizations"] for row in h.times) \
                 == pytest.approx(h.timing_table["Factorizations"], rel=1e-9)
+            assert h.total("newton_iters") == calls["newton"]
+            assert h.total("ica_iters") == calls["sweeps"]
+            if strategy is Strategy.N:
+                assert h.total("factorizations") == predicted_factorizations(
+                    strategy, h.newton_iters) + h.total("fallbacks")
 
     def test_second_newton_failure_aborts(self, monkeypatch):
         import icatop.optimizer as opt
