@@ -59,6 +59,13 @@ class Problem:
     objective: str            # "compliance" | "mechanism"
     linear: bool = False
 
+    def require_free_dofs(self) -> None:
+        """Raise ValueError, naming the problem and its mesh, when the
+        supports leave no free DOF to solve for."""
+        if self.mesh.n_free == 0:
+            raise ValueError(f"mesh {self.mesh.nx}x{self.mesh.ny} leaves "
+                             f"{self.name} no free DOFs")
+
     def output_selector(self, mesh: Mesh = None) -> np.ndarray:
         """Full-length selector vector l: the load for compliance problems,
         -1 at the output DOFs for mechanisms."""
@@ -194,9 +201,7 @@ def build(name: str, scale: float = 1.0, mesh=None, filter_radius=None) -> Probl
         raise ValueError(f"unknown problem {name!r}; expected one of "
                          f"{sorted(BUILDERS)}")
     problem = BUILDERS[name](scale, mesh, filter_radius)
-    if problem.mesh.n_free == 0:
-        raise ValueError(f"mesh {problem.mesh.nx}x{problem.mesh.ny} leaves "
-                         f"{name} no free DOFs")
+    problem.require_free_dofs()
     return problem
 
 

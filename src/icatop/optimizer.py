@@ -181,8 +181,10 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     radius, and objective selector (see the problem builders).  With a
     budget of B, the objective is evaluated B+1 times and the design updated
     B times; in convergence mode the loop stops once the projected-gradient
-    norm falls below the tolerance.
+    norm falls below the tolerance.  Raises ValueError up front when the
+    mesh leaves no free DOF.
     """
+    problem.require_free_dofs()
     mesh = problem.mesh
     model = FeModel(mesh, problem.loads, problem.material)
     filt = build_filter(mesh, problem.filter_radius_elements, config.filter_kernel)
@@ -195,7 +197,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
     rho_design = np.full(mesh.n_el, problem.volume_fraction)
     u = np.zeros(mesh.n_free)
-    ctx = ReanalysisContext()
+    ctx = ReanalysisContext(single_sweeps=True)   # sweeps refine in float32
     timers = Timers()
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
 

@@ -1,19 +1,25 @@
 """Iterative combined approximations for Newton and adjoint linear systems.
 
-A held factorization of a reference matrix K0 is reused while the current
-matrix K0 + dK drifts away from it.  Writing B = K0^{-1} dK, the fixed-point
-sweep
+A held factorization F of a reference matrix K0 is reused while the
+current matrix Kcur = K0 + dK drifts away from it.  The sweep iterates in
+residual form,
 
-    s_{k+1} = s_tilde - B s_k,      s_0 = s_tilde = K0^{-1} rhs,
+    s_0 = F^{-1} rhs,      s_{k+1} = s_k - F^{-1} (Kcur s_k - rhs),
 
-converges linearly to the solution of (K0 + dK) s = rhs whenever a
-consistent norm of B is below one.  Each sweep costs one delta product and
-one solve with the held factorization.  The difference dK is built once
-per new current matrix or reference, on the first sweep that needs it.
-Acceptance is judged by the max-norm relative residual of the *current*
-matrix.  The ``ReanalysisContext`` makes and counts every factorization,
-and books each one off the strategy's schedule, and each guard-driven
-delta refresh, under its reason from ``REASONS``.
+which for an exact F = K0 gives the combined-approximation iterates
+s_{k+1} = s_0 - B s_k of B = K0^{-1} dK, and converges linearly whenever a
+consistent norm of B is below one.  Each sweep costs one product with Kcur,
+the one that also judges the iterate, and one solve with the held factor.
+Acceptance is judged by the max-norm relative residual of Kcur in float64,
+so the held factor only has to contract the error, not be exact: a context
+made with ``single_sweeps=True`` demotes its held band to float32, in
+place, on the first sweep that solves with it, and the sweeps become
+mixed-precision iterative refinement.  Factors that are never swept (exact
+Newton steps, direct adjoints, adjoint fallbacks) stay float64.  The
+difference dK is built only for the norm estimate of B.  The
+``ReanalysisContext`` makes and counts every factorization, and books each
+one off the strategy's schedule, and each guard-driven delta refresh,
+under its reason from ``REASONS``.
 """
 
 from __future__ import annotations
@@ -57,10 +63,12 @@ class ReanalysisContext:
     each one, Newton and adjoint alike, and holds at most one; ``reasons``
     counts the reasons its callers give.  The given matrices are kept, not
     copied; nothing edits a tangent in place.  The global Newton-iteration
-    count paces the delta refresh.
+    count paces the delta refresh.  With ``single_sweeps`` the held factor
+    is demoted to float32 on its first sweep solve (``solve_held``).
     """
 
-    def __init__(self, K0: SparseSym = None):
+    def __init__(self, K0: SparseSym = None, single_sweeps: bool = False):
+        self.single_sweeps = single_sweeps
         self.global_newton_iters = 0
         self.factorizations = 0
         self.reasons = Counter()
@@ -111,44 +119,57 @@ class ReanalysisContext:
     def solve_reference(self, b: np.ndarray) -> np.ndarray:
         return self.factorization.solve(b)
 
+    def solve_held(self, b: np.ndarray) -> np.ndarray:
+        """Solve with the held factor inside a sweep, demoting it to float32
+        first if the context sweeps in single precision.  The demoted factor
+        replaces the float64 one in the same buffer; the count of
+        factorizations does not move."""
+        if self.single_sweeps and not self.factorization.single:
+            self.factorization = self.factorization.demoted()
+        return self.factorization.solve(b)
+
 
 def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
               k_max: int = 10, keep_iterates: bool = False):
     """Approximately solve Kcur s = rhs reusing the held factorization.
 
-    Returns the first iterate whose relative residual against Kcur drops
-    below ``eps``; if none of s_0 .. s_{k_max} qualifies, the best iterate
-    is returned with ``converged=False`` and the caller decides whether to
-    refactor.  The defaults are the paper's Newton forcing term
-    eps_R = 1e-2 and the sweep budget of both the Newton and adjoint solves.
+    Sweeps in residual form, s <- s - F^{-1}(Kcur s - rhs), from
+    s_0 = F^{-1} rhs; the product Kcur s both judges an iterate and forms
+    the next correction.  In a ``single_sweeps`` context the first solve
+    demotes the held factor to float32 (``ReanalysisContext.solve_held``);
+    the iterates and products stay float64.  Returns the first iterate
+    whose relative residual against Kcur drops below ``eps``; if none of
+    s_0 .. s_{k_max} qualifies, the best iterate is returned with
+    ``converged=False`` and the caller decides whether to refactor.  The
+    defaults are the paper's Newton forcing term eps_R = 1e-2 and the sweep
+    budget of both the Newton and adjoint solves.
     """
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
     rhs = np.asarray(rhs, dtype=float)
-    r = -rhs
-    norm_r = np.abs(r).max() if r.size else 0.0
+    norm_r = np.abs(rhs).max() if rhs.size else 0.0
     if norm_r == 0.0:
         rep = IcaReport(0, 0.0, True,
                         iterates=[np.zeros_like(rhs)] if keep_iterates else None,
                         Ks=np.zeros_like(rhs))
         return np.zeros_like(rhs), rep
 
-    s_tilde = ctx.solve_reference(rhs)
-    s = s_tilde
+    s = ctx.solve_held(rhs)
     trace = [] if keep_iterates else None
     best_s, best_Ks, best_res, best_k = s, None, np.inf, 0
     for k in range(k_max + 1):
         if keep_iterates:
             trace.append(s.copy())
         Ks = ctx.Kcur.matvec(s)
-        res = np.abs(Ks + r).max() / norm_r
+        resid = Ks - rhs
+        res = np.abs(resid).max() / norm_r
         if res < best_res:
             best_s, best_Ks, best_res, best_k = s, Ks, res, k
         if res < eps:
             return s, IcaReport(k, float(res), True, iterates=trace, Ks=Ks)
         if k == k_max:
             break
-        s = s_tilde - ctx.solve_reference(delta_apply(ctx.delta, s))
+        s = s - ctx.solve_held(resid)
     return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
                              Ks=best_Ks)
 

@@ -9,6 +9,9 @@ Cholesky LL^T (LAPACK ``dpbtrf``), the symmetric LDL^T-family
 factorization the paper's solver relies on; an indefinite tangent falls
 back to banded LU with partial pivoting (``dgbtrf``) on the same band.
 The entry point keeps the name ``ldlt_factor`` for that symmetric family.
+A factor that will only be swept by iterative refinement can be rounded to
+float32 in its own buffer (``Factorization.demoted``), which halves the
+memory a solve streams.
 """
 
 from __future__ import annotations
@@ -17,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from scipy.linalg.lapack import (dgbtrf, dgbtrs, dpbtrf, dpbtrs, sgbtrs,
+                                 spbtrs)
 
 from .errors import SingularMatrixError
+
+# entries rounded per step when a band is demoted in place: the only
+# temporary, 256 KiB
+DEMOTE_CHUNK = 1 << 16
 
 
 class BandOrder:
@@ -141,7 +149,11 @@ def _lapack_info(routine: str, info: int) -> None:
 
 @dataclass
 class BandFactor:
-    """LAPACK band factor: Cholesky when ``piv`` is None, else LU."""
+    """LAPACK band factor: Cholesky when ``piv`` is None, else LU.
+
+    ``ab`` is float64 as factored, or float32 once demoted; a factor whose
+    buffer was handed to its demoted copy holds None and refuses to solve.
+    """
 
     ab: np.ndarray
     kd: int
@@ -153,15 +165,39 @@ class BandFactor:
         return self.ab.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve in the factor's own order; ``b`` is overwritten."""
+        """Solve in the factor's own precision and order; ``b`` may be
+        overwritten."""
+        if self.ab is None:
+            raise RuntimeError("band factor was demoted; solve with its "
+                               "float32 copy")
+        single = self.ab.dtype == np.float32
+        b = b.astype(self.ab.dtype, copy=False)
         if self.piv is None:
-            x, info = dpbtrs(self.ab, b, lower=1, overwrite_b=1)
-            _lapack_info("dpbtrs", info)
+            x, info = (spbtrs if single else dpbtrs)(self.ab, b, lower=1,
+                                                     overwrite_b=1)
+            _lapack_info("pbtrs", info)
         else:
-            x, info = dgbtrs(self.ab, self.kd, self.kd, b, self.piv,
-                             overwrite_b=1)
-            _lapack_info("dgbtrs", info)
+            x, info = (sgbtrs if single else dgbtrs)(self.ab, self.kd, self.kd,
+                                                     b, self.piv, overwrite_b=1)
+            _lapack_info("gbtrs", info)
         return x
+
+    def demoted(self) -> "BandFactor":
+        """This factor rounded to float32, written over its own buffer.
+
+        The band is converted front to back, one chunk at a time: float32
+        entry i lands in the bytes of float64 entry i // 2, which was read
+        no later than entry i, so no entry is overwritten before it is
+        read.  This factor goes stale and raises if used.
+        """
+        flat = self.ab.reshape(-1, order="F")       # a view: F-ordered band
+        single = flat.view(np.float32)
+        for start in range(0, flat.size, DEMOTE_CHUNK):
+            stop = min(start + DEMOTE_CHUNK, flat.size)
+            single[start:stop] = flat[start:stop].astype(np.float32)
+        ab = single[:flat.size].reshape(self.ab.shape, order="F")
+        self.ab = None
+        return BandFactor(ab, self.kd, self.piv)
 
 
 @dataclass
@@ -172,6 +208,11 @@ class Factorization:
     _lu: BandFactor
     perm: np.ndarray
 
+    @property
+    def single(self) -> bool:
+        """Whether the band was demoted to float32."""
+        return self._lu.ab.dtype == np.float32
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
@@ -179,6 +220,11 @@ class Factorization:
         x = np.empty(self.n)
         x[self.perm] = self._lu.solve(b[self.perm])
         return x
+
+    def demoted(self) -> "Factorization":
+        """The same factor in float32, in this one's buffer (see
+        ``BandFactor.demoted``); this factorization goes stale."""
+        return Factorization(self.n, self._lu.demoted(), self.perm)
 
 
 def ldlt_factor(K: SparseSym) -> Factorization:

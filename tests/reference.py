@@ -7,7 +7,8 @@ modulus from its defining derivative of F^{-T}, the 8x8 element tangent
 assembled from the full 4x4 modulus, the element force from the stress,
 and a model's total potential, whose gradient the residual must be.  The
 density filter's reference is its explicit sparse weight matrix, built
-offset by offset.
+offset by offset.  The reanalysis sweep's reference is the
+combined-approximation iteration in its delta form, s_{k+1} = s_0 - B s_k.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 from icatop.errors import NonPositiveJacobianError
 from icatop.filtering import _kernel_weight
 from icatop.material import MaterialParams, gauss_shape_gradients
+from icatop.sparse import delta_apply, difference
 
 
 def _as_batch(F):
@@ -174,3 +176,15 @@ def filter_matrix(mesh, radius_in_elements, kernel="cone") -> sp.csr_matrix:
     weighted = raw.multiply(volumes[None, :]).tocsr()
     row_sums = np.asarray(weighted.sum(axis=1)).ravel()
     return (sp.diags(1.0 / row_sums) @ weighted).tocsr()
+
+
+def delta_form_iterates(ctx, rhs, k_max):
+    """Iterates s_0 .. s_{k_max} of s_{k+1} = s_0 - K0^{-1} dK s_k with
+    s_0 = K0^{-1} rhs, through the context's held factor and dK."""
+    dK = difference(ctx.Kcur, ctx.K0)
+    s_tilde = ctx.solve_reference(rhs)
+    iterates = [s_tilde]
+    for _ in range(k_max):
+        iterates.append(s_tilde - ctx.solve_reference(
+            delta_apply(dK, iterates[-1])))
+    return iterates

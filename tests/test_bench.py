@@ -135,6 +135,17 @@ def test_out_of_range_sizes_rejected():
         bench.build("slender", mesh=(1, 1))
 
 
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_optimize_rejects_a_mesh_with_no_free_dof(linear):
+    # a builder called directly still returns the problem; running it is
+    # what fails, up front and naming the problem and its mesh
+    problem = bench.slender(mesh=(1, 1))
+    if linear:
+        problem = bench.linear_mode(problem)
+    with pytest.raises(ValueError, match="mesh 1x1 leaves slender no free DOFs"):
+        optimize(problem, OptimizerConfig(budget=2))
+
+
 class TestLinearMode:
     def test_flag_set(self):
         prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
