@@ -1,11 +1,13 @@
 """Anatomy of the reanalysis sweep on a small dense-backed system.
 
-With a held factorization of K0 and a drifted matrix K0 + dK, the sweep
+With a held factorization F of K0 and a drifted matrix Kcur = K0 + dK,
+the sweep runs in residual form,
 
-    s_{k+1} = s_tilde - B s_k,    B = K0^{-1} dK,
+    s_{k+1} = s_k - F^{-1} (Kcur s_k - rhs),
 
+which for an exact F is s_{k+1} = s_tilde - B s_k with B = K0^{-1} dK, and
 contracts toward the true solution at the rate of the spectral norm of B.
-Each sweep costs one delta product and one reuse of the factorization,
+Each sweep costs one product with Kcur and one reuse of the factorization,
 never a new factorization.
 """
 
@@ -29,7 +31,7 @@ for target in (0.3, 0.7, 0.95):
     Kc = SparseSym(n, K0.indptr, K0.indices,
                    SparseSym.from_dense(K0_dense + dK).data)
     ctx = ReanalysisContext(K0)
-    ctx.refresh_delta(Kc)
+    ctx.refresh(Kc)
 
     r = rng.standard_normal(n)
     s_star = np.linalg.solve(K0_dense + dK, -r)
@@ -51,7 +53,7 @@ K0 = SparseSym.from_dense(K0_dense)
 Kc = SparseSym(n, K0.indptr, K0.indices,
                SparseSym.from_dense(K0_dense + dK).data)
 ctx = ReanalysisContext(K0)
-ctx.refresh_delta(Kc)
+ctx.refresh(Kc)
 _, report = ica_solve(ctx, rng.standard_normal(n), eps=1e-2)
 print(f"||B|| = 1.5: converged = {report.converged}, best residual "
       f"{report.residual:.2e} after {report.iterations} sweeps")

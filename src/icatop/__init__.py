@@ -16,6 +16,6 @@ from .optimizer import (OptimizerConfig, RunHistory, optimize,
 from .reanalysis import (IcaReport, ReanalysisContext, estimate_norm_B,
                          ica_adjoint_solve, ica_solve)
 from .sensitivity import AdjointSolution, objective_gradient, solve_adjoint
-from .sparse import Factorization, SparseSym, delta_apply
+from .sparse import Factorization, SparseSym
 
 __version__ = "0.1.0"

@@ -1,16 +1,17 @@
 """Newton's method with Armijo line search under factorization policies.
 
 The paper's seven strategies are the rows of ``Strategy``; each row says how
-often the tangent is factored, how often the drifting current-matrix values
-are refreshed, and whether the adjoint system is solved iteratively.  One
-``ReusePolicy`` per equilibrium solve turns a row into the action of each
-Newton iteration; ``newton_solve`` carries out the numerics, taking every
-exact step down one path.  Every factorization goes through the
-``ReanalysisContext``, which counts it, books the reason of each one off
-the schedule, and holds at most one.  Whatever the strategy, the first
-five outer iterations run exact Newton and every accepted solution
-satisfies the same max-norm residual tolerance; the policies trade cost,
-never accuracy.
+often the tangent is factored, how often the current matrix the sweeps
+solve against is refreshed to the tangent at the current state, and whether
+the adjoint system is solved iteratively.  One ``ReusePolicy`` per
+equilibrium solve turns a row into the action of each Newton iteration;
+``newton_solve`` carries out the numerics, taking every exact step down
+one path, and tests the residual after its last allowed step before it
+gives up.  Every factorization goes through the ``ReanalysisContext``,
+which counts it, books the reason of each one off the schedule, and holds
+at most one.  Whatever the strategy, the first five outer iterations run
+exact Newton and every accepted solution satisfies the same max-norm
+residual tolerance; the policies trade cost, never accuracy.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ STALE_CAP = 7           # iterations since an exact step before a refresh
 
 class Strategy(enum.Enum):
     """One row per paper strategy: (name, refactor every Newton iteration,
-    outer refactor period, delta refresh period, iterative adjoint).
+    outer refactor period, refresh period, iterative adjoint).
 
     The outer period refactors at the first Newton iteration of every k-th
-    outer iteration; the delta refresh period counts global Newton
-    iterations, and None means the delta is never refreshed.
+    outer iteration; the refresh period counts global Newton iterations,
+    and None means the current matrix stays the factored one.
     """
 
     N = ("N", True, 1, None, False)
@@ -46,12 +47,13 @@ class Strategy(enum.Enum):
     UPK100G = ("upK100g", False, 1, 100, True)
     UPK03K100G = ("upK03K100g", False, 3, 100, True)
 
-    def __new__(cls, name, every_iter, outer_period, delta_period, ica_adjoint):
+    def __new__(cls, name, every_iter, outer_period, refresh_period,
+                ica_adjoint):
         member = object.__new__(cls)
         member._value_ = name
         member.refactor_every_newton_iter = every_iter
         member.refactor_outer_period = outer_period
-        member.delta_refresh_period = delta_period
+        member.refresh_period = refresh_period
         member.adjoint_uses_ica = ica_adjoint
         return member
 
@@ -66,8 +68,8 @@ class Strategy(enum.Enum):
 
 class Action(enum.Enum):
     REFACTOR = "refactor"
-    REUSE_FRESH_DELTA = "reuse_fresh_delta"
-    REUSE_HELD_DELTA = "reuse_held_delta"
+    REFRESH = "refresh"     # reuse the factor against a fresh tangent
+    HOLD = "hold"           # reuse the factor against the held tangent
 
 
 class ReusePolicy:
@@ -75,19 +77,19 @@ class ReusePolicy:
 
     Refactors on the strategy's schedule, during the first outer
     iterations, and whenever the context holds no factorization; otherwise
-    reuses the held factorization, refreshing the delta every
-    ``delta_refresh_period`` global Newton iterations.
+    reuses the held factorization, refreshing the current matrix every
+    ``refresh_period`` global Newton iterations.
 
-    The strategies that refresh the delta also carry a slow-progress guard:
-    when two consecutive accepted steps contract the residual by less than
-    SLOW_RATE, or when STALE_CAP held-delta iterations pass without a fresh
+    The strategies that refresh also carry a slow-progress guard: when two
+    consecutive accepted steps contract the residual by less than
+    SLOW_RATE, or when STALE_CAP held iterations pass without a fresh
     factorization, the approximation is judged too stale.  The guard
-    escalates gradually: first the delta values are refreshed at the
+    escalates gradually: first the current matrix is refreshed at the
     current state (one assembly, no factorization), and only if progress
     stays slow does the fallback refactorization fire.  ``decide`` names
     the first reason ``guard_refreshes``, the second ``guard_fallbacks``.
-    Without the guard, a drifted reference whose
-    delta happens to be zero would creep for dozens of iterations with a
+    Without the guard, a drifted reference whose current matrix happens to
+    be the factored one would creep for dozens of iterations with a
     formally tiny linear residual.  Modified Newton is exempt: creeping is
     its definition.
     """
@@ -107,20 +109,19 @@ class ReusePolicy:
                 or not ctx.initialized
                 or (it == 0 and self.outer_iter % s.refactor_outer_period == 0)):
             return Action.REFACTOR, None
-        if s.delta_refresh_period is None:
-            return Action.REUSE_HELD_DELTA, None
-        fresh = ctx.global_newton_iters % s.delta_refresh_period == 0
+        if s.refresh_period is None:
+            return Action.HOLD, None
+        fresh = ctx.global_newton_iters % s.refresh_period == 0
         if self.slow_streak >= 2 or (not fresh and self.since_exact >= STALE_CAP):
             self.slow_streak = 0
-            # fresh delta values and still stalling: the factorization
-            # itself is too stale
+            # a fresh tangent and still stalling: the factorization itself
+            # is too stale
             if fresh or self.guard_refreshed:
                 return Action.REFACTOR, "guard_fallbacks"
             self.guard_refreshed = True
             self.since_exact = 0
-            return Action.REUSE_FRESH_DELTA, "guard_refreshes"
-        return (Action.REUSE_FRESH_DELTA if fresh else Action.REUSE_HELD_DELTA,
-                None)
+            return Action.REFRESH, "guard_refreshes"
+        return Action.REFRESH if fresh else Action.HOLD, None
 
     def observe(self, exact: bool, contraction: float) -> None:
         """Record an accepted step: exact, or inexact with the given
@@ -209,7 +210,7 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
     with timers.scope("RHS"):
         r = model.residual(rho, p, u)
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         stats.residual_inf = float(np.abs(r).max())
         if stats.residual_inf <= tol:
             stats.converged = True
@@ -217,13 +218,17 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
         if not np.isfinite(stats.residual_inf):
             raise NewtonConvergenceError(
                 f"non-finite residual at Newton iteration {it}", stats)
+        if it == max_iter:
+            raise NewtonConvergenceError(
+                f"no convergence within {max_iter} Newton iterations "
+                f"(residual {stats.residual_inf:.3e})", stats)
 
         action, reason = policy.decide(it, ctx)
         exact = action is Action.REFACTOR
         if not exact:
-            if action is Action.REUSE_FRESH_DELTA:
+            if action is Action.REFRESH:
                 with timers.scope("K_T"):
-                    ctx.refresh_delta(model.tangent(rho, p, u), reason)
+                    ctx.refresh(model.tangent(rho, p, u), reason)
             if monitor_normB:
                 with timers.scope("Linear systems"):
                     est = estimate_norm_B(ctx)
@@ -260,11 +265,6 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
         r = r_new
         stats.iterations += 1
         ctx.global_newton_iters += 1
-
-    stats.residual_inf = float(np.abs(r).max())
-    raise NewtonConvergenceError(
-        f"no convergence within {max_iter} Newton iterations "
-        f"(residual {stats.residual_inf:.3e})", stats)
 
 
 def _exact_step(model, rho, p, u, r, ctx, timers, reason):

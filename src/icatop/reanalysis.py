@@ -6,19 +6,20 @@ residual form,
 
     s_0 = F^{-1} rhs,      s_{k+1} = s_k - F^{-1} (Kcur s_k - rhs),
 
-which for an exact F = K0 gives the combined-approximation iterates
-s_{k+1} = s_0 - B s_k of B = K0^{-1} dK, and converges linearly whenever a
-consistent norm of B is below one.  Each sweep costs one product with Kcur,
-the one that also judges the iterate, and one solve with the held factor.
+which for an exact F = K0 gives the paper's combined-approximation
+iterates s_{k+1} = s_0 - B s_k of B = K0^{-1} dK.  The iteration matrix is
+M = I - F^{-1} Kcur, which is -B for an exact F, and the sweep converges
+linearly whenever a consistent norm of M is below one.  Each sweep costs
+one product with Kcur, the one that also judges the iterate, and one solve
+with the held factor; dK is never formed, and K0 is not kept.
 Acceptance is judged by the max-norm relative residual of Kcur in float64,
 so the held factor only has to contract the error, not be exact: a context
 made with ``single_sweeps=True`` demotes its held band to float32, in
 place, on the first sweep that solves with it, and the sweeps become
 mixed-precision iterative refinement.  Factors that are never swept (exact
 Newton steps, direct adjoints, adjoint fallbacks) stay float64.  The
-difference dK is built only for the norm estimate of B.  The
 ``ReanalysisContext`` makes and counts every factorization, and books each
-one off the strategy's schedule, and each guard-driven delta refresh,
+one off the strategy's schedule, and each guard-driven refresh of Kcur,
 under its reason from ``REASONS``.
 """
 
@@ -29,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import (Factorization, SparseSym, delta_apply, difference,
-                     ldlt_factor)
+from .sparse import Factorization, SparseSym, ldlt_factor
 from .timing import NullTimers
 
 # reasons for work off the strategy's schedule, named as in the run
-# report: extra factorizations (fallbacks), then the guard's delta refresh
+# report: extra factorizations (fallbacks), then the guard's refresh
 FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
              "adjoint_fallbacks")
 REASONS = FALLBACKS + ("guard_refreshes",)
@@ -57,43 +57,36 @@ class IcaReport:
 
 
 class ReanalysisContext:
-    """Held factorization plus the drifting current-matrix values.
+    """Held factorization plus the drifting current matrix ``Kcur``.
 
     Owns every factorization of a run: ``set_reference`` makes and counts
     each one, Newton and adjoint alike, and holds at most one; ``reasons``
     counts the reasons its callers give.  The given matrices are kept, not
     copied; nothing edits a tangent in place.  The global Newton-iteration
-    count paces the delta refresh.  With ``single_sweeps`` the held factor
-    is demoted to float32 on its first sweep solve (``solve_held``).
+    count paces the refresh of ``Kcur``.  With ``single_sweeps`` the held
+    factor is demoted to float32 on its first sweep solve (``solve_held``).
     """
 
-    def __init__(self, K0: SparseSym = None, single_sweeps: bool = False):
+    def __init__(self, K: SparseSym = None, single_sweeps: bool = False):
         self.single_sweeps = single_sweeps
         self.global_newton_iters = 0
         self.factorizations = 0
         self.reasons = Counter()
         self.release()
-        if K0 is not None:
-            self.set_reference(K0)
+        if K is not None:
+            self.set_reference(K)
 
     @property
     def initialized(self) -> bool:
         return self.factorization is not None
 
-    @property
-    def delta(self) -> SparseSym:
-        """dK = Kcur - K0, built on first use after each change of either."""
-        if self._delta is None:
-            self._delta = difference(self.Kcur, self.K0)
-        return self._delta
-
     def release(self) -> None:
-        """Drop the held matrices and factorization; the counters stay."""
-        self.K0 = self.Kcur = self._delta = None
+        """Drop the current matrix and factorization; the counters stay."""
+        self.Kcur: SparseSym = None
         self.factorization: Factorization = None
 
     def set_reference(self, K: SparseSym, reason: str = None) -> None:
-        """Factor K, count it, and restart the approximation at dK = 0.
+        """Factor K, count it, and make it the current matrix.
 
         The superseded factorization is dropped first; if factoring fails,
         the context is left empty and the counts unchanged.
@@ -101,18 +94,17 @@ class ReanalysisContext:
         self.release()
         self.factorization = ldlt_factor(K)
         self.factorizations += 1
-        self.K0 = self.Kcur = K
+        self.Kcur = K
         if reason is not None:
             self.reasons[reason] += 1
 
-    def refresh_delta(self, K: SparseSym, reason: str = None) -> None:
-        """Adopt new current-matrix values; the factorization is untouched."""
+    def refresh(self, K: SparseSym, reason: str = None) -> None:
+        """Adopt K as the current matrix; the factorization is untouched."""
         if not self.initialized:
             raise RuntimeError("context holds no factorization")
-        if not K.same_pattern(self.K0):
-            raise ValueError("pattern mismatch against the held reference")
+        if not K.same_pattern(self.Kcur):
+            raise ValueError("pattern mismatch against the current matrix")
         self.Kcur = K
-        self._delta = None
         if reason is not None:
             self.reasons[reason] += 1
 
@@ -140,9 +132,11 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     the iterates and products stay float64.  Returns the first iterate
     whose relative residual against Kcur drops below ``eps``; if none of
     s_0 .. s_{k_max} qualifies, the best iterate is returned with
-    ``converged=False`` and the caller decides whether to refactor.  The
-    defaults are the paper's Newton forcing term eps_R = 1e-2 and the sweep
-    budget of both the Newton and adjoint solves.
+    ``converged=False`` and the caller decides whether to refactor.  A
+    diverging sweep stops early, once its residual is not finite or no
+    longer fits the held factor's precision.  The defaults are the paper's
+    Newton forcing term eps_R = 1e-2 and the sweep budget of both the
+    Newton and adjoint solves.
     """
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
@@ -155,6 +149,7 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
         return np.zeros_like(rhs), rep
 
     s = ctx.solve_held(rhs)
+    limit = np.finfo(np.float32 if ctx.factorization.single else float).max
     trace = [] if keep_iterates else None
     best_s, best_Ks, best_res, best_k = s, None, np.inf, 0
     for k in range(k_max + 1):
@@ -162,12 +157,13 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
             trace.append(s.copy())
         Ks = ctx.Kcur.matvec(s)
         resid = Ks - rhs
-        res = np.abs(resid).max() / norm_r
+        peak = np.abs(resid).max()
+        res = peak / norm_r
         if res < best_res:
             best_s, best_Ks, best_res, best_k = s, Ks, res, k
         if res < eps:
             return s, IcaReport(k, float(res), True, iterates=trace, Ks=Ks)
-        if k == k_max:
+        if k == k_max or not peak <= limit:
             break
         s = s - ctx.solve_held(resid)
     return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
@@ -201,25 +197,29 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
 
 def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,
                     seed: int = 0, rtol: float = 1e-6) -> float:
-    """Spectral norm of B = K0^{-1} dK by two-sided power iteration.
+    """Spectral norm of the sweep's iteration matrix M = I - F^{-1} Kcur by
+    two-sided power iteration.
 
-    Matrix-free: each sweep applies B and its transpose through one delta
-    product plus one held-factorization solve each.
+    For an exact float64 factor F of K0, M = -B with B = K0^{-1} dK, so this
+    is the norm of B.  A factor demoted to float32 adds its rounding to M,
+    and that rounding governs the sweep too.  Matrix-free: M v is
+    v - F^{-1}(Kcur v) and M^T w is w - Kcur F^{-1} w, one product and one
+    solve with the held factor as it stands each; nothing is demoted.
     """
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
-    n = ctx.K0.n
+    K, solve = ctx.Kcur, ctx.solve_reference
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(K.n)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return 0.0
     v /= nv
     est = 0.0
     for _ in range(iterations):
-        w = ctx.solve_reference(delta_apply(ctx.delta, v))       # B v
+        w = v - solve(K.matvec(v))                  # M v
         new_est = np.linalg.norm(w)
-        z = delta_apply(ctx.delta, ctx.solve_reference(w))       # B^T B v
+        z = w - K.matvec(solve(w))                  # M^T M v
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return float(new_est)

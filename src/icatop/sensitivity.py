@@ -43,7 +43,7 @@ def solve_adjoint(model, rho, p, u_hat, l_free, strategy: Strategy,
     with timers.scope("K_T"):
         K_hat = model.tangent(rho, p, u_hat)
     if strategy.adjoint_uses_ica and ctx.initialized:
-        ctx.refresh_delta(K_hat)
+        ctx.refresh(K_hat)
         lam, _ = ica_adjoint_solve(ctx, l_free, timers=timers)
         return AdjointSolution(lam, "ica")
 

@@ -1,4 +1,4 @@
-"""Symmetric sparse matrices with reusable band factorizations and delta products.
+"""Symmetric sparse matrices with reusable band factorizations.
 
 Matrices share one sparsity pattern per mesh; each assembly writes new
 values, never into a matrix already made.  A pattern may carry a
@@ -254,19 +254,13 @@ def ldlt_factor(K: SparseSym) -> Factorization:
     return Factorization(K.n, BandFactor(ab, layout.kd, piv), order.perm)
 
 
-def difference(K_new: SparseSym, K_old: SparseSym) -> SparseSym:
-    """K_new - K_old on the shared pattern, for repeated delta products."""
-    if not K_new.same_pattern(K_old):
-        raise ValueError("matrices do not share a sparsity pattern")
-    return SparseSym(K_new.n, K_new.indptr, K_new.indices,
-                     K_new.data - K_old.data, K_new.order)
-
-
 def delta_apply(dK: SparseSym, v: np.ndarray) -> np.ndarray:
-    """dK @ v for a held difference dK = K_new - K_old (see ``difference``).
+    """dK @ v for a matrix dK, counted apart from ``matvec``.
 
-    The delta product of the reanalysis sweeps, kept apart from ``matvec``
-    so that its calls and cost are counted on their own.
+    Nothing in the package calls it since the sweeps iterate in residual
+    form.  It stays only because the benchmark's span tracer
+    (``perfbench/tracer.py``) refuses to install when one of its layers,
+    ``sparse.delta_apply`` among them, has no lookup site left.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (dK.n,):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from icatop.errors import NonPositiveJacobianError
 from icatop.filtering import _kernel_weight
 from icatop.material import MaterialParams, gauss_shape_gradients
-from icatop.sparse import delta_apply, difference
+from icatop.sparse import SparseSym
 
 
 def _as_batch(F):
@@ -178,13 +178,14 @@ def filter_matrix(mesh, radius_in_elements, kernel="cone") -> sp.csr_matrix:
     return (sp.diags(1.0 / row_sums) @ weighted).tocsr()
 
 
-def delta_form_iterates(ctx, rhs, k_max):
+def delta_form_iterates(ctx, K0, rhs, k_max):
     """Iterates s_0 .. s_{k_max} of s_{k+1} = s_0 - K0^{-1} dK s_k with
-    s_0 = K0^{-1} rhs, through the context's held factor and dK."""
-    dK = difference(ctx.Kcur, ctx.K0)
+    s_0 = K0^{-1} rhs, through the context's held factor of ``K0`` and
+    dK = Kcur - K0 on the shared pattern."""
+    dK = SparseSym(K0.n, K0.indptr, K0.indices, ctx.Kcur.data - K0.data)
     s_tilde = ctx.solve_reference(rhs)
     iterates = [s_tilde]
     for _ in range(k_max):
         iterates.append(s_tilde - ctx.solve_reference(
-            delta_apply(dK, iterates[-1])))
+            dK.matvec(iterates[-1])))
     return iterates

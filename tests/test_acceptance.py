@@ -134,7 +134,7 @@ def test_criterion_3_ica_contraction():
         Kc = SparseSym(n, K0.indptr, K0.indices,
                        SparseSym.from_dense(Kcd).data)
         ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         normB = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
         assert normB < 1.0
         r = rng.standard_normal(n)
@@ -332,7 +332,7 @@ def test_criterion_11_normB_diagnostic():
         Kc = SparseSym(n, K0.indptr, K0.indices,
                        SparseSym.from_dense(K0d + dK).data)
         ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         truth = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
         est = estimate_norm_B(ctx, iterations=300, rtol=1e-10)
         worst = max(worst, abs(est - truth) / truth)

@@ -25,7 +25,7 @@ class TestStrategyFlags:
         seen = set()
         for s in ALL:
             flags = (s.refactor_every_newton_iter, s.refactor_outer_period,
-                     s.delta_refresh_period, s.adjoint_uses_ica)
+                     s.refresh_period, s.adjoint_uses_ica)
             assert flags not in seen
             seen.add(flags)
         assert len(seen) == 7
@@ -33,9 +33,9 @@ class TestStrategyFlags:
     def test_specific_flags(self):
         assert Strategy.N.refactor_every_newton_iter
         assert not Strategy.MN.refactor_every_newton_iter
-        assert Strategy.MN.delta_refresh_period is None
-        assert Strategy.UPK1.delta_refresh_period == 1
-        assert Strategy.UPK100.delta_refresh_period == 100
+        assert Strategy.MN.refresh_period is None
+        assert Strategy.UPK1.refresh_period == 1
+        assert Strategy.UPK100.refresh_period == 100
         assert Strategy.UPK03K100G.refactor_outer_period == 3
         for s in (Strategy.UPK1G, Strategy.UPK100G, Strategy.UPK03K100G):
             assert s.adjoint_uses_ica
@@ -56,9 +56,9 @@ def decide(strategy, outer_iter, newton_iter_in_call, global_newton_counter):
 
 
 SCHEDULED_REFACTOR = (Action.REFACTOR, None)
-FRESH = (Action.REUSE_FRESH_DELTA, None)
-HELD = (Action.REUSE_HELD_DELTA, None)
-GUARD_REFRESH = (Action.REUSE_FRESH_DELTA, "guard_refreshes")
+FRESH = (Action.REFRESH, None)
+HELD = (Action.HOLD, None)
+GUARD_REFRESH = (Action.REFRESH, "guard_refreshes")
 GUARD_REFACTOR = (Action.REFACTOR, "guard_fallbacks")
 
 
@@ -212,7 +212,7 @@ class TestNewtonSolve:
         assert np.array_equal(u, u2)
 
     def test_stale_context_falls_back_and_converges(self):
-        # force a drastically wrong reference, then solve with held delta
+        # force a drastically wrong reference, then reuse its factor
         model = make_cantilever_model()
         mesh = model.mesh
         rho_a = np.full(mesh.n_el, 1e-3)
@@ -292,6 +292,25 @@ class TestNewtonSolve:
             newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
                          Strategy.N, ctx, outer_iter=1, max_iter=3)
         assert err.value.stats.iterations == 3
+
+    def test_cap_tests_the_last_step(self):
+        # a solve given exactly the iterations it needs converges: the
+        # residual after the cap's last step is checked before raising
+        model = make_cantilever_model(load=-120.0)
+        rho = np.full(model.mesh.n_el, 0.5)
+        u0 = np.zeros(model.mesh.n_free)
+        u, st = newton_solve(model, rho, 3.0, u0, Strategy.N,
+                             ReanalysisContext(), outer_iter=1)
+        assert st.converged and st.iterations > 3
+        capped, st_capped = newton_solve(model, rho, 3.0, u0, Strategy.N,
+                                         ReanalysisContext(), outer_iter=1,
+                                         max_iter=st.iterations)
+        assert st_capped.converged and st_capped.iterations == st.iterations
+        assert np.array_equal(capped, u)
+        with pytest.raises(NewtonConvergenceError) as err:
+            newton_solve(model, rho, 3.0, u0, Strategy.N, ReanalysisContext(),
+                         outer_iter=1, max_iter=st.iterations - 1)
+        assert err.value.stats.iterations == st.iterations - 1
 
     def test_inexact_steps_reuse_the_sweep_product(self, monkeypatch):
         # a reuse solve forms Kcur products only inside the sweeps, which

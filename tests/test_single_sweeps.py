@@ -14,7 +14,7 @@ from icatop import bench, sparse
 from icatop.assembly import FeModel
 from icatop.nonlinear import Strategy, newton_solve
 from icatop.optimizer import RHO_MIN, OptimizerConfig, optimize
-from icatop.reanalysis import ReanalysisContext, ica_solve
+from icatop.reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 from icatop.sparse import SparseSym
 from reference import delta_form_iterates
 from test_reanalysis import make_pair
@@ -56,7 +56,7 @@ class TestSingleSweeps:
         for target in (0.2, 0.5, 0.8):
             K0, Kc, _, Kcd = make_pair(rng, 30, target)
             ctx = ReanalysisContext(K0, single_sweeps=True)
-            ctx.refresh_delta(Kc)
+            ctx.refresh(Kc)
             r = rng.standard_normal(30)
             s, rep = ica_solve(ctx, -r, eps=1e-10, k_max=100)
             expect = np.linalg.solve(Kcd, -r)
@@ -71,7 +71,7 @@ class TestSingleSweeps:
         model, rho, u1, K0 = holed_cantilever
         ctx = ReanalysisContext(K0, single_sweeps=True)
         if second_u:
-            ctx.refresh_delta(model.tangent(rho, 3.0, 0.98 * u1))
+            ctx.refresh(model.tangent(rho, 3.0, 0.98 * u1))
         s, rep = ica_solve(ctx, -model.f_free, eps=1e-8, k_max=10)
         assert rep.converged and rep.residual < 1e-8
         assert ctx.factorization.single
@@ -98,7 +98,7 @@ class TestSingleSweeps:
         rng = np.random.default_rng(23)
         K0, Kc, _, _ = make_pair(rng, 25, 0.5)
         ctx = ReanalysisContext(K0, single_sweeps=True)
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         for eps, k_max in ((1e-2, 10), (1e-14, 2)):
             s, rep = ica_solve(ctx, rng.standard_normal(25), eps=eps,
                                k_max=k_max, keep_iterates=True)
@@ -115,7 +115,7 @@ class TestDemotion:
         old = ctx.factorization
         band = old._lu.ab
         assert not old.single and count.calls == 0
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         for _ in range(3):
             ica_solve(ctx, rng.standard_normal(25), eps=1e-10)
         assert count.calls == 1 and ctx.factorizations == 1
@@ -142,7 +142,7 @@ class TestDemotion:
         rng = np.random.default_rng(26)
         K0, Kc, _, _ = make_pair(rng, 12, 0.3)
         ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         ica_solve(ctx, rng.standard_normal(12), eps=1e-10)
         assert count.calls == 0 and not ctx.factorization.single
 
@@ -159,6 +159,41 @@ class TestDemotion:
             assert 0 < count.calls <= history.total("factorizations")
 
 
+class TestNormEstimate:
+    def test_reads_the_held_factor_as_it_stands(self, monkeypatch):
+        # the estimator solves with the held factor and never demotes it;
+        # after the first sweep it reads the float32 factor's own
+        # iteration matrix M = I - F^{-1} Kcur
+        count = CountDemotions(monkeypatch)
+        rng = np.random.default_rng(28)
+        K0, Kc, K0d, Kcd = make_pair(rng, 30, 0.5)
+        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx.refresh(Kc)
+        normB = np.linalg.norm(np.linalg.solve(K0d, Kcd - K0d), 2)
+        assert estimate_norm_B(ctx, iterations=300, rtol=1e-10) == \
+            pytest.approx(normB, rel=1e-2)
+        assert count.calls == 0 and not ctx.factorization.single
+        ica_solve(ctx, rng.standard_normal(30))
+        held = ctx.factorization
+        assert count.calls == 1 and held.single
+        est = estimate_norm_B(ctx, iterations=300, rtol=1e-10)
+        assert ctx.factorization is held and count.calls == 1
+        F_inv = np.column_stack([held.solve(e) for e in np.eye(30)])
+        dense = np.linalg.norm(np.eye(30) - F_inv @ Kcd, 2)
+        assert est == pytest.approx(dense, rel=1e-2)
+
+    def test_zero_delta_reads_the_rounding(self):
+        # Kcur = K0: float64 roundoff only, until the float32 factor's own
+        # rounding shows
+        rng = np.random.default_rng(29)
+        K0, _, _, _ = make_pair(rng, 30, 0.5)
+        ctx = ReanalysisContext(K0, single_sweeps=True)
+        exact = estimate_norm_B(ctx)
+        ica_solve(ctx, rng.standard_normal(30))
+        rounded = estimate_norm_B(ctx)
+        assert exact < 1e-13 and 1e3 * exact < rounded < 1e-5
+
+
 def test_residual_form_matches_delta_form():
     # float64 sweeps: the residual form s <- s - K0^{-1}(Kcur s - rhs) gives
     # the delta form's iterates s_{k+1} = s_0 - B s_k up to roundoff
@@ -166,10 +201,10 @@ def test_residual_form_matches_delta_form():
     for target in (0.1, 0.5, 0.9):
         K0, Kc, _, _ = make_pair(rng, 30, target)
         ctx = ReanalysisContext(K0)
-        ctx.refresh_delta(Kc)
+        ctx.refresh(Kc)
         rhs = rng.standard_normal(30)
         _, rep = ica_solve(ctx, rhs, eps=0.0, k_max=10, keep_iterates=True)
-        oracle = delta_form_iterates(ctx, rhs, 10)
+        oracle = delta_form_iterates(ctx, K0, rhs, 10)
         assert len(rep.iterates) == len(oracle) == 11
         for got, want in zip(rep.iterates, oracle):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
