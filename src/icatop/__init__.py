@@ -15,7 +15,7 @@ from .optimizer import (OptimizerConfig, RunHistory, optimize,
                         projected_gradient_norm, slp_subproblem)
 from .reanalysis import (IcaReport, ReanalysisContext, estimate_norm_B,
                          ica_adjoint_solve, ica_solve)
-from .sensitivity import AdjointSolution, objective_gradient, solve_adjoint
+from .sensitivity import objective_gradient, solve_adjoint
 from .sparse import Factorization, SparseSym
 
 __version__ = "0.1.0"

@@ -50,6 +50,8 @@ into the upper triangle, and ``mirror`` copies each upper value into
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -96,6 +98,17 @@ def _check_jacobian(J: np.ndarray, start: int) -> None:
         raise NonPositiveJacobianError(
             f"det(F) = {J[:, bad[0]].min():.3e} <= 0 in element {e}",
             element=e)
+
+
+@dataclass
+class ElementState:
+    """Unpenalized element forces (n_el, 8) and upper tangents (n_el, 36)
+    at the free displacements ``u``, the tangents formed on first use by
+    ``FeModel.tangent``.  A state is passed along, never looked up by u."""
+
+    u: np.ndarray
+    forces: np.ndarray
+    tangents: np.ndarray = None
 
 
 class FeModel:
@@ -258,19 +271,22 @@ class FeModel:
         return K
 
     # -- global quantities -------------------------------------------------
-    def internal_force(self, rho, p, u_free) -> np.ndarray:
-        q = self.element_internal_forces(u_free)
-        scaled = (np.asarray(rho) ** p)[:, None] * q
-        return np.bincount(self._fidx, weights=scaled.ravel(),
-                           minlength=self.mesh.n_free + 1)[:-1]
+    def state(self, u_free: np.ndarray) -> ElementState:
+        """The element state at ``u_free``; its forces are formed here."""
+        return ElementState(u_free, self.element_internal_forces(u_free))
 
-    def residual(self, rho, p, u_free) -> np.ndarray:
-        return self.internal_force(rho, p, u_free) + self.spring_free * u_free - self.f_free
+    def residual(self, rho, p, state: ElementState) -> np.ndarray:
+        scaled = (np.asarray(rho) ** p)[:, None] * state.forces
+        f_int = np.bincount(self._fidx, weights=scaled.ravel(),
+                            minlength=self.mesh.n_free + 1)[:-1]
+        return f_int + self.spring_free * state.u - self.f_free
 
-    def tangent(self, rho, p, u_free) -> SparseSym:
-        upper = self.upper_element_tangents(u_free)
-        upper *= (np.asarray(rho) ** p)[:, None]
-        return self._assemble_upper(upper)
+    def tangent(self, rho, p, state: ElementState) -> SparseSym:
+        """Tangent at ``state``, forming its element tangents on first use."""
+        if state.tangents is None:
+            state.tangents = self.upper_element_tangents(state.u)
+        return self._assemble_upper(
+            (np.asarray(rho) ** p)[:, None] * state.tangents)
 
     def _assemble_upper(self, upper: np.ndarray) -> SparseSym:
         """Global matrix from (n_el, 36) upper element entries plus springs."""
@@ -293,6 +309,11 @@ class FeModel:
             ke[_UPPER] = ke.T[_UPPER]
             self._ke_linear = ke * self.quad_w
         return self._ke_linear
+
+    def linear_state(self, u_free: np.ndarray) -> ElementState:
+        """State of the small-displacement model: forces u_e k_e."""
+        u_e = self.displacement_full(u_free)[self.elem_dofs]
+        return ElementState(u_free, u_e @ self.linear_element_tangent().T)
 
     def linear_tangent(self, rho, p) -> SparseSym:
         """Density-only stiffness of the small-displacement model."""

@@ -7,11 +7,13 @@ the adjoint system is solved iteratively.  One ``ReusePolicy`` per
 equilibrium solve turns a row into the action of each Newton iteration;
 ``newton_solve`` carries out the numerics, taking every exact step down
 one path, and tests the residual after its last allowed step before it
-gives up.  Every factorization goes through the ``ReanalysisContext``,
-which counts it, books the reason of each one off the schedule, and holds
-at most one.  Whatever the strategy, the first five outer iterations run
-exact Newton and every accepted solution satisfies the same max-norm
-residual tolerance; the policies trade cost, never accuracy.
+gives up.  Its iterates are element states, so each trial's element
+quantities are formed once.  Every factorization goes through the
+``ReanalysisContext``, which counts it, books the reason of each one off
+the schedule, and holds at most one.  Whatever the strategy, the first
+five outer iterations run exact Newton and every accepted solution
+satisfies the same max-norm residual tolerance; the policies trade cost,
+never accuracy.
 """
 
 from __future__ import annotations
@@ -106,9 +108,13 @@ class ReusePolicy:
         reason is None when the strategy's schedule predicts the action."""
         s = self.strategy
         if (s.refactor_every_newton_iter or self.outer_iter <= FULL_NEWTON_UNTIL
-                or not ctx.initialized
-                or (it == 0 and self.outer_iter % s.refactor_outer_period == 0)):
+                or not ctx.initialized):
             return Action.REFACTOR, None
+        if it == 0 and self.outer_iter % s.refactor_outer_period == 0:
+            # a retried outer iteration made this refactor on its first try
+            again = ctx.refactored_outer == self.outer_iter
+            ctx.refactored_outer = self.outer_iter
+            return Action.REFACTOR, "retry_fallbacks" if again else None
         if s.refresh_period is None:
             return Action.HOLD, None
         fresh = ctx.global_newton_iters % s.refresh_period == 0
@@ -185,36 +191,35 @@ def predicted_factorizations(strategy: Strategy, newton_iters_per_outer) -> int:
     return total
 
 
-def newton_solve(model, rho, p, u0_free, strategy: Strategy,
+def newton_solve(model, rho, p, state, strategy: Strategy,
                  ctx: ReanalysisContext, outer_iter: int, *,
                  tol: float = 1e-5, max_iter: int = 50,
                  monitor_normB: bool = False, timers=None):
     """Solve the equilibrium residual to max-norm tolerance ``tol``.
 
-    Returns (u, NewtonStats).  Raises NewtonConvergenceError when the
-    iteration cap or the line-search budget is exhausted, or at once when
-    a residual it would accept or step from is not finite; the stats
-    travel on the exception.  An iteration takes the exact step when the
-    policy refactors, or when a reused direction was no descent direction
-    or failed the line search.  ``stats.fallbacks`` counts the exact steps
-    off the strategy's schedule; ``ctx`` makes and counts every
-    factorization, books the reason of each fallback and guard refresh,
-    and keeps the last factorization until the next replaces it.
+    Returns (state, NewtonStats): the last accepted trial, or ``state``
+    itself.  Raises NewtonConvergenceError when the iteration cap or the
+    line-search budget is exhausted, or at once when a residual it would
+    accept or step from is not finite; the stats travel on the exception.
+    An iteration takes the exact step when the policy refactors, or when a
+    reused direction was no descent direction or failed the line search.
+    ``stats.fallbacks`` counts the exact steps off the strategy's schedule;
+    ``ctx`` makes and counts every factorization, books the reason of each
+    fallback and guard refresh, and keeps the last factorization until the
+    next replaces it.
     """
     timers = timers or NullTimers()
     stats = NewtonStats()
     policy = ReusePolicy(strategy, outer_iter)
-    u = np.array(u0_free, dtype=float, copy=True)
-    rho = np.asarray(rho, dtype=float)
 
     with timers.scope("RHS"):
-        r = model.residual(rho, p, u)
+        r = model.residual(rho, p, state)
 
     for it in range(max_iter + 1):
         stats.residual_inf = float(np.abs(r).max())
         if stats.residual_inf <= tol:
             stats.converged = True
-            return u, stats
+            return state, stats
         if not np.isfinite(stats.residual_inf):
             raise NewtonConvergenceError(
                 f"non-finite residual at Newton iteration {it}", stats)
@@ -228,14 +233,16 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
         if not exact:
             if action is Action.REFRESH:
                 with timers.scope("K_T"):
-                    ctx.refresh(model.tangent(rho, p, u), reason)
+                    ctx.refresh(model.tangent(rho, p, state), reason)
             if monitor_normB:
                 with timers.scope("Linear systems"):
                     est = estimate_norm_B(ctx)
                 stats.max_normB = est if stats.max_normB is None \
                     else max(stats.max_normB, est)
             with timers.scope("Linear systems"):
-                s, report = ica_solve(ctx, -r)
+                # an unconverged sweep is discarded: stop it once it is
+                # not on course to converge
+                s, report = ica_solve(ctx, -r, give_up=True)
             stats.ica_iterations.append(report.iterations)
             # the merit |r|^2 has slope 2 r^T Kcur s along s; the sweep
             # formed Kcur s for its residual
@@ -244,33 +251,35 @@ def newton_solve(model, rho, p, u0_free, strategy: Strategy,
                 # stale approximation: refactor and take the exact step
                 exact, reason = True, "step_fallbacks"
             else:
-                alpha, r_new = _line_search(model, rho, p, u, r, s, slope,
-                                            timers, stats)
-                if alpha is None:
+                accepted = _line_search(model, rho, p, state, r, s, slope,
+                                        timers, stats)
+                if accepted is None:
                     # the stale direction looked like descent but was not;
                     # one more chance through the exact path
                     exact, reason = True, "linesearch_fallbacks"
         if exact:
-            s, slope = _exact_step(model, rho, p, u, r, ctx, timers, reason)
+            s, slope = _exact_step(model, rho, p, state, r, ctx, timers,
+                                   reason)
             stats.fallbacks += reason is not None
-            alpha, r_new = _line_search(model, rho, p, u, r, s, slope,
-                                        timers, stats)
-        if alpha is None:
-            stats.residual_inf = float(np.abs(r).max())
+            accepted = _line_search(model, rho, p, state, r, s, slope,
+                                    timers, stats)
+        if accepted is None:
+            stats.iterations += 1   # its factorization was made: count it
             raise NewtonConvergenceError(
                 f"line search failed at Newton iteration {it}", stats)
+        state.tangents = None   # the caller may hold it for a retry
+        state, r_new = accepted
         policy.observe(exact, np.abs(r_new).max()
                        / max(np.abs(r).max(), 1e-300))
-        u += alpha * s
         r = r_new
         stats.iterations += 1
         ctx.global_newton_iters += 1
 
 
-def _exact_step(model, rho, p, u, r, ctx, timers, reason):
+def _exact_step(model, rho, p, state, r, ctx, timers, reason):
     """Assemble, factor (booked under ``reason``), and solve exactly."""
     with timers.scope("K_T"):
-        K = model.tangent(rho, p, u)
+        K = model.tangent(rho, p, state)
     with timers.scope("Factorizations"):
         ctx.set_reference(K, reason)
     with timers.scope("Linear systems"):
@@ -278,27 +287,28 @@ def _exact_step(model, rho, p, u, r, ctx, timers, reason):
     return s, -2.0 * float(r @ r)
 
 
-def _line_search(model, rho, p, u, r, s, slope, timers, stats):
-    """Armijo search along s on the merit |r|^2: (alpha, r_new), or
-    (None, None) when it fails; the backtracks are added to ``stats``."""
+def _line_search(model, rho, p, state, r, s, slope, timers, stats):
+    """Armijo search along s on the merit |r|^2: the accepted (state, r),
+    or None when it fails; the backtracks are added to ``stats``."""
     def merit(alpha):
         try:
             with timers.scope("RHS"):
-                r_trial = model.residual(rho, p, u + alpha * s)
+                trial = model.state(state.u + alpha * s)
+                r_trial = model.residual(rho, p, trial)
         except NonPositiveJacobianError:
             return np.inf, None
-        return float(r_trial @ r_trial), r_trial
+        return float(r_trial @ r_trial), (trial, r_trial)
 
-    alpha, r_new, backtracks = armijo_linesearch(merit, float(r @ r), slope)
+    _, accepted, backtracks = armijo_linesearch(merit, float(r @ r), slope)
     stats.backtracks += backtracks
-    return alpha, r_new
+    return accepted
 
 
 def linear_equilibrium(model, rho, p, ctx: ReanalysisContext, timers=None):
     """Small-displacement solve: density-only stiffness, one factorization.
 
     The stiffness is factored into ``ctx``, where the adjoint reuses it.
-    Returns (u, NewtonStats) mirroring the nonlinear path.
+    Returns (state, NewtonStats) mirroring the nonlinear path.
     """
     timers = timers or NullTimers()
     with timers.scope("K_T"):
@@ -308,4 +318,5 @@ def linear_equilibrium(model, rho, p, ctx: ReanalysisContext, timers=None):
     with timers.scope("Linear systems"):
         u = ctx.solve_reference(model.f_free)
     residual = float(np.abs(K.matvec(u) - model.f_free).max())
-    return u, NewtonStats(iterations=1, residual_inf=residual, converged=True)
+    return model.linear_state(u), NewtonStats(
+        iterations=1, residual_inf=residual, converged=True)

@@ -18,8 +18,7 @@ from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
 from .filtering import build_filter
 from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
 from .reanalysis import FALLBACKS, REASONS, ReanalysisContext
-from .sensitivity import (objective_gradient, objective_gradient_linear,
-                          solve_adjoint)
+from .sensitivity import objective_gradient, solve_adjoint
 from .timing import Timers
 
 # SIMP continuation: p rises by P_STEP every P_EVERY outer iterations
@@ -149,6 +148,7 @@ class RunHistory:
     step_fallbacks: list = field(default_factory=list)
     linesearch_fallbacks: list = field(default_factory=list)
     adjoint_fallbacks: list = field(default_factory=list)
+    retry_fallbacks: list = field(default_factory=list)
     guard_refreshes: list = field(default_factory=list)
     residual_inf: list = field(default_factory=list)
     gp_norm: list = field(default_factory=list)
@@ -196,7 +196,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     bounds = (RHO_MIN, 1.0)
 
     rho_design = np.full(mesh.n_el, problem.volume_fraction)
-    u = np.zeros(mesh.n_free)
+    state = model.state(np.zeros(mesh.n_free))
     ctx = ReanalysisContext(single_sweeps=True)   # sweeps refine in float32
     timers = Timers()
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
@@ -221,11 +221,11 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
         try:
             if problem.linear:
-                u_new, nstats = linear_equilibrium(model, rho_phys, p, ctx,
-                                                   timers)
+                new, nstats = linear_equilibrium(model, rho_phys, p, ctx,
+                                                 timers)
             else:
-                u_new, nstats = newton_solve(
-                    model, rho_phys, p, u, config.strategy, ctx, t,
+                new, nstats = newton_solve(
+                    model, rho_phys, p, state, config.strategy, ctx, t,
                     monitor_normB=config.monitor_normB, timers=timers)
         except SingularMatrixError:
             return _aborted(history, rho_design, filt, timers)
@@ -242,23 +242,20 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             t -= 1
             continue
 
-        F = float(l_free @ u_new)
+        F = float(l_free @ new.u)
 
         if problem.linear:
             # the equilibrium factorization serves the adjoint as well
             with timers.scope("Linear systems"):
                 lam = ctx.solve_reference(-l_free)
-            gradient = objective_gradient_linear
         else:
             try:
-                adj = solve_adjoint(model, rho_phys, p, u_new, l_free,
+                lam = solve_adjoint(model, rho_phys, p, new, l_free,
                                     config.strategy, ctx, timers=timers)
             except SingularMatrixError:
                 return _aborted(history, rho_design, filt, timers)
-            lam = adj.lam
-            gradient = objective_gradient
         with timers.scope("grad F(rho)"):
-            grad_phys = gradient(model, rho_phys, p, u_new, lam)
+            grad_phys = objective_gradient(model, rho_phys, p, new, lam)
             grad_design = filt.backpropagate(grad_phys)
         if not np.isfinite(grad_design).all():
             return _aborted(history, rho_design, filt, timers)
@@ -286,7 +283,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         history.max_normB.append(nstats.max_normB)
         history.times.append(Timers.delta(after, before))
 
-        u = u_new
+        state = new     # its forces and tangents start the next row
         if config.converge_tol is not None and gp < config.converge_tol:
             history.converged = True
             break

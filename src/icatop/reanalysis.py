@@ -36,7 +36,7 @@ from .timing import NullTimers
 # reasons for work off the strategy's schedule, named as in the run
 # report: extra factorizations (fallbacks), then the guard's refresh
 FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
-             "adjoint_fallbacks")
+             "adjoint_fallbacks", "retry_fallbacks")
 REASONS = FALLBACKS + ("guard_refreshes",)
 
 
@@ -63,13 +63,16 @@ class ReanalysisContext:
     each one, Newton and adjoint alike, and holds at most one; ``reasons``
     counts the reasons its callers give.  The given matrices are kept, not
     copied; nothing edits a tangent in place.  The global Newton-iteration
-    count paces the refresh of ``Kcur``.  With ``single_sweeps`` the held
+    count paces the refresh of ``Kcur``; ``refactored_outer`` is the outer
+    iteration of the last scheduled refactor, so that a retried one books
+    its second under ``retry_fallbacks``.  With ``single_sweeps`` the held
     factor is demoted to float32 on its first sweep solve (``solve_held``).
     """
 
     def __init__(self, K: SparseSym = None, single_sweeps: bool = False):
         self.single_sweeps = single_sweeps
         self.global_newton_iters = 0
+        self.refactored_outer = None
         self.factorizations = 0
         self.reasons = Counter()
         self.release()
@@ -122,7 +125,8 @@ class ReanalysisContext:
 
 
 def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
-              k_max: int = 10, keep_iterates: bool = False):
+              k_max: int = 10, keep_iterates: bool = False,
+              give_up: bool = False):
     """Approximately solve Kcur s = rhs reusing the held factorization.
 
     Sweeps in residual form, s <- s - F^{-1}(Kcur s - rhs), from
@@ -134,7 +138,10 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     s_0 .. s_{k_max} qualifies, the best iterate is returned with
     ``converged=False`` and the caller decides whether to refactor.  A
     diverging sweep stops early, once its residual is not finite or no
-    longer fits the held factor's precision.  The defaults are the paper's
+    longer fits the held factor's precision.  With ``give_up`` it also
+    stops after iterate k >= 2 once the contraction rate = res_k / res_k-1
+    reaches 1 or res_k rate^(k_max - k) > eps, that is once the rate so far
+    does not reach eps within the budget.  The defaults are the paper's
     Newton forcing term eps_R = 1e-2 and the sweep budget of both the
     Newton and adjoint solves.
     """
@@ -152,6 +159,7 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     limit = np.finfo(np.float32 if ctx.factorization.single else float).max
     trace = [] if keep_iterates else None
     best_s, best_Ks, best_res, best_k = s, None, np.inf, 0
+    prev = np.inf
     for k in range(k_max + 1):
         if keep_iterates:
             trace.append(s.copy())
@@ -165,6 +173,11 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
             return s, IcaReport(k, float(res), True, iterates=trace, Ks=Ks)
         if k == k_max or not peak <= limit:
             break
+        if give_up and k >= 2:
+            rate = res / prev
+            if rate >= 1.0 or res * rate ** (k_max - k) > eps:
+                break
+        prev = res
         s = s - ctx.solve_held(resid)
     return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
                              Ks=best_Ks)

@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -27,6 +28,11 @@ def make_cantilever_model(nx=12, ny=4, load=-30.0, spring=0.0):
     return FeModel(mesh, loads, MaterialParams(3000.0, 0.4))
 
 
+def rest_state(model):
+    """The element state of ``model`` at u = 0."""
+    return model.state(np.zeros(model.mesh.n_free))
+
+
 @pytest.fixture
 def cantilever_model():
     return make_cantilever_model()
@@ -39,10 +45,30 @@ def random_positive_state(model, seed=0, scale=0.3):
     u = scale * rng.standard_normal(model.mesh.n_free)
     while True:
         try:
-            model.residual(rho, 3.0, u)
+            model.state(u)
             return rho, u
         except Exception:
             u *= 0.5
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Log a digest of the displacement of every element kernel call.
+
+    ``FeModel.element_internal_forces`` and ``FeModel.upper_element_tangents``
+    are wrapped at the class; ``calls[name]`` gets one digest of the
+    displacement's bytes per call, in call order.  The digests only count
+    the kernels' work; nothing reads a result back by them.
+    """
+    calls = {}
+    for name in ("element_internal_forces", "upper_element_tangents"):
+        def kernel(model, u_free, _real=getattr(FeModel, name),
+                   _log=calls.setdefault(name, [])):
+            _log.append(hashlib.blake2b(
+                np.ascontiguousarray(u_free).tobytes()).hexdigest())
+            return _real(model, u_free)
+        monkeypatch.setattr(FeModel, name, kernel)
+    return calls
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import rest_state
 from icatop import bench
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
@@ -100,14 +101,14 @@ def test_criterion_2_residual_tangent_consistency():
     rng = np.random.default_rng(7)
     rho = rng.uniform(0.2, 1.0, prob.mesh.n_el)
     u = 0.1 * rng.standard_normal(prob.mesh.n_free)
-    K = model.tangent(rho, 3.0, u)
+    K = model.tangent(rho, 3.0, model.state(u))
     h = 1e-6
     worst = 0.0
     for _ in range(20):
         w = rng.standard_normal(prob.mesh.n_free)
         w /= np.linalg.norm(w)
-        fd = (model.residual(rho, 3.0, u + h * w)
-              - model.residual(rho, 3.0, u - h * w)) / (2 * h)
+        fd = (model.residual(rho, 3.0, model.state(u + h * w))
+              - model.residual(rho, 3.0, model.state(u - h * w))) / (2 * h)
         Kw = K.matvec(w)
         worst = max(worst, np.abs(Kw - fd).max() / (1.0 + np.abs(Kw).max()))
     elapsed = time.perf_counter() - t0
@@ -170,18 +171,19 @@ def test_criterion_4_adjoint_gradient_fd():
     l_free = model.f_free
 
     # ramp the penalty so the heavily loaded coarse mesh converges from rest
-    u0 = np.zeros(mesh.n_free)
+    state = rest_state(model)
     for p_stage in (1.0, 2.0, p):
         ctx = ReanalysisContext()
-        u0, _ = newton_solve(model, rho, p_stage, u0, Strategy.N, ctx, 1,
-                             tol=1e-10)
-    adj = solve_adjoint(model, rho, p, u0, l_free, Strategy.N, ctx)
-    grad = objective_gradient(model, rho, p, u0, adj.lam)
+        state, _ = newton_solve(model, rho, p_stage, state, Strategy.N, ctx,
+                                1, tol=1e-10)
+    lam = solve_adjoint(model, rho, p, state, l_free, Strategy.N, ctx)
+    grad = objective_gradient(model, rho, p, state, lam)
 
     def objective(r, warm):
         c = ReanalysisContext()
-        u, _ = newton_solve(model, r, p, warm, Strategy.N, c, 1, tol=1e-10)
-        return float(l_free @ u)
+        solved, _ = newton_solve(model, r, p, warm, Strategy.N, c, 1,
+                                 tol=1e-10)
+        return float(l_free @ solved.u)
 
     h = 1e-6
     checked = 0
@@ -192,7 +194,7 @@ def test_criterion_4_adjoint_gradient_fd():
         hi, lo = rho.copy(), rho.copy()
         hi[e] += h
         lo[e] -= h
-        fd = (objective(hi, u0) - objective(lo, u0)) / (2 * h)
+        fd = (objective(hi, state) - objective(lo, state)) / (2 * h)
         rel = abs(fd - grad[e]) / abs(grad[e])
         worst = max(worst, rel)
         checked += 1
@@ -308,10 +310,11 @@ def test_criterion_10_linear_limit():
     model.f_free = model.f_free * 1e-6
     rho = np.full(prob.mesh.n_el, 0.5)
     ctx = ReanalysisContext()
-    u_nl, _ = newton_solve(model, rho, 3.0, np.zeros(prob.mesh.n_free),
-                           Strategy.N, ctx, 1, tol=1e-12)
-    u_lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
-    rel = np.abs(u_nl - u_lin).max() / np.abs(u_lin).max()
+    nl, _ = newton_solve(model, rho, 3.0,
+                         rest_state(model),
+                         Strategy.N, ctx, 1, tol=1e-12)
+    lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
+    rel = np.abs(nl.u - lin.u).max() / np.abs(lin.u).max()
     assert rel <= 1e-3, rel
     announce(10, f"scaled-load displacements agree to rel {rel:.2e}")
 

@@ -42,13 +42,14 @@ REPORT_KEYS = [
     "final_gp_norm", "final_objective", "final_penalty", "final_volume",
     "guard_fallbacks", "guard_refreshes", "ica_iterations", "linear",
     "linesearch_fallbacks", "mesh", "mode", "move_limit", "newton_iterations",
-    "outer_iterations", "problem", "step_fallbacks", "strategy", "timings"]
+    "outer_iterations", "problem", "retry_fallbacks", "step_fallbacks",
+    "strategy", "timings"]
 HISTORY_HEADER = (
     "iteration,objective,newton_iters,factorizations,ica_iters,fallbacks,"
     "guard_fallbacks,step_fallbacks,linesearch_fallbacks,adjoint_fallbacks,"
-    "guard_refreshes,gp_norm_inf,penalty,volume,max_normB,Total,F(rho),K_T,"
-    "RHS,Factorizations,Linear systems,grad F(rho),Subproblem solving,"
-    "Filtering,Other")
+    "retry_fallbacks,guard_refreshes,gp_norm_inf,penalty,volume,max_normB,"
+    "Total,F(rho),K_T,RHS,Factorizations,Linear systems,grad F(rho),"
+    "Subproblem solving,Filtering,Other")
 
 
 def test_output_schema_is_pinned(tmp_path):

@@ -116,7 +116,7 @@ def test_bounds_preserved(seed):
 def test_gradient_chain_through_filter():
     """FD of a composed objective w.r.t. design densities matches the
     backpropagated gradient."""
-    from conftest import make_cantilever_model
+    from conftest import make_cantilever_model, rest_state
     from icatop.nonlinear import Strategy, newton_solve
     from icatop.reanalysis import ReanalysisContext
     from icatop.sensitivity import objective_gradient, solve_adjoint
@@ -132,16 +132,16 @@ def test_gradient_chain_through_filter():
     def objective(rd):
         rho = filt.apply(rd)
         ctx = ReanalysisContext()
-        u, _ = newton_solve(model, rho, p, np.zeros(mesh.n_free), Strategy.N,
-                            ctx, 1, tol=1e-11)
-        return float(l_free @ u)
+        u, _ = newton_solve(model, rho, p, rest_state(model),
+                            Strategy.N, ctx, 1, tol=1e-11)
+        return float(l_free @ u.u)
 
     rho = filt.apply(rho_d)
     ctx = ReanalysisContext()
-    u, _ = newton_solve(model, rho, p, np.zeros(mesh.n_free), Strategy.N,
-                        ctx, 1, tol=1e-11)
-    adj = solve_adjoint(model, rho, p, u, l_free, Strategy.N, ctx)
-    grad = filt.backpropagate(objective_gradient(model, rho, p, u, adj.lam))
+    u, _ = newton_solve(model, rho, p, rest_state(model),
+                        Strategy.N, ctx, 1, tol=1e-11)
+    lam = solve_adjoint(model, rho, p, u, l_free, Strategy.N, ctx)
+    grad = filt.backpropagate(objective_gradient(model, rho, p, u, lam))
 
     h = 1e-6
     for e in (0, 5, 11):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_cantilever_model
+from conftest import make_cantilever_model, rest_state
 from icatop import nonlinear
 from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
@@ -161,7 +161,7 @@ class TestNewtonSolve:
         rho = np.full(model.mesh.n_el, 1e-3)
         for s in ALL:
             ctx = ReanalysisContext()
-            u, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+            u, st = newton_solve(model, rho, 3.0, rest_state(model),
                                  s, ctx, outer_iter=1)
             assert st.converged
             assert st.iterations == 1
@@ -170,7 +170,7 @@ class TestNewtonSolve:
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+        u, st = newton_solve(model, rho, 3.0, rest_state(model),
                              Strategy.N, ctx, outer_iter=1)
         assert st.converged
         assert st.residual_inf <= 1e-5
@@ -181,7 +181,7 @@ class TestNewtonSolve:
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, _ = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+        u, _ = newton_solve(model, rho, 3.0, rest_state(model),
                             Strategy.N, ctx, outer_iter=1)
         rng = np.random.default_rng(0)
         rho2 = np.clip(rho + rng.uniform(-0.01, 0.01, rho.size), 1e-3, 1.0)
@@ -194,22 +194,22 @@ class TestNewtonSolve:
         states = {}
         for s in (Strategy.N, Strategy.UPK1):
             ctx = ReanalysisContext()
-            u, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+            u, st = newton_solve(model, rho, 3.0, rest_state(model),
                                  s, ctx, outer_iter=10)
             assert st.converged
-            states[s] = u
+            states[s] = u.u
         assert np.abs(states[Strategy.N] - states[Strategy.UPK1]).max() <= 1e-4
 
     def test_warm_start_returns_immediately(self):
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, _ = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+        u, _ = newton_solve(model, rho, 3.0, rest_state(model),
                             Strategy.N, ctx, outer_iter=1)
         before = ctx.factorizations
         u2, st = newton_solve(model, rho, 3.0, u, Strategy.N, ctx, outer_iter=2)
         assert st.iterations == 0 and ctx.factorizations == before
-        assert np.array_equal(u, u2)
+        assert u2 is u
 
     def test_stale_context_falls_back_and_converges(self):
         # force a drastically wrong reference, then reuse its factor
@@ -217,8 +217,8 @@ class TestNewtonSolve:
         mesh = model.mesh
         rho_a = np.full(mesh.n_el, 1e-3)
         rho_b = np.full(mesh.n_el, 1.0)
-        ctx = ReanalysisContext(model.tangent(rho_a, 3.0, np.zeros(mesh.n_free)))
-        u, st = newton_solve(model, rho_b, 3.0, np.zeros(mesh.n_free),
+        ctx = ReanalysisContext(model.tangent(rho_a, 3.0, rest_state(model)))
+        u, st = newton_solve(model, rho_b, 3.0, rest_state(model),
                              Strategy.UPK100G, ctx, outer_iter=50)
         assert st.converged
         assert st.fallbacks >= 1
@@ -229,11 +229,10 @@ class TestNewtonSolve:
         # the first line search along a reused direction fails; the exact
         # step that rescues it restarts the slow-progress guard's window
         model = make_cantilever_model()
-        n = model.mesh.n_free
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, _ = newton_solve(model, rho, 3.0, np.zeros(n), Strategy.N, ctx,
-                            outer_iter=1)
+        u, _ = newton_solve(model, rho, 3.0, rest_state(model), Strategy.N,
+                            ctx, outer_iter=1)
         rho2 = np.clip(rho + np.random.default_rng(1).uniform(
             -0.05, 0.05, rho.size), 1e-3, 1.0)
         real_search, real_observe = nonlinear.armijo_linesearch, \
@@ -266,7 +265,7 @@ class TestNewtonSolve:
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        _, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+        _, st = newton_solve(model, rho, 3.0, rest_state(model),
                              strategy, ctx, outer_iter=1)
         assert st.converged and ctx.factorizations == st.iterations > 0
         assert ctx.initialized is held
@@ -278,7 +277,7 @@ class TestNewtonSolve:
         rho[7] = np.nan
         ctx = ReanalysisContext()
         with pytest.raises(NewtonConvergenceError) as err:
-            newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+            newton_solve(model, rho, 3.0, rest_state(model),
                          Strategy.N, ctx, outer_iter=1)
         stats = err.value.stats
         assert (ctx.factorizations, stats.backtracks) == (0, 0)
@@ -289,7 +288,7 @@ class TestNewtonSolve:
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
         with pytest.raises(NewtonConvergenceError) as err:
-            newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+            newton_solve(model, rho, 3.0, rest_state(model),
                          Strategy.N, ctx, outer_iter=1, max_iter=3)
         assert err.value.stats.iterations == 3
 
@@ -298,7 +297,7 @@ class TestNewtonSolve:
         # residual after the cap's last step is checked before raising
         model = make_cantilever_model(load=-120.0)
         rho = np.full(model.mesh.n_el, 0.5)
-        u0 = np.zeros(model.mesh.n_free)
+        u0 = rest_state(model)
         u, st = newton_solve(model, rho, 3.0, u0, Strategy.N,
                              ReanalysisContext(), outer_iter=1)
         assert st.converged and st.iterations > 3
@@ -306,7 +305,7 @@ class TestNewtonSolve:
                                          ReanalysisContext(), outer_iter=1,
                                          max_iter=st.iterations)
         assert st_capped.converged and st_capped.iterations == st.iterations
-        assert np.array_equal(capped, u)
+        assert np.array_equal(capped.u, u.u)
         with pytest.raises(NewtonConvergenceError) as err:
             newton_solve(model, rho, 3.0, u0, Strategy.N, ReanalysisContext(),
                          outer_iter=1, max_iter=st.iterations - 1)
@@ -317,11 +316,10 @@ class TestNewtonSolve:
         # judge each iterate by one; the Armijo slope reads the accepted
         # iterate's product off the report
         model = make_cantilever_model()
-        n = model.mesh.n_free
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, _ = newton_solve(model, rho, 3.0, np.zeros(n), Strategy.N, ctx,
-                            outer_iter=1)
+        u, _ = newton_solve(model, rho, 3.0, rest_state(model), Strategy.N,
+                            ctx, outer_iter=1)
         rho2 = np.clip(rho + np.random.default_rng(1).uniform(
             -0.05, 0.05, rho.size), 1e-3, 1.0)
         products, sweeping, reports = [], [], []
@@ -352,7 +350,7 @@ class TestNewtonSolve:
         model = make_cantilever_model()
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
-        u, st = newton_solve(model, rho, 3.0, np.zeros(model.mesh.n_free),
+        u, st = newton_solve(model, rho, 3.0, rest_state(model),
                              Strategy.MN, ctx, outer_iter=3)
         assert ctx.factorizations == st.iterations   # exact Newton profile
 
@@ -384,13 +382,17 @@ def test_linear_equilibrium_solves_density_only_system():
     model = make_cantilever_model(load=-5.0)
     rho = np.full(model.mesh.n_el, 0.7)
     ctx = ReanalysisContext()
-    u, st = linear_equilibrium(model, rho, 3.0, ctx)
+    state, st = linear_equilibrium(model, rho, 3.0, ctx)
+    u = state.u
     K = model.linear_tangent(rho, 3.0)
     assert np.abs(K.matvec(u) - model.f_free).max() <= 1e-10 * np.abs(model.f_free).max()
     assert ctx.factorizations == 1 and ctx.initialized
+    # the state's forces are the small-strain ones: its residual is K u - f
+    assert np.abs(model.residual(rho, 3.0, state) - K.matvec(u) + model.f_free
+                  ).max() <= 1e-10 * np.abs(model.f_free).max()
     # compliance is quadratic in the load for the linear model
     model2 = make_cantilever_model(load=-10.0)
-    u2, _ = linear_equilibrium(model2, rho, 3.0, ReanalysisContext())
+    state2, _ = linear_equilibrium(model2, rho, 3.0, ReanalysisContext())
     c1 = model.f_free @ u
-    c2 = model2.f_free @ u2
+    c2 = model2.f_free @ state2.u
     assert c2 == pytest.approx(4.0 * c1, rel=1e-12)

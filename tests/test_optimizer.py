@@ -227,8 +227,8 @@ class TestOptimizeLoop:
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
                      "fallbacks", "guard_fallbacks", "step_fallbacks",
                      "linesearch_fallbacks", "adjoint_fallbacks",
-                     "guard_refreshes", "residual_inf", "gp_norm", "penalty",
-                     "volume", "max_normB", "times"):
+                     "retry_fallbacks", "guard_refreshes", "residual_inf",
+                     "gp_norm", "penalty", "volume", "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
     def test_first_iteration_failure_aborts(self, monkeypatch):
@@ -290,12 +290,28 @@ class TestOptimizeLoop:
             predicted = predicted_factorizations(strategy, h.newton_iters)
             assert h.total("factorizations") \
                 == predicted + h.total("fallbacks"), strategy.value
-            # the four reasons add up to the fallbacks of every iteration
+            # the five reasons add up to the fallbacks of every iteration
             assert [sum(reasons) for reasons in zip(
                 h.guard_fallbacks, h.step_fallbacks, h.linesearch_fallbacks,
-                h.adjoint_fallbacks)] == h.fallbacks, strategy.value
+                h.adjoint_fallbacks, h.retry_fallbacks)] == h.fallbacks, \
+                strategy.value
             refreshes += h.total("guard_refreshes")
         assert refreshes > 0
+
+    @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
+    @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.MN,
+                                          Strategy.UPK100G,
+                                          Strategy.UPK03K100G])
+    def test_no_kernel_runs_twice_at_one_displacement(self, kernel_calls,
+                                                      problem, strategy):
+        # the element state made at a displacement carries its forces and
+        # tangents to the residual, the tangents, the adjoint, the gradient
+        # and the next outer iteration
+        h = optimize(bench.desk(problem),
+                     OptimizerConfig(strategy=strategy, budget=12))
+        assert not h.aborted
+        for name, digests in kernel_calls.items():
+            assert digests and len(set(digests)) == len(digests), name
 
     def test_newton_failure_halves_move_and_retries(self, monkeypatch,
                                                     factor_scopes):

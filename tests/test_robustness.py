@@ -2,8 +2,9 @@
 
 Any builder on a small mesh, under any strategy, budget, move limit and
 filter kernel: ``optimize`` lets no exception escape and emits no warning,
-every accepted equilibrium meets the 1e-5 max-norm residual, and a second
-run books a bitwise-identical history.
+every accepted equilibrium meets the 1e-5 max-norm residual, every row
+books its share of ``predicted_factorizations`` plus its fallbacks, and a
+second run books a bitwise-identical history.
 """
 
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icatop import bench
-from icatop.nonlinear import Strategy
+from icatop.nonlinear import Strategy, predicted_factorizations
 from icatop.optimizer import OptimizerConfig, optimize
 from icatop.reanalysis import REASONS
 
@@ -29,9 +30,14 @@ def run(problem, config):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 # the last step before the Newton cap was once never tested: row 12
-# retried with a halved move limit at residual 3.7e-7
+# retried with a halved move limit at residual 3.7e-7; rows 6 and 13, also
+# retried, once booked their second scheduled refactor with no reason
 @example(name="cantilever", nx=10, ny=8, strategy=Strategy.MN, budget=17,
          move=0.5, kernel="cone")
+# an exact step whose line search failed once booked its factorization
+# but not its iteration (row 11)
+@example(name="cantilever", nx=15, ny=8, strategy=Strategy.N, budget=18,
+         move=0.5, kernel="gaussian")
 # a diverging float32 sweep once overflowed in the held solve's cast
 @example(name="cantilever", nx=5, ny=8, strategy=Strategy.UPK03K100G,
          budget=27, move=0.5, kernel="cone")
@@ -46,6 +52,13 @@ def test_small_runs_finish_cleanly_and_repeat(name, nx, ny, strategy, budget,
                              move_limit=move, filter_kernel=kernel)
     history = run(problem, config)
     assert max(history.residual_inf, default=0.0) <= 1e-5
+    iters = history.newton_iters
+    shares = [predicted_factorizations(strategy, iters[:i + 1])
+              - predicted_factorizations(strategy, iters[:i])
+              for i in range(len(iters))]
+    assert history.factorizations == [
+        share + fallbacks
+        for share, fallbacks in zip(shares, history.fallbacks)]
     again = run(problem, config)
     for column in BOOKED:
         assert getattr(again, column) == getattr(history, column), column

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import rest_state
 from icatop import bench, sparse
 from icatop.assembly import FeModel
 from icatop.nonlinear import Strategy, newton_solve
@@ -33,9 +34,9 @@ def holed_cantilever():
     for xc in (20.0, 50.0, 80.0):
         void |= (cx - xc) ** 2 + (cy - mesh.height / 2) ** 2 < 36.0
     rho = np.where(void, RHO_MIN, 1.0)
-    u1, _ = newton_solve(model, rho, 3.0, np.zeros(mesh.n_free), Strategy.N,
-                         ReanalysisContext(), 1)
-    return model, rho, u1, model.tangent(rho, 3.0, u1)
+    state, _ = newton_solve(model, rho, 3.0, rest_state(model),
+                            Strategy.N, ReanalysisContext(), 1)
+    return model, rho, state.u, model.tangent(rho, 3.0, state)
 
 
 class CountDemotions:
@@ -71,7 +72,7 @@ class TestSingleSweeps:
         model, rho, u1, K0 = holed_cantilever
         ctx = ReanalysisContext(K0, single_sweeps=True)
         if second_u:
-            ctx.refresh(model.tangent(rho, 3.0, 0.98 * u1))
+            ctx.refresh(model.tangent(rho, 3.0, model.state(0.98 * u1)))
         s, rep = ica_solve(ctx, -model.f_free, eps=1e-8, k_max=10)
         assert rep.converged and rep.residual < 1e-8
         assert ctx.factorization.single
@@ -216,7 +217,7 @@ def test_demotion_allocates_no_second_band():
     problem = bench.build("cantilever", mesh=(200, 50))
     model = FeModel(problem.mesh, problem.loads, problem.material)
     K = model.tangent(np.full(problem.mesh.n_el, 0.5), 3.0,
-                      np.zeros(problem.mesh.n_free))
+                      rest_state(model))
     ctx = ReanalysisContext(K, single_sweeps=True)
     fact = ctx.factorization
     assert fact._lu.ab.nbytes > 16 * 2 ** 20

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import make_cantilever_model
+from conftest import make_cantilever_model, rest_state
 from icatop.errors import SingularMatrixError
 from icatop.sparse import (BandOrder, Factorization, SparseSym, delta_apply,
                            ldlt_factor)
@@ -116,7 +116,7 @@ class TestFeModelTangents:
     def tangent(self, nx, ny):
         model = make_cantilever_model(nx, ny)
         rho = self.rng.uniform(0.2, 1.0, model.mesh.n_el)
-        return model.tangent(rho, 3.0, np.zeros(model.mesh.n_free))
+        return model.tangent(rho, 3.0, rest_state(model))
 
     def check_against_spsolve(self, K):
         b = self.rng.standard_normal(K.n)
