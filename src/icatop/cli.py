@@ -47,6 +47,10 @@ RUN_OPTIONS = {
 BOOLEANS = {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}
 
+# what ``compare`` reads of every report
+REPORT_KEYS = ("problem", "mesh", "strategy", "final_objective",
+               "outer_iterations", "newton_iterations", "factorizations",
+               "fallbacks", "timings")
 # rows of ``compare`` above the timings, in order
 COUNT_ROWS = {
     "Final F": lambda r: r["final_objective"],
@@ -246,10 +250,15 @@ def compare_command(args) -> int:
     reports = []
     for path in args.reports:
         try:
-            reports.append(json.loads(Path(path).read_text()))
+            report = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
+        flaw = _report_flaw(report)
+        if flaw:
+            print(f"error: {path}: not a run report: {flaw}", file=sys.stderr)
+            return 2
+        reports.append(report)
     if len(reports) < 2:
         print("error: compare needs at least two reports", file=sys.stderr)
         return 2
@@ -260,6 +269,14 @@ def compare_command(args) -> int:
         return 2
     print(format_comparison(reports))
     return 0
+
+
+def _report_flaw(report) -> str:
+    """Why ``report`` cannot be compared, or "" when it can."""
+    if not isinstance(report, dict):
+        return f"expected a JSON object, got {type(report).__name__}"
+    missing = [key for key in REPORT_KEYS if key not in report]
+    return f"no {', '.join(missing)}" if missing else ""
 
 
 def format_comparison(reports) -> str:

@@ -9,8 +9,9 @@ equilibrium solve turns a row into the action of each Newton iteration;
 one path, and tests the residual after its last allowed step before it
 gives up.  Its iterates are element states, so each trial's element
 quantities are formed once.  Every factorization goes through the
-``ReanalysisContext``, which counts it, books the reason of each one off
-the schedule, and holds at most one.  Whatever the strategy, the first
+``ReanalysisContext``, the run's ledger, which times and counts it, books
+the reason of each one off the schedule, and holds at most one; each
+Newton iteration is booked there too.  Whatever the strategy, the first
 five outer iterations run exact Newton and every accepted solution
 satisfies the same max-norm residual tolerance; the policies trade cost,
 never accuracy.
@@ -19,13 +20,12 @@ never accuracy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NewtonConvergenceError, NonPositiveJacobianError
 from .reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
-from .timing import NullTimers
 
 FULL_NEWTON_UNTIL = 5   # outer iterations that always run exact Newton
 SLOW_RATE = 0.7         # residual contraction the guard counts as slow
@@ -37,8 +37,8 @@ class Strategy(enum.Enum):
     outer refactor period, refresh period, iterative adjoint).
 
     The outer period refactors at the first Newton iteration of every k-th
-    outer iteration; the refresh period counts global Newton iterations,
-    and None means the current matrix stays the factored one.
+    outer iteration; the refresh period counts the run's Newton
+    iterations, and None means the current matrix stays the factored one.
     """
 
     N = ("N", True, 1, None, False)
@@ -80,7 +80,7 @@ class ReusePolicy:
     Refactors on the strategy's schedule, during the first outer
     iterations, and whenever the context holds no factorization; otherwise
     reuses the held factorization, refreshing the current matrix every
-    ``refresh_period`` global Newton iterations.
+    ``refresh_period`` Newton iterations of the run.
 
     The strategies that refresh also carry a slow-progress guard: when two
     consecutive accepted steps contract the residual by less than
@@ -117,7 +117,7 @@ class ReusePolicy:
             return Action.REFACTOR, "retry_fallbacks" if again else None
         if s.refresh_period is None:
             return Action.HOLD, None
-        fresh = ctx.global_newton_iters % s.refresh_period == 0
+        fresh = ctx.counts["newton_iters"] % s.refresh_period == 0
         if self.slow_streak >= 2 or (not fresh and self.since_exact >= STALE_CAP):
             self.slow_streak = 0
             # a fresh tangent and still stalling: the factorization itself
@@ -144,9 +144,8 @@ class ReusePolicy:
 @dataclass
 class NewtonStats:
     iterations: int = 0
-    ica_iterations: list = field(default_factory=list)
     backtracks: int = 0
-    fallbacks: int = 0     # extra factorizations; ctx.reasons says why
+    fallbacks: int = 0     # extra factorizations; ctx.counts says why
     residual_inf: float = np.inf
     converged: bool = False
     max_normB: float = None
@@ -194,7 +193,7 @@ def predicted_factorizations(strategy: Strategy, newton_iters_per_outer) -> int:
 def newton_solve(model, rho, p, state, strategy: Strategy,
                  ctx: ReanalysisContext, outer_iter: int, *,
                  tol: float = 1e-5, max_iter: int = 50,
-                 monitor_normB: bool = False, timers=None):
+                 monitor_normB: bool = False):
     """Solve the equilibrium residual to max-norm tolerance ``tol``.
 
     Returns (state, NewtonStats): the last accepted trial, or ``state``
@@ -205,10 +204,10 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
     reused direction was no descent direction or failed the line search.
     ``stats.fallbacks`` counts the exact steps off the strategy's schedule;
     ``ctx`` makes and counts every factorization, books the reason of each
-    fallback and guard refresh, and keeps the last factorization until the
-    next replaces it.
+    fallback and guard refresh, books every iteration and its time, and
+    keeps the last factorization until the next replaces it.
     """
-    timers = timers or NullTimers()
+    timers = ctx.timers
     stats = NewtonStats()
     policy = ReusePolicy(strategy, outer_iter)
 
@@ -243,7 +242,6 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
                 # an unconverged sweep is discarded: stop it once it is
                 # not on course to converge
                 s, report = ica_solve(ctx, -r, give_up=True)
-            stats.ica_iterations.append(report.iterations)
             # the merit |r|^2 has slope 2 r^T Kcur s along s; the sweep
             # formed Kcur s for its residual
             slope = 2.0 * float(r @ report.Ks) if report.converged else np.inf
@@ -252,19 +250,20 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
                 exact, reason = True, "step_fallbacks"
             else:
                 accepted = _line_search(model, rho, p, state, r, s, slope,
-                                        timers, stats)
+                                        ctx, stats)
                 if accepted is None:
                     # the stale direction looked like descent but was not;
                     # one more chance through the exact path
                     exact, reason = True, "linesearch_fallbacks"
         if exact:
-            s, slope = _exact_step(model, rho, p, state, r, ctx, timers,
-                                   reason)
+            s, slope = _exact_step(model, rho, p, state, r, ctx, reason)
             stats.fallbacks += reason is not None
             accepted = _line_search(model, rho, p, state, r, s, slope,
-                                    timers, stats)
+                                    ctx, stats)
+        # counted even when its line search failed: its work was done
+        stats.iterations += 1
+        ctx.counts["newton_iters"] += 1
         if accepted is None:
-            stats.iterations += 1   # its factorization was made: count it
             raise NewtonConvergenceError(
                 f"line search failed at Newton iteration {it}", stats)
         state.tangents = None   # the caller may hold it for a retry
@@ -272,27 +271,24 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
         policy.observe(exact, np.abs(r_new).max()
                        / max(np.abs(r).max(), 1e-300))
         r = r_new
-        stats.iterations += 1
-        ctx.global_newton_iters += 1
 
 
-def _exact_step(model, rho, p, state, r, ctx, timers, reason):
+def _exact_step(model, rho, p, state, r, ctx, reason):
     """Assemble, factor (booked under ``reason``), and solve exactly."""
-    with timers.scope("K_T"):
+    with ctx.timers.scope("K_T"):
         K = model.tangent(rho, p, state)
-    with timers.scope("Factorizations"):
-        ctx.set_reference(K, reason)
-    with timers.scope("Linear systems"):
+    ctx.set_reference(K, reason)
+    with ctx.timers.scope("Linear systems"):
         s = ctx.solve_reference(-r)
     return s, -2.0 * float(r @ r)
 
 
-def _line_search(model, rho, p, state, r, s, slope, timers, stats):
+def _line_search(model, rho, p, state, r, s, slope, ctx, stats):
     """Armijo search along s on the merit |r|^2: the accepted (state, r),
     or None when it fails; the backtracks are added to ``stats``."""
     def merit(alpha):
         try:
-            with timers.scope("RHS"):
+            with ctx.timers.scope("RHS"):
                 trial = model.state(state.u + alpha * s)
                 r_trial = model.residual(rho, p, trial)
         except NonPositiveJacobianError:
@@ -304,19 +300,19 @@ def _line_search(model, rho, p, state, r, s, slope, timers, stats):
     return accepted
 
 
-def linear_equilibrium(model, rho, p, ctx: ReanalysisContext, timers=None):
+def linear_equilibrium(model, rho, p, ctx: ReanalysisContext):
     """Small-displacement solve: density-only stiffness, one factorization.
 
-    The stiffness is factored into ``ctx``, where the adjoint reuses it.
-    Returns (state, NewtonStats) mirroring the nonlinear path.
+    The stiffness is factored into ``ctx``, where the adjoint reuses it,
+    and the solve booked there as one Newton iteration.  Returns
+    (state, NewtonStats) mirroring the nonlinear path.
     """
-    timers = timers or NullTimers()
-    with timers.scope("K_T"):
+    with ctx.timers.scope("K_T"):
         K = model.linear_tangent(rho, p)
-    with timers.scope("Factorizations"):
-        ctx.set_reference(K)
-    with timers.scope("Linear systems"):
+    ctx.set_reference(K)
+    with ctx.timers.scope("Linear systems"):
         u = ctx.solve_reference(model.f_free)
+    ctx.counts["newton_iters"] += 1
     residual = float(np.abs(K.matvec(u) - model.f_free).max())
     return model.linear_state(u), NewtonStats(
         iterations=1, residual_inf=residual, converged=True)

@@ -16,8 +16,8 @@ from .assembly import FeModel
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
 from .filtering import build_filter
-from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
-from .reanalysis import FALLBACKS, REASONS, ReanalysisContext
+from .nonlinear import Strategy, linear_equilibrium, newton_solve
+from .reanalysis import COUNTS, FALLBACKS, ReanalysisContext
 from .sensitivity import objective_gradient, solve_adjoint
 from .timing import Timers
 
@@ -47,6 +47,10 @@ class OptimizerConfig:
         if not 0.0 < self.move_limit < np.inf:
             raise ValueError(f"move_limit must be finite and > 0, "
                              f"got {self.move_limit}")
+        if self.converge_tol is not None \
+                and not 0.0 < self.converge_tol < np.inf:
+            raise ValueError(f"converge_tol must be finite and > 0, "
+                             f"got {self.converge_tol}")
 
     def penalty_at(self, outer_iter: int) -> float:
         step = (outer_iter - 1) // P_EVERY
@@ -198,7 +202,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     rho_design = np.full(mesh.n_el, problem.volume_fraction)
     state = model.state(np.zeros(mesh.n_free))
     ctx = ReanalysisContext(single_sweeps=True)   # sweeps refine in float32
-    timers = Timers()
+    timers = ctx.timers
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
 
     move = config.move_limit
@@ -211,30 +215,25 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         t += 1
         p = config.penalty_at(t)
         if not retried:     # a retried row books its failed attempt too
-            before = timers.table()
-            factorizations = ctx.factorizations
-            booked = ctx.reasons.copy()
-            failed = NewtonStats()
+            before, booked = timers.table(), ctx.counts.copy()
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
 
         try:
             if problem.linear:
-                new, nstats = linear_equilibrium(model, rho_phys, p, ctx,
-                                                 timers)
+                new, nstats = linear_equilibrium(model, rho_phys, p, ctx)
             else:
                 new, nstats = newton_solve(
                     model, rho_phys, p, state, config.strategy, ctx, t,
-                    monitor_normB=config.monitor_normB, timers=timers)
+                    monitor_normB=config.monitor_normB)
         except SingularMatrixError:
             return _aborted(history, rho_design, filt, timers)
-        except NewtonConvergenceError as exc:
+        except NewtonConvergenceError:
             if retried or prev is None:
                 return _aborted(history, rho_design, filt, timers)
             # back off once: halve the move limit and redo the last update
             retried = True
-            failed = exc.stats or failed
             move *= 0.5
             rho_prev, grad_prev = prev
             sub = slp_subproblem(grad_prev, rho_prev, move, bounds, v_eff, Vstar)
@@ -251,7 +250,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         else:
             try:
                 lam = solve_adjoint(model, rho_phys, p, new, l_free,
-                                    config.strategy, ctx, timers=timers)
+                                    config.strategy, ctx)
             except SingularMatrixError:
                 return _aborted(history, rho_design, filt, timers)
         with timers.scope("grad F(rho)"):
@@ -266,22 +265,17 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         gp = projected_gradient_norm(rho_design, grad_design, sub.theta,
                                      bounds, v_eff)
 
-        after = timers.table()
+        row = ctx.counts - booked
         history.objective.append(F)
-        history.newton_iters.append(failed.iterations + nstats.iterations)
-        history.factorizations.append(ctx.factorizations - factorizations)
-        history.ica_iters.append(int(sum(failed.ica_iterations)
-                                     + sum(nstats.ica_iterations)))
-        reasons = ctx.reasons - booked
-        history.fallbacks.append(sum(reasons[name] for name in FALLBACKS))
-        for name in REASONS:
-            getattr(history, name).append(reasons[name])
+        for name in COUNTS:
+            getattr(history, name).append(row[name])
+        history.fallbacks.append(sum(row[name] for name in FALLBACKS))
         history.residual_inf.append(nstats.residual_inf)
         history.gp_norm.append(gp)
         history.penalty.append(p)
         history.volume.append(float(v @ rho_phys))
         history.max_normB.append(nstats.max_normB)
-        history.times.append(Timers.delta(after, before))
+        history.times.append(Timers.delta(timers.table(), before))
 
         state = new     # its forces and tangents start the next row
         if config.converge_tol is not None and gp < config.converge_tol:

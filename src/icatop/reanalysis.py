@@ -18,9 +18,10 @@ made with ``single_sweeps=True`` demotes its held band to float32, in
 place, on the first sweep that solves with it, and the sweeps become
 mixed-precision iterative refinement.  Factors that are never swept (exact
 Newton steps, direct adjoints, adjoint fallbacks) stay float64.  The
-``ReanalysisContext`` makes and counts every factorization, and books each
-one off the strategy's schedule, and each guard-driven refresh of Kcur,
-under its reason from ``REASONS``.
+``ReanalysisContext`` is the run's ledger: it makes, times and counts every
+factorization, counts the Newton iterations and the sweeps its callers
+perform, and books each factorization off the strategy's schedule, and
+each guard-driven refresh of Kcur, under its reason from ``REASONS``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sparse import Factorization, SparseSym, ldlt_factor
-from .timing import NullTimers
+from .timing import Timers
 
 # reasons for work off the strategy's schedule, named as in the run
 # report: extra factorizations (fallbacks), then the guard's refresh
 FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
              "adjoint_fallbacks", "retry_fallbacks")
 REASONS = FALLBACKS + ("guard_refreshes",)
+# the ledger's keys, named as the history columns
+COUNTS = ("newton_iters", "factorizations", "ica_iters") + REASONS
 
 
 @dataclass
@@ -57,12 +60,14 @@ class IcaReport:
 
 
 class ReanalysisContext:
-    """Held factorization plus the drifting current matrix ``Kcur``.
+    """Held factorization plus the drifting current matrix ``Kcur``; the
+    run's ledger.
 
-    Owns every factorization of a run: ``set_reference`` makes and counts
-    each one, Newton and adjoint alike, and holds at most one; ``reasons``
-    counts the reasons its callers give.  The given matrices are kept, not
-    copied; nothing edits a tangent in place.  The global Newton-iteration
+    Owns every factorization of a run: ``set_reference`` makes, times and
+    counts each one, Newton and adjoint alike, and holds at most one.
+    ``counts`` books the work its callers report under the names in
+    ``COUNTS``, and ``timers`` its seconds.  The given matrices are kept,
+    not copied; nothing edits a tangent in place.  The Newton-iteration
     count paces the refresh of ``Kcur``; ``refactored_outer`` is the outer
     iteration of the last scheduled refactor, so that a retried one books
     its second under ``retry_fallbacks``.  With ``single_sweeps`` the held
@@ -71,10 +76,9 @@ class ReanalysisContext:
 
     def __init__(self, K: SparseSym = None, single_sweeps: bool = False):
         self.single_sweeps = single_sweeps
-        self.global_newton_iters = 0
         self.refactored_outer = None
-        self.factorizations = 0
-        self.reasons = Counter()
+        self.counts = Counter()
+        self.timers = Timers()
         self.release()
         if K is not None:
             self.set_reference(K)
@@ -84,22 +88,23 @@ class ReanalysisContext:
         return self.factorization is not None
 
     def release(self) -> None:
-        """Drop the current matrix and factorization; the counters stay."""
+        """Drop the current matrix and factorization; the ledger stays."""
         self.Kcur: SparseSym = None
         self.factorization: Factorization = None
 
     def set_reference(self, K: SparseSym, reason: str = None) -> None:
-        """Factor K, count it, and make it the current matrix.
+        """Factor K, time and count it, and make it the current matrix.
 
         The superseded factorization is dropped first; if factoring fails,
         the context is left empty and the counts unchanged.
         """
-        self.release()
-        self.factorization = ldlt_factor(K)
-        self.factorizations += 1
+        with self.timers.scope("Factorizations"):
+            self.release()
+            self.factorization = ldlt_factor(K)
+        self.counts["factorizations"] += 1
         self.Kcur = K
         if reason is not None:
-            self.reasons[reason] += 1
+            self.counts[reason] += 1
 
     def refresh(self, K: SparseSym, reason: str = None) -> None:
         """Adopt K as the current matrix; the factorization is untouched."""
@@ -109,7 +114,7 @@ class ReanalysisContext:
             raise ValueError("pattern mismatch against the current matrix")
         self.Kcur = K
         if reason is not None:
-            self.reasons[reason] += 1
+            self.counts[reason] += 1
 
     def solve_reference(self, b: np.ndarray) -> np.ndarray:
         return self.factorization.solve(b)
@@ -131,9 +136,10 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
 
     Sweeps in residual form, s <- s - F^{-1}(Kcur s - rhs), from
     s_0 = F^{-1} rhs; the product Kcur s both judges an iterate and forms
-    the next correction.  In a ``single_sweeps`` context the first solve
-    demotes the held factor to float32 (``ReanalysisContext.solve_held``);
-    the iterates and products stay float64.  Returns the first iterate
+    the next correction, and each correction is booked as ``ica_iters``.
+    In a ``single_sweeps`` context the first solve demotes the held factor
+    to float32 (``ReanalysisContext.solve_held``); the iterates and
+    products stay float64.  Returns the first iterate
     whose relative residual against Kcur drops below ``eps``; if none of
     s_0 .. s_{k_max} qualifies, the best iterate is returned with
     ``converged=False`` and the caller decides whether to refactor.  A
@@ -178,13 +184,14 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
             if rate >= 1.0 or res * rate ** (k_max - k) > eps:
                 break
         prev = res
+        ctx.counts["ica_iters"] += 1
         s = s - ctx.solve_held(resid)
     return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
                              Ks=best_Ks)
 
 
-def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8,
-                      timers=None):
+def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray,
+                      eps_T: float = 1e-8):
     """Solve Kcur lam = -l iteratively, with a direct fallback.
 
     The caller must have refreshed the context so Kcur holds the tangent at
@@ -192,18 +199,15 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray, eps_T: float = 1e-8
     refactored from Kcur, booked as ``adjoint_fallbacks``, and the system
     solved exactly; the report then keeps the sweeps' own count and best
     residual, with ``converged`` and ``fallback`` set.  The sweeps and
-    solves are timed under "Linear systems", the fallback factorization
-    under "Factorizations".
+    solves are timed under "Linear systems".
     """
-    timers = timers or NullTimers()
     l = np.asarray(l, dtype=float)
-    with timers.scope("Linear systems"):
+    with ctx.timers.scope("Linear systems"):
         lam, rep = ica_solve(ctx, -l, eps_T)
     if rep.converged:
         return lam, rep
-    with timers.scope("Factorizations"):
-        ctx.set_reference(ctx.Kcur, "adjoint_fallbacks")
-    with timers.scope("Linear systems"):
+    ctx.set_reference(ctx.Kcur, "adjoint_fallbacks")
+    with ctx.timers.scope("Linear systems"):
         lam = ctx.solve_reference(-l)
     return lam, IcaReport(rep.iterations, rep.residual, True, fallback=True)
 

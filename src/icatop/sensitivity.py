@@ -15,32 +15,29 @@ import numpy as np
 
 from .nonlinear import Strategy
 from .reanalysis import ReanalysisContext, ica_adjoint_solve
-from .timing import NullTimers
 
 
 def solve_adjoint(model, rho, p, state, l_free, strategy: Strategy,
-                  ctx: ReanalysisContext, *, timers=None) -> np.ndarray:
+                  ctx: ReanalysisContext) -> np.ndarray:
     """Solve K_hat lam = -l at the converged element state; returns lam.
 
     Strategies with an iterative adjoint refresh the context to the tangent
     at the state and sweep; the others factor that tangent into the context
-    and solve directly.  The tangent, factorization and solves are booked
-    under the same timer categories as the equilibrium solve's.
+    and solve directly.  The tangent, factorization and solves are timed in
+    ``ctx`` under the same categories as the equilibrium solve's.
     """
-    timers = timers or NullTimers()
     l_free = np.asarray(l_free, dtype=float)
     if not l_free.any():
         return np.zeros_like(l_free)
 
-    with timers.scope("K_T"):
+    with ctx.timers.scope("K_T"):
         K_hat = model.tangent(rho, p, state)
     if strategy.adjoint_uses_ica and ctx.initialized:
         ctx.refresh(K_hat)
-        return ica_adjoint_solve(ctx, l_free, timers=timers)[0]
+        return ica_adjoint_solve(ctx, l_free)[0]
 
-    with timers.scope("Factorizations"):
-        ctx.set_reference(K_hat)
-    with timers.scope("Linear systems"):
+    ctx.set_reference(K_hat)
+    with ctx.timers.scope("Linear systems"):
         return ctx.solve_reference(-l_free)
 
 

@@ -8,7 +8,7 @@ the total.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 CATEGORIES = (
     "Total",
@@ -53,9 +53,3 @@ class Timers:
     def delta(after: dict, before: dict) -> dict:
         return {name: after[name] - before.get(name, 0.0) for name in after}
 
-
-class NullTimers:
-    """Stand-in for Timers when the caller keeps no accounts."""
-
-    def scope(self, name: str):
-        return nullcontext()

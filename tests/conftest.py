@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from icatop import optimizer, reanalysis
+from icatop import nonlinear, reanalysis
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
 from icatop.mesh import LoadCase, build_grid, fix_region
@@ -76,10 +76,11 @@ def factor_scopes(monkeypatch):
     """Log the timer categories open, and the factorizations alive, at
     every ldlt_factor call.
 
-    ``optimize`` runs on the returned ``timers`` class; ``at_factor`` gets
-    the tuple of open categories per factorization, ``alive`` the number
-    of earlier factorizations still referenced when it starts, and
-    ``nested`` every category opened while another was open.
+    Every context made while the fixture is active times on a recording
+    ``Timers``; ``at_factor`` gets the tuple of open categories per
+    factorization, ``alive`` the number of earlier factorizations still
+    referenced when it starts, and ``nested`` every category opened while
+    another was open.
     """
     log = SimpleNamespace(open=[], nested=[], at_factor=[], alive=[])
     made = []       # weak references to every factorization so far
@@ -105,6 +106,34 @@ def factor_scopes(monkeypatch):
 
     # the context's set_reference is the one lookup site
     monkeypatch.setattr(reanalysis, "ldlt_factor", factor)
-    monkeypatch.setattr(optimizer, "Timers", RecordingTimers)
-    log.timers = RecordingTimers
+    monkeypatch.setattr(reanalysis, "Timers", RecordingTimers)
+    return log
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Count the sweeps performed, independently of the context's ledger.
+
+    Wraps ``ReanalysisContext.solve_held`` at the class and ``ica_solve`` at
+    its two lookup sites; each sweep call's held solves less its s_0 solve
+    are added to ``sweeps.count``.
+    """
+    log = SimpleNamespace(count=0, held=0)
+    real_held = reanalysis.ReanalysisContext.solve_held
+
+    def solve_held(ctx, b):
+        log.held += 1
+        return real_held(ctx, b)
+
+    def ica_solve(*args, _real=reanalysis.ica_solve, **kwargs):
+        before = log.held
+        try:
+            return _real(*args, **kwargs)
+        finally:
+            log.count += max(log.held - before - 1, 0)
+
+    monkeypatch.setattr(reanalysis.ReanalysisContext, "solve_held",
+                        solve_held)
+    for site in (reanalysis, nonlinear):
+        monkeypatch.setattr(site, "ica_solve", ica_solve)
     return log

@@ -196,11 +196,15 @@ def test_missing_config_exits_before_writing(tmp_path, capsys):
     (["--filter-radius", "-1"], "filter radius must be >= 0"),
     (["--filter-radius", "inf"], "filter radius must be >= 0 and finite, got inf"),
     (["--filter-radius", "nan"], "filter radius must be >= 0 and finite, got nan"),
+    (["--converge", "-1"], "converge_tol must be finite and > 0"),
+    (["--converge", "0"], "converge_tol must be finite and > 0"),
+    (["--converge", "nan"], "converge_tol must be finite and > 0"),
     (["--mesh", "0x4"], "mesh 0x4 yields an empty mesh"),
     (["--problem", "slender", "--mesh", "1x1"],
      "mesh 1x1 leaves slender no free DOFs"),
 ], ids=["budget_negative", "move_limit_negative", "move_limit_nan",
         "filter_radius_negative", "filter_radius_inf", "filter_radius_nan",
+        "converge_negative", "converge_zero", "converge_nan",
         "empty_mesh", "no_free_dofs"])
 def test_out_of_range_number_exits_before_writing(tmp_path, capsys, args,
                                                   message):
@@ -284,12 +288,12 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
         if site == "residual" and outer_iter == 3:
             rho = rho.copy()
             rho[0] = np.nan
-        before = ctx.factorizations
+        before = ctx.counts["factorizations"]
         try:
             return real_newton(model, rho, p, u0, strategy, ctx, outer_iter,
                                **kw)
         except NewtonConvergenceError:
-            failed.append(ctx.factorizations - before)
+            failed.append(ctx.counts["factorizations"] - before)
             raise
 
     def gradient(*args):
@@ -440,6 +444,17 @@ class TestCompare:
               "--mesh", "24x3", "--strategy", "N", "--budget", "2"])
         assert main(["compare", str(paths[0]),
                      str(other / "report.json")]) == 2
+
+    @pytest.mark.parametrize("content, flaw", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"problem": "cantilever", "strategy": "N"}', "no mesh, "),
+    ], ids=["list", "no_mesh"])
+    def test_non_report_rejected(self, tmp_path, capsys, content, flaw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert f"error: {bad}: not a run report: {flaw}" \
+            in capsys.readouterr().err
 
     def test_factorization_reduction_visible(self, tmp_path):
         # a sparse-factorization strategy must report fewer factorizations

@@ -7,7 +7,7 @@ from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
                               armijo_linesearch, linear_equilibrium,
                               newton_solve, predicted_factorizations)
-from icatop.reanalysis import FALLBACKS, ReanalysisContext
+from icatop.reanalysis import FALLBACKS, REASONS, ReanalysisContext
 from icatop.sparse import SparseSym
 
 ALL = [Strategy.N, Strategy.MN, Strategy.UPK1, Strategy.UPK1G,
@@ -43,9 +43,9 @@ class TestStrategyFlags:
             assert not s.adjoint_uses_ica
 
 
-def held_context(global_newton_iters: int) -> ReanalysisContext:
+def held_context(newton_iters: int) -> ReanalysisContext:
     ctx = ReanalysisContext(SparseSym.from_dense(np.eye(2)))
-    ctx.global_newton_iters = global_newton_iters
+    ctx.counts["newton_iters"] = newton_iters
     return ctx
 
 
@@ -206,9 +206,10 @@ class TestNewtonSolve:
         ctx = ReanalysisContext()
         u, _ = newton_solve(model, rho, 3.0, rest_state(model),
                             Strategy.N, ctx, outer_iter=1)
-        before = ctx.factorizations
+        before = ctx.counts["factorizations"]
         u2, st = newton_solve(model, rho, 3.0, u, Strategy.N, ctx, outer_iter=2)
-        assert st.iterations == 0 and ctx.factorizations == before
+        assert st.iterations == 0
+        assert ctx.counts["factorizations"] == before
         assert u2 is u
 
     def test_stale_context_falls_back_and_converges(self):
@@ -223,7 +224,7 @@ class TestNewtonSolve:
         assert st.converged
         assert st.fallbacks >= 1
         # every extra factorization is booked with its reason
-        assert sum(ctx.reasons[name] for name in FALLBACKS) == st.fallbacks
+        assert sum(ctx.counts[name] for name in FALLBACKS) == st.fallbacks
 
     def test_line_search_rescue_is_an_exact_step(self, monkeypatch):
         # the first line search along a reused direction fails; the exact
@@ -251,12 +252,13 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(nonlinear, "armijo_linesearch", search)
         monkeypatch.setattr(ReusePolicy, "observe", observe)
-        before = ctx.factorizations
+        before = ctx.counts["factorizations"]
         _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,
                              outer_iter=10)
         assert st.converged and len(failed) == 1
-        assert (st.fallbacks, ctx.factorizations - before) == (1, 1)
-        assert ctx.reasons == {"linesearch_fallbacks": 1}
+        assert (st.fallbacks, ctx.counts["factorizations"] - before) == (1, 1)
+        assert {name: ctx.counts[name] for name in REASONS
+                if ctx.counts[name]} == {"linesearch_fallbacks": 1}
         assert observed[0] is True
 
     @pytest.mark.parametrize("strategy, held", [(Strategy.MN, True)])
@@ -267,9 +269,10 @@ class TestNewtonSolve:
         ctx = ReanalysisContext()
         _, st = newton_solve(model, rho, 3.0, rest_state(model),
                              strategy, ctx, outer_iter=1)
-        assert st.converged and ctx.factorizations == st.iterations > 0
+        assert st.converged
+        assert ctx.counts["factorizations"] == st.iterations > 0
         assert ctx.initialized is held
-        assert ctx.global_newton_iters == st.iterations
+        assert ctx.counts["newton_iters"] == st.iterations
 
     def test_non_finite_residual_raises_before_factoring(self):
         model = make_cantilever_model()
@@ -280,7 +283,7 @@ class TestNewtonSolve:
             newton_solve(model, rho, 3.0, rest_state(model),
                          Strategy.N, ctx, outer_iter=1)
         stats = err.value.stats
-        assert (ctx.factorizations, stats.backtracks) == (0, 0)
+        assert (ctx.counts["factorizations"], stats.backtracks) == (0, 0)
         assert np.isnan(stats.residual_inf)
 
     def test_iteration_cap_raises_with_stats(self):
@@ -352,7 +355,8 @@ class TestNewtonSolve:
         ctx = ReanalysisContext()
         u, st = newton_solve(model, rho, 3.0, rest_state(model),
                              Strategy.MN, ctx, outer_iter=3)
-        assert ctx.factorizations == st.iterations   # exact Newton profile
+        # exact Newton profile
+        assert ctx.counts["factorizations"] == st.iterations
 
 
 class TestFactorizationPrediction:
@@ -386,7 +390,7 @@ def test_linear_equilibrium_solves_density_only_system():
     u = state.u
     K = model.linear_tangent(rho, 3.0)
     assert np.abs(K.matvec(u) - model.f_free).max() <= 1e-10 * np.abs(model.f_free).max()
-    assert ctx.factorizations == 1 and ctx.initialized
+    assert ctx.counts["factorizations"] == 1 and ctx.initialized
     # the state's forces are the small-strain ones: its residual is K u - f
     assert np.abs(model.residual(rho, 3.0, state) - K.matvec(u) + model.f_free
                   ).max() <= 1e-10 * np.abs(model.f_free).max()

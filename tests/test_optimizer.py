@@ -203,6 +203,12 @@ class TestOptimizeLoop:
         with pytest.raises(ValueError, match="move_limit"):
             OptimizerConfig(move_limit=move)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_convergence_tolerances_rejected(self, tol):
+        # a tolerance no projected gradient meets would plan HARD_CAP rows
+        with pytest.raises(ValueError, match="converge_tol"):
+            OptimizerConfig(budget=None, converge_tol=tol)
+
     def test_penalty_monotone_in_history(self):
         prob = bench.build("cantilever", mesh=(12, 4))
         h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=15))
@@ -299,6 +305,26 @@ class TestOptimizeLoop:
         assert refreshes > 0
 
     @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
+    @pytest.mark.parametrize("strategy", [Strategy.UPK1G,
+                                          Strategy.UPK03K100G])
+    def test_ica_iters_are_the_sweeps_performed(self, monkeypatch, sweeps,
+                                                problem, strategy):
+        # Newton and adjoint sweeps alike, converged or not, row by row:
+        # each row ends with its gradient
+        import icatop.optimizer as opt
+        marks, real = [], opt.objective_gradient
+
+        def gradient(*args):
+            marks.append(sweeps.count)
+            return real(*args)
+
+        monkeypatch.setattr(opt, "objective_gradient", gradient)
+        h = optimize(bench.desk(problem),
+                     OptimizerConfig(strategy=strategy, budget=20))
+        assert not h.aborted and h.total("ica_iters") > 0
+        assert h.ica_iters == np.diff([0] + marks).tolist()
+
+    @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
     @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.MN,
                                           Strategy.UPK100G,
                                           Strategy.UPK03K100G])
@@ -314,7 +340,7 @@ class TestOptimizeLoop:
             assert digests and len(set(digests)) == len(digests), name
 
     def test_newton_failure_halves_move_and_retries(self, monkeypatch,
-                                                    factor_scopes):
+                                                    factor_scopes, sweeps):
         # the solve of outer iteration 3 fails once, at once or after it
         # has factored; the retried row books the failed attempt too: its
         # factorizations, time, Newton iterations and sweeps
@@ -324,12 +350,11 @@ class TestOptimizeLoop:
         prob = bench.build("cantilever", mesh=(12, 4))
         for strategy, after_work in ((Strategy.N, False), (Strategy.N, True),
                                      (Strategy.UPK100, True)):
-            calls = {"n": 0, "failed": False, "newton": 0, "sweeps": 0}
+            calls = {"n": 0, "failed": False, "newton": 0}
 
             def solve(*args, **kw):
                 u, stats = real(*args, **kw)
                 calls["newton"] += stats.iterations
-                calls["sweeps"] += sum(stats.ica_iterations)
                 return u, stats
 
             def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
@@ -343,7 +368,7 @@ class TestOptimizeLoop:
                              **kw)
 
             monkeypatch.setattr(opt, "newton_solve", flaky)
-            factors = len(factor_scopes.at_factor)
+            factors, swept = len(factor_scopes.at_factor), sweeps.count
             h = optimize(prob, OptimizerConfig(strategy=strategy, budget=5))
             assert calls["failed"]
             assert not h.aborted
@@ -353,7 +378,7 @@ class TestOptimizeLoop:
             assert sum(row["Factorizations"] for row in h.times) \
                 == pytest.approx(h.timing_table["Factorizations"], rel=1e-9)
             assert h.total("newton_iters") == calls["newton"]
-            assert h.total("ica_iters") == calls["sweeps"]
+            assert h.total("ica_iters") == sweeps.count - swept
             if strategy is Strategy.N:
                 assert h.total("factorizations") == predicted_factorizations(
                     strategy, h.newton_iters) + h.total("fallbacks")

@@ -173,8 +173,7 @@ class TestAdjointSolve:
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         l = rng.standard_normal(20)
-        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8,
-                                     timers=factor_scopes.timers())
+        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8)
         assert rep.fallback and rep.converged
         # the report keeps the sweeps' count and best residual: the adjoint
         # sweeps to the budget, though 0.9 per sweep never reaches 1e-8
@@ -184,7 +183,7 @@ class TestAdjointSolve:
         assert not factor_scopes.nested
         assert np.abs(Kc.matvec(lam) + l).max() <= 1e-10 * np.abs(l).max()
         # the context was refactored from the current matrix
-        assert ctx.Kcur is Kc and ctx.factorizations == 2
+        assert ctx.Kcur is Kc and ctx.counts["factorizations"] == 2
         b = rng.standard_normal(20)
         assert np.abs(Kc.matvec(ctx.solve_reference(b)) - b).max() \
             <= 1e-10 * np.abs(b).max()
@@ -225,26 +224,27 @@ def test_counters_and_reset():
     rng = np.random.default_rng(14)
     K0, Kc, _, _ = make_pair(rng, 10, 0.3)
     ctx = ReanalysisContext(K0)
-    ctx.global_newton_iters = 3
+    ctx.counts["newton_iters"] = 3
     ctx.refresh(Kc)
     ctx.set_reference(Kc)
-    assert ctx.global_newton_iters == 3      # global counter persists
-    assert ctx.factorizations == 2      # one per reference, not per refresh
+    assert ctx.counts["newton_iters"] == 3      # the ledger persists
+    # one per reference, not per refresh
+    assert ctx.counts["factorizations"] == 2
 
 
 def test_failed_reference_leaves_the_context_empty():
     rng = np.random.default_rng(15)
     K0, Kc, _, _ = make_pair(rng, 10, 0.3)
     ctx = ReanalysisContext(K0)
-    ctx.global_newton_iters = 4
+    ctx.counts["newton_iters"] = 4
     bad = SparseSym(10, K0.indptr, K0.indices, np.full_like(K0.data, np.nan))
     with pytest.raises(SingularMatrixError):
         ctx.set_reference(bad)
     assert (ctx.Kcur, ctx.factorization) == (None, None)
-    assert not ctx.initialized and ctx.global_newton_iters == 4
-    assert ctx.factorizations == 1           # the failed one is not counted
+    assert not ctx.initialized and ctx.counts["newton_iters"] == 4
+    assert ctx.counts["factorizations"] == 1    # the failed one is not counted
     ctx.set_reference(Kc)
-    assert ctx.initialized and ctx.factorizations == 2
+    assert ctx.initialized and ctx.counts["factorizations"] == 2
 
 
 def test_only_the_context_factors():

@@ -1,10 +1,12 @@
 """Random small problems run to the end, cleanly and repeatably.
 
 Any builder on a small mesh, under any strategy, budget, move limit and
-filter kernel: ``optimize`` lets no exception escape and emits no warning,
+filter kernel, in linear mode or not, with or without a convergence
+tolerance: ``optimize`` lets no exception escape and emits no warning,
 every accepted equilibrium meets the 1e-5 max-norm residual, every row
-books its share of ``predicted_factorizations`` plus its fallbacks, and a
-second run books a bitwise-identical history.
+books its share of ``predicted_factorizations`` plus its fallbacks (a
+linear row one factorization and one iteration, no sweep and no reason),
+and a second run books a bitwise-identical history.
 """
 
 import warnings
@@ -33,32 +35,42 @@ def run(problem, config):
 # retried with a halved move limit at residual 3.7e-7; rows 6 and 13, also
 # retried, once booked their second scheduled refactor with no reason
 @example(name="cantilever", nx=10, ny=8, strategy=Strategy.MN, budget=17,
-         move=0.5, kernel="cone")
+         move=0.5, kernel="cone", linear=False, converge=None)
 # an exact step whose line search failed once booked its factorization
 # but not its iteration (row 11)
 @example(name="cantilever", nx=15, ny=8, strategy=Strategy.N, budget=18,
-         move=0.5, kernel="gaussian")
+         move=0.5, kernel="gaussian", linear=False, converge=None)
 # a diverging float32 sweep once overflowed in the held solve's cast
 @example(name="cantilever", nx=5, ny=8, strategy=Strategy.UPK03K100G,
-         budget=27, move=0.5, kernel="cone")
+         budget=27, move=0.5, kernel="cone", linear=False, converge=None)
 @given(name=st.sampled_from(sorted(bench.BUILDERS)),
        nx=st.integers(2, 15), ny=st.integers(2, 9),
        strategy=st.sampled_from(list(Strategy)), budget=st.integers(6, 20),
-       move=st.floats(0.05, 0.5), kernel=st.sampled_from(["cone", "gaussian"]))
+       move=st.floats(0.05, 0.5), kernel=st.sampled_from(["cone", "gaussian"]),
+       linear=st.booleans(), converge=st.none() | st.floats(1e-3, 1e-1))
 def test_small_runs_finish_cleanly_and_repeat(name, nx, ny, strategy, budget,
-                                              move, kernel):
+                                              move, kernel, linear, converge):
     problem = bench.build(name, mesh=(nx, ny))
+    if linear:
+        problem = bench.linear_mode(problem)
     config = OptimizerConfig(strategy=strategy, budget=budget,
-                             move_limit=move, filter_kernel=kernel)
+                             converge_tol=converge, move_limit=move,
+                             filter_kernel=kernel)
     history = run(problem, config)
     assert max(history.residual_inf, default=0.0) <= 1e-5
     iters = history.newton_iters
-    shares = [predicted_factorizations(strategy, iters[:i + 1])
-              - predicted_factorizations(strategy, iters[:i])
-              for i in range(len(iters))]
-    assert history.factorizations == [
-        share + fallbacks
-        for share, fallbacks in zip(shares, history.fallbacks)]
+    if linear:
+        rows = len(iters)
+        assert iters == history.factorizations == [1] * rows
+        for column in ("ica_iters",) + REASONS:
+            assert getattr(history, column) == [0] * rows, column
+    else:
+        shares = [predicted_factorizations(strategy, iters[:i + 1])
+                  - predicted_factorizations(strategy, iters[:i])
+                  for i in range(len(iters))]
+        assert history.factorizations == [
+            share + fallbacks
+            for share, fallbacks in zip(shares, history.fallbacks)]
     again = run(problem, config)
     for column in BOOKED:
         assert getattr(again, column) == getattr(history, column), column

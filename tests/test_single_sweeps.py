@@ -119,7 +119,7 @@ class TestDemotion:
         ctx.refresh(Kc)
         for _ in range(3):
             ica_solve(ctx, rng.standard_normal(25), eps=1e-10)
-        assert count.calls == 1 and ctx.factorizations == 1
+        assert count.calls == 1 and ctx.counts["factorizations"] == 1
         held = ctx.factorization
         assert held is not old and held.single
         # the float32 band lives in the float64 band's buffer
