@@ -39,6 +39,11 @@ times 81 rows: the ten products F_i F_j (i <= j) at each Gauss point,
 the same products times b_q / J_q^2, and a row of ones that carries
 mu Kbar.  The kernel writes them element-major, (n_el, 36).
 
+Small strain.  The small-displacement model reads the tangent kernel at
+u = 0: every element shares its 36 upper entries, ``rest_tangent``, which
+scale by rho_e^p into the density-only stiffness and, as an 8x8 matrix
+k_e, give the forces u_e k_e.
+
 Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
 to the free DOFs of the 3x3 node block around its node, an ascending
 18-slot stencil on the grid of free ids padded with -1; the CSR rows, the
@@ -51,11 +56,11 @@ into the upper triangle, and ``mirror`` copies each upper value into
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import material as mat_mod
 from .errors import NonPositiveJacobianError
 from .material import MaterialParams, gauss_shape_gradients
 from .mesh import LoadCase, Mesh
@@ -133,7 +138,6 @@ class FeModel:
 
         self._build_kernels()
         self._build_pattern()
-        self._ke_linear = None
 
     def _build_kernels(self):
         """The fixed matrices of both element kernels (see the module doc)."""
@@ -192,9 +196,6 @@ class FeModel:
         self._order = BandOrder(perm[perm >= 0])
 
     # -- kinematics ------------------------------------------------------
-    def displacement_full(self, u_free: np.ndarray) -> np.ndarray:
-        return self.mesh.scatter(u_free)
-
     def _gradients(self, u_e: np.ndarray) -> np.ndarray:
         """Displacement gradients H of a block, (4, 4, blk).
 
@@ -215,7 +216,7 @@ class FeModel:
         The SIMP-scaled element force is rho_e^p times a row of this array;
         the same kernel feeds the density derivative of the residual.
         """
-        u_full = self.displacement_full(u_free)
+        u_full = self.mesh.scatter(u_free)
         mu, lam = self.material.mu, self.material.lam
         q = np.empty((self.mesh.n_el, 8))
         buf = np.empty(24 * min(BLOCK_ELEMENTS, self.mesh.n_el))
@@ -245,7 +246,7 @@ class FeModel:
 
         Column k holds entry (_UPPER[0][k], _UPPER[1][k]) of every element.
         """
-        u_full = self.displacement_full(u_free)
+        u_full = self.mesh.scatter(u_free)
         mu, lam = self.material.mu, self.material.lam
         K = np.empty((self.mesh.n_el, _UPPER[0].size))
         buf = np.empty(81 * min(BLOCK_ELEMENTS, self.mesh.n_el))
@@ -297,26 +298,18 @@ class FeModel:
                          data[self._mirror], self._order)
 
     # -- small-strain variant ----------------------------------------------
-    def linear_element_tangent(self) -> np.ndarray:
-        """Shared 8x8 small-strain element stiffness (congruent elements)."""
-        if self._ke_linear is None:
-            D0 = mat_mod.elasticity_matrix(self.material)
-            ke = np.zeros((8, 8))
-            for qp in range(4):
-                G = self.G[qp]
-                ke += G.T @ D0 @ G
-            # exactly symmetric: the upper triangle copies the lower one
-            ke[_UPPER] = ke.T[_UPPER]
-            self._ke_linear = ke * self.quad_w
-        return self._ke_linear
+    @cached_property
+    def rest_tangent(self) -> np.ndarray:
+        """The 36 upper entries of the unpenalized element tangent at u = 0,
+        the small-strain stiffness shared by the congruent elements."""
+        return self.upper_element_tangents(np.zeros(self.mesh.n_free))[0]
 
     def linear_state(self, u_free: np.ndarray) -> ElementState:
         """State of the small-displacement model: forces u_e k_e."""
-        u_e = self.displacement_full(u_free)[self.elem_dofs]
-        return ElementState(u_free, u_e @ self.linear_element_tangent().T)
+        u_e = self.mesh.scatter(u_free)[self.elem_dofs]
+        return ElementState(u_free, u_e @ self.rest_tangent[_POS])
 
     def linear_tangent(self, rho, p) -> SparseSym:
         """Density-only stiffness of the small-displacement model."""
-        ke = self.linear_element_tangent()
         return self._assemble_upper(
-            (np.asarray(rho) ** p)[:, None] * ke[_UPPER])
+            (np.asarray(rho) ** p)[:, None] * self.rest_tangent)

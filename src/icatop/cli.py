@@ -47,10 +47,32 @@ RUN_OPTIONS = {
 BOOLEANS = {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}
 
-# what ``compare`` reads of every report
-REPORT_KEYS = ("problem", "mesh", "strategy", "final_objective",
-               "outer_iterations", "newton_iterations", "factorizations",
-               "fallbacks", "timings")
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_number_or_null(value) -> bool:
+    return value is None or _is_number(value)
+
+
+# what ``compare`` reads of every report: key -> (check, what it expects);
+# an aborted run writes a null final objective
+REPORT_KEYS = {
+    "problem": (lambda v: isinstance(v, str), "a string"),
+    "mesh": (lambda v: isinstance(v, list) and len(v) == 2
+             and all(type(n) is int for n in v), "two integers"),
+    "strategy": (lambda v: isinstance(v, str), "a string"),
+    "final_objective": (_is_number_or_null, "a number or null"),
+    **{key: (_is_number, "a number")
+       for key in ("outer_iterations", "newton_iterations", "factorizations",
+                   "fallbacks")},
+    "timings": (lambda v: isinstance(v, dict)
+                and all(_is_number(t) for t in v.values()),
+                "an object of numbers"),
+}
+# read when present: reports from before the guard's refresh lack it
+OPTIONAL_KEYS = {"guard_refreshes": (_is_number_or_null, "a number or null")}
 # rows of ``compare`` above the timings, in order
 COUNT_ROWS = {
     "Final F": lambda r: r["final_objective"],
@@ -276,7 +298,12 @@ def _report_flaw(report) -> str:
     if not isinstance(report, dict):
         return f"expected a JSON object, got {type(report).__name__}"
     missing = [key for key in REPORT_KEYS if key not in report]
-    return f"no {', '.join(missing)}" if missing else ""
+    if missing:
+        return f"no {', '.join(missing)}"
+    for key, (check, expected) in {**REPORT_KEYS, **OPTIONAL_KEYS}.items():
+        if key in report and not check(report[key]):
+            return f"{key} must be {expected}, got {json.dumps(report[key])}"
+    return ""
 
 
 def format_comparison(reports) -> str:

@@ -83,16 +83,3 @@ def gauss_shape_gradients(elem_w: float, elem_h: float) -> np.ndarray:
     return np.stack([shape_gradients(elem_w, elem_h, xi, eta)
                      for xi, eta in GAUSS_POINTS])
 
-
-def elasticity_matrix(mat: MaterialParams) -> np.ndarray:
-    """Small-strain plane-strain modulus in flattened gradient components.
-
-    Equals the tangent modulus at F = I.
-    """
-    lam, mu = mat.lam, mat.mu
-    return np.array([
-        [lam + 2 * mu, 0.0, 0.0, lam],
-        [0.0, mu, mu, 0.0],
-        [0.0, mu, mu, 0.0],
-        [lam, 0.0, 0.0, lam + 2 * mu],
-    ])

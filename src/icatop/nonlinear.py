@@ -144,10 +144,8 @@ class ReusePolicy:
 @dataclass
 class NewtonStats:
     iterations: int = 0
-    backtracks: int = 0
     fallbacks: int = 0     # extra factorizations; ctx.counts says why
     residual_inf: float = np.inf
-    converged: bool = False
     max_normB: float = None
 
 
@@ -217,7 +215,6 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
     for it in range(max_iter + 1):
         stats.residual_inf = float(np.abs(r).max())
         if stats.residual_inf <= tol:
-            stats.converged = True
             return state, stats
         if not np.isfinite(stats.residual_inf):
             raise NewtonConvergenceError(
@@ -249,8 +246,7 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
                 # stale approximation: refactor and take the exact step
                 exact, reason = True, "step_fallbacks"
             else:
-                accepted = _line_search(model, rho, p, state, r, s, slope,
-                                        ctx, stats)
+                accepted = _line_search(model, rho, p, state, r, s, slope, ctx)
                 if accepted is None:
                     # the stale direction looked like descent but was not;
                     # one more chance through the exact path
@@ -258,8 +254,7 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
         if exact:
             s, slope = _exact_step(model, rho, p, state, r, ctx, reason)
             stats.fallbacks += reason is not None
-            accepted = _line_search(model, rho, p, state, r, s, slope,
-                                    ctx, stats)
+            accepted = _line_search(model, rho, p, state, r, s, slope, ctx)
         # counted even when its line search failed: its work was done
         stats.iterations += 1
         ctx.counts["newton_iters"] += 1
@@ -277,15 +272,12 @@ def _exact_step(model, rho, p, state, r, ctx, reason):
     """Assemble, factor (booked under ``reason``), and solve exactly."""
     with ctx.timers.scope("K_T"):
         K = model.tangent(rho, p, state)
-    ctx.set_reference(K, reason)
-    with ctx.timers.scope("Linear systems"):
-        s = ctx.solve_reference(-r)
-    return s, -2.0 * float(r @ r)
+    return ctx.solve_exact(K, -r, reason), -2.0 * float(r @ r)
 
 
-def _line_search(model, rho, p, state, r, s, slope, ctx, stats):
+def _line_search(model, rho, p, state, r, s, slope, ctx):
     """Armijo search along s on the merit |r|^2: the accepted (state, r),
-    or None when it fails; the backtracks are added to ``stats``."""
+    or None when it fails."""
     def merit(alpha):
         try:
             with ctx.timers.scope("RHS"):
@@ -295,9 +287,7 @@ def _line_search(model, rho, p, state, r, s, slope, ctx, stats):
             return np.inf, None
         return float(r_trial @ r_trial), (trial, r_trial)
 
-    _, accepted, backtracks = armijo_linesearch(merit, float(r @ r), slope)
-    stats.backtracks += backtracks
-    return accepted
+    return armijo_linesearch(merit, float(r @ r), slope)[1]
 
 
 def linear_equilibrium(model, rho, p, ctx: ReanalysisContext):
@@ -309,10 +299,10 @@ def linear_equilibrium(model, rho, p, ctx: ReanalysisContext):
     """
     with ctx.timers.scope("K_T"):
         K = model.linear_tangent(rho, p)
-    ctx.set_reference(K)
-    with ctx.timers.scope("Linear systems"):
-        u = ctx.solve_reference(model.f_free)
+    u = ctx.solve_exact(K, model.f_free)
     ctx.counts["newton_iters"] += 1
-    residual = float(np.abs(K.matvec(u) - model.f_free).max())
-    return model.linear_state(u), NewtonStats(
-        iterations=1, residual_inf=residual, converged=True)
+    state = model.linear_state(u)
+    with ctx.timers.scope("RHS"):
+        r = model.residual(rho, p, state)
+    return state, NewtonStats(iterations=1,
+                              residual_inf=float(np.abs(r).max()))

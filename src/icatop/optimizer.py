@@ -246,7 +246,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         if problem.linear:
             # the equilibrium factorization serves the adjoint as well
             with timers.scope("Linear systems"):
-                lam = ctx.solve_reference(-l_free)
+                lam = ctx.factorization.solve(-l_free)
         else:
             try:
                 lam = solve_adjoint(model, rho_phys, p, new, l_free,

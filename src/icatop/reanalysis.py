@@ -47,15 +47,15 @@ COUNTS = ("newton_iters", "factorizations", "ica_iters") + REASONS
 class IcaReport:
     """Outcome of one iterative solve.
 
-    ``Ks`` is Kcur @ s for the returned iterate s, the product its residual
-    was judged by; a direct fallback solve forms none and leaves it None.
+    ``iterations`` is the index of the returned iterate s and ``residual``
+    its relative residual; ``Ks`` is Kcur @ s, the product that residual
+    was judged by.  A direct fallback solve forms none and leaves it None.
     """
 
     iterations: int
     residual: float
     converged: bool
     fallback: bool = False
-    iterates: list = None
     Ks: np.ndarray = None
 
 
@@ -64,7 +64,8 @@ class ReanalysisContext:
     run's ledger.
 
     Owns every factorization of a run: ``set_reference`` makes, times and
-    counts each one, Newton and adjoint alike, and holds at most one.
+    counts each one, Newton and adjoint alike, and holds at most one;
+    every exact solve factors and solves in one call, ``solve_exact``.
     ``counts`` books the work its callers report under the names in
     ``COUNTS``, and ``timers`` its seconds.  The given matrices are kept,
     not copied; nothing edits a tangent in place.  The Newton-iteration
@@ -116,8 +117,13 @@ class ReanalysisContext:
         if reason is not None:
             self.counts[reason] += 1
 
-    def solve_reference(self, b: np.ndarray) -> np.ndarray:
-        return self.factorization.solve(b)
+    def solve_exact(self, K: SparseSym, b: np.ndarray,
+                    reason: str = None) -> np.ndarray:
+        """Factor K through ``set_reference`` (booked under ``reason``) and
+        solve K x = b with it, timed under "Linear systems"."""
+        self.set_reference(K, reason)
+        with self.timers.scope("Linear systems"):
+            return self.factorization.solve(b)
 
     def solve_held(self, b: np.ndarray) -> np.ndarray:
         """Solve with the held factor inside a sweep, demoting it to float32
@@ -130,8 +136,7 @@ class ReanalysisContext:
 
 
 def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
-              k_max: int = 10, keep_iterates: bool = False,
-              give_up: bool = False):
+              k_max: int = 10, give_up: bool = False):
     """Approximately solve Kcur s = rhs reusing the held factorization.
 
     Sweeps in residual form, s <- s - F^{-1}(Kcur s - rhs), from
@@ -139,11 +144,11 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     the next correction, and each correction is booked as ``ica_iters``.
     In a ``single_sweeps`` context the first solve demotes the held factor
     to float32 (``ReanalysisContext.solve_held``); the iterates and
-    products stay float64.  Returns the first iterate
-    whose relative residual against Kcur drops below ``eps``; if none of
-    s_0 .. s_{k_max} qualifies, the best iterate is returned with
-    ``converged=False`` and the caller decides whether to refactor.  A
-    diverging sweep stops early, once its residual is not finite or no
+    products stay float64.  Returns the first iterate whose relative
+    residual against Kcur drops below ``eps``; if none of s_0 .. s_{k_max}
+    qualifies, it returns the iterate it stopped at with ``converged=False``
+    (s_k after k corrections) and the caller decides whether to refactor.
+    A diverging sweep stops early, once its residual is not finite or no
     longer fits the held factor's precision.  With ``give_up`` it also
     stops after iterate k >= 2 once the contraction rate = res_k / res_k-1
     reaches 1 or res_k rate^(k_max - k) > eps, that is once the rate so far
@@ -156,28 +161,19 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
     rhs = np.asarray(rhs, dtype=float)
     norm_r = np.abs(rhs).max() if rhs.size else 0.0
     if norm_r == 0.0:
-        rep = IcaReport(0, 0.0, True,
-                        iterates=[np.zeros_like(rhs)] if keep_iterates else None,
-                        Ks=np.zeros_like(rhs))
-        return np.zeros_like(rhs), rep
+        return np.zeros_like(rhs), IcaReport(0, 0.0, True,
+                                             Ks=np.zeros_like(rhs))
 
     s = ctx.solve_held(rhs)
     limit = np.finfo(np.float32 if ctx.factorization.single else float).max
-    trace = [] if keep_iterates else None
-    best_s, best_Ks, best_res, best_k = s, None, np.inf, 0
     prev = np.inf
     for k in range(k_max + 1):
-        if keep_iterates:
-            trace.append(s.copy())
         Ks = ctx.Kcur.matvec(s)
         resid = Ks - rhs
         peak = np.abs(resid).max()
         res = peak / norm_r
-        if res < best_res:
-            best_s, best_Ks, best_res, best_k = s, Ks, res, k
-        if res < eps:
-            return s, IcaReport(k, float(res), True, iterates=trace, Ks=Ks)
-        if k == k_max or not peak <= limit:
+        converged = bool(res < eps)
+        if converged or k == k_max or not peak <= limit:
             break
         if give_up and k >= 2:
             rate = res / prev
@@ -186,8 +182,7 @@ def ica_solve(ctx: ReanalysisContext, rhs: np.ndarray, eps: float = 1e-2,
         prev = res
         ctx.counts["ica_iters"] += 1
         s = s - ctx.solve_held(resid)
-    return best_s, IcaReport(best_k, float(best_res), False, iterates=trace,
-                             Ks=best_Ks)
+    return s, IcaReport(k, float(res), converged, Ks=Ks)
 
 
 def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray,
@@ -197,18 +192,17 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray,
     The caller must have refreshed the context so Kcur holds the tangent at
     the converged equilibrium state.  On non-convergence the context is
     refactored from Kcur, booked as ``adjoint_fallbacks``, and the system
-    solved exactly; the report then keeps the sweeps' own count and best
-    residual, with ``converged`` and ``fallback`` set.  The sweeps and
-    solves are timed under "Linear systems".
+    solved exactly; the report then keeps the sweeps' own count and the
+    residual of the iterate they stopped at, with ``converged`` and
+    ``fallback`` set.  The sweeps and solves are timed under "Linear
+    systems".
     """
     l = np.asarray(l, dtype=float)
     with ctx.timers.scope("Linear systems"):
         lam, rep = ica_solve(ctx, -l, eps_T)
     if rep.converged:
         return lam, rep
-    ctx.set_reference(ctx.Kcur, "adjoint_fallbacks")
-    with ctx.timers.scope("Linear systems"):
-        lam = ctx.solve_reference(-l)
+    lam = ctx.solve_exact(ctx.Kcur, -l, "adjoint_fallbacks")
     return lam, IcaReport(rep.iterations, rep.residual, True, fallback=True)
 
 
@@ -225,7 +219,7 @@ def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,
     """
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
-    K, solve = ctx.Kcur, ctx.solve_reference
+    K, solve = ctx.Kcur, ctx.factorization.solve
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(K.n)
     nv = np.linalg.norm(v)

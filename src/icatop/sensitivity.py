@@ -36,13 +36,11 @@ def solve_adjoint(model, rho, p, state, l_free, strategy: Strategy,
         ctx.refresh(K_hat)
         return ica_adjoint_solve(ctx, l_free)[0]
 
-    ctx.set_reference(K_hat)
-    with ctx.timers.scope("Linear systems"):
-        return ctx.solve_reference(-l_free)
+    return ctx.solve_exact(K_hat, -l_free)
 
 
 def objective_gradient(model, rho, p, state, lam) -> np.ndarray:
     """Gradient of l^T u with respect to the (physical) element densities."""
     rho = np.asarray(rho, dtype=float)
-    lam_e = model.displacement_full(lam)[model.elem_dofs]    # (n_el, 8)
+    lam_e = model.mesh.scatter(lam)[model.elem_dofs]    # (n_el, 8)
     return p * rho ** (p - 1.0) * np.einsum("ni,ni->n", lam_e, state.forces)

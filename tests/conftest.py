@@ -33,6 +33,13 @@ def rest_state(model):
     return model.state(np.zeros(model.mesh.n_free))
 
 
+def sweep_iterates(ctx, rhs, k_max=10):
+    """Iterates s_0 .. s_k_max of the sweep on ``rhs``: s_k is what a sweep
+    stopped after k corrections returns."""
+    return [reanalysis.ica_solve(ctx, rhs, eps=0.0, k_max=k)[0]
+            for k in range(k_max + 1)]
+
+
 @pytest.fixture
 def cantilever_model():
     return make_cantilever_model()

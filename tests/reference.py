@@ -6,6 +6,9 @@ P = mu (F - F^-T) + lam/2 (J^2 - 1) F^-T in its direct form, the tangent
 modulus from its defining derivative of F^{-T}, the 8x8 element tangent
 assembled from the full 4x4 modulus, the element force from the stress,
 and a model's total potential, whose gradient the residual must be.  The
+small-strain plane-strain modulus D0 and the element stiffness summed
+from it over the Gauss points are what the tangent kernel must give at
+rest.  The
 density filter's reference is its explicit sparse weight matrix, built
 offset by offset.  The reanalysis sweep's reference is the
 combined-approximation iteration in its delta form, s_{k+1} = s_0 - B s_k.
@@ -42,7 +45,7 @@ def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
 def potential_energy(model, rho, p, u_free) -> float:
     """Total potential of a FeModel at (rho, u): SIMP-scaled stored energy
     plus spring energy minus the work of the loads."""
-    u_e = model.displacement_full(u_free)[model.elem_dofs]        # (n_el, 8)
+    u_e = model.mesh.scatter(u_free)[model.elem_dofs]        # (n_el, 8)
     F = np.einsum("qij,nj->nqi", model.G, u_e).reshape(-1, 2, 2) + np.eye(2)
     W = energy_many(F, model.material).reshape(-1, 4).sum(axis=1) * model.quad_w
     elastic = float(np.asarray(rho) ** p @ W)
@@ -127,6 +130,29 @@ def element_tangent(rho_i, p, u_e, elem_w, elem_h, thickness,
     return (rho_i ** p) * w * K
 
 
+def elasticity_matrix(mat: MaterialParams) -> np.ndarray:
+    """Small-strain plane-strain modulus D0 in flattened gradient components;
+    the tangent modulus at F = I."""
+    lam, mu = mat.lam, mat.mu
+    return np.array([
+        [lam + 2 * mu, 0.0, 0.0, lam],
+        [0.0, mu, mu, 0.0],
+        [0.0, mu, mu, 0.0],
+        [lam, 0.0, 0.0, lam + 2 * mu],
+    ])
+
+
+def small_strain_stiffness(model) -> np.ndarray:
+    """Unpenalized 8x8 small-strain element stiffness of a FeModel, summed
+    from D0 over the Gauss points."""
+    D0 = elasticity_matrix(model.material)
+    ke = sum(G.T @ D0 @ G for G in model.G)
+    # exactly symmetric: the upper triangle copies the lower one
+    upper = np.triu_indices(8)
+    ke[upper] = ke.T[upper]
+    return ke * model.quad_w
+
+
 def element_internal_force(rho_i, p, u_e, elem_w, elem_h, thickness,
                            material: MaterialParams) -> np.ndarray:
     """SIMP-scaled element internal force vector of length 8."""
@@ -183,9 +209,9 @@ def delta_form_iterates(ctx, K0, rhs, k_max):
     s_0 = K0^{-1} rhs, through the context's held factor of ``K0`` and
     dK = Kcur - K0 on the shared pattern."""
     dK = SparseSym(K0.n, K0.indptr, K0.indices, ctx.Kcur.data - K0.data)
-    s_tilde = ctx.solve_reference(rhs)
+    solve = ctx.factorization.solve
+    s_tilde = solve(rhs)
     iterates = [s_tilde]
     for _ in range(k_max):
-        iterates.append(s_tilde - ctx.solve_reference(
-            dK.matvec(iterates[-1])))
+        iterates.append(s_tilde - solve(dK.matvec(iterates[-1])))
     return iterates

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rest_state
+from conftest import rest_state, sweep_iterates
 from icatop import bench
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
@@ -141,8 +141,7 @@ def test_criterion_3_ica_contraction():
         r = rng.standard_normal(n)
         s_star = np.linalg.solve(Kcd, -r)
         # contraction along the whole sweep history
-        _, rep = ica_solve(ctx, -r, eps=1e-16, k_max=10, keep_iterates=True)
-        errs = [np.linalg.norm(s - s_star) for s in rep.iterates]
+        errs = [np.linalg.norm(s - s_star) for s in sweep_iterates(ctx, -r)]
         for nxt, cur in zip(errs[1:], errs[:-1]):
             assert nxt <= (normB + 1e-10) * cur + 1e-14
             if cur > 1e-12:

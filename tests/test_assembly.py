@@ -14,7 +14,8 @@ from icatop.errors import NonPositiveJacobianError
 from icatop.material import MaterialParams, gauss_shape_gradients
 from icatop.mesh import LoadCase, build_grid, fix_region
 from reference import (deformation_gradient, element_internal_force,
-                       element_tangent, energy_many, potential_energy)
+                       element_tangent, energy_many, potential_energy,
+                       small_strain_stiffness)
 
 MAT = MaterialParams(3000.0, 0.4)
 
@@ -196,10 +197,21 @@ class TestGlobalAssembly:
         model = cantilever_model
         rng = np.random.default_rng(12)
         u = 1e-9 * model.mesh.elem_w * rng.standard_normal(model.mesh.n_free)
-        u_e = model.displacement_full(u)[model.elem_dofs]
-        linear = u_e @ model.linear_element_tangent()
+        u_e = model.mesh.scatter(u)[model.elem_dofs]
+        linear = u_e @ small_strain_stiffness(model)
         q = model.element_internal_forces(u)
         assert np.abs(q - linear).max() <= 1e-8 * np.abs(linear).max()
+
+    @pytest.mark.parametrize("name", ["cantilever", "inverter"])
+    def test_small_strain_stiffness_is_the_tangent_at_rest(self, name):
+        # linear mode reads the tangent kernel at u = 0, bit for bit
+        problem = bench.desk(name)
+        model = FeModel(problem.mesh, problem.loads, problem.material)
+        rho = np.random.default_rng(4).uniform(1e-3, 1.0, problem.mesh.n_el)
+        for p in (1.0, 3.0):
+            assert np.array_equal(
+                model.linear_tangent(rho, p).data,
+                model.tangent(rho, p, rest_state(model)).data)
 
     def test_single_element_tangent_matches_global(self, monkeypatch):
         # the closed-form kernel against element_tangent, element by element;
@@ -212,7 +224,7 @@ class TestGlobalAssembly:
             rho, u = random_positive_state(model, seed=10 * nx + ny)
             scale = rho ** 3.0
             u_full = mesh.scatter(u)
-            ke = model.linear_element_tangent()
+            ke = model.rest_tangent[assembly._POS]
             oracle = np.zeros((mesh.n_free, mesh.n_free))
             linear = np.zeros_like(oracle)
             for e, dofs in enumerate(mesh.elem_dofs):
@@ -397,7 +409,7 @@ def test_gemm_kernels_match_element_oracles(nx, ny, elem_w, elem_h, scale,
         assert np.abs(q[e] - fe).max() <= 1e-12 * np.abs(fe).max()
     # the reference state: no force at all, and the small-strain tangent
     assert np.all(q0 == 0.0)
-    ke = model.linear_element_tangent()[upper]
+    ke = small_strain_stiffness(model)[upper]
     assert np.abs(K0 - ke).max() <= 1e-14 * np.abs(ke).max()
 
 

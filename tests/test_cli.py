@@ -456,6 +456,39 @@ class TestCompare:
         assert f"error: {bad}: not a run report: {flaw}" \
             in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("report")
+        main(["run", "--out", str(out), "--problem", "cantilever",
+              "--mesh", "12x4", "--strategy", "N", "--budget", "1"])
+        return out / "report.json"
+
+    @pytest.mark.parametrize("key, value, flaw", [
+        ("mesh", 5, "mesh must be two integers, got 5"),
+        ("mesh", "6x3", 'mesh must be two integers, got "6x3"'),
+        ("mesh", [[6], 3], "mesh must be two integers, got [[6], 3]"),
+        ("timings", [1], "timings must be an object of numbers, got [1]"),
+        ("final_objective", "x",
+         'final_objective must be a number or null, got "x"'),
+        ("strategy", 3, "strategy must be a string, got 3"),
+    ])
+    def test_wrong_typed_report_rejected(self, report, tmp_path, capsys,
+                                         key, value, flaw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(report.read_text()),
+                                   key: value}))
+        assert main(["compare", str(report), str(bad)]) == 2
+        assert f"error: {bad}: not a run report: {flaw}" \
+            in capsys.readouterr().err
+
+    def test_aborted_report_compares(self, report, tmp_path, capsys):
+        # an aborted run's report holds a null final objective
+        aborted = tmp_path / "aborted.json"
+        aborted.write_text(json.dumps({**json.loads(report.read_text()),
+                                       "final_objective": None}))
+        assert main(["compare", str(report), str(aborted)]) == 0
+        assert "Final F" in capsys.readouterr().out
+
     def test_factorization_reduction_visible(self, tmp_path):
         # a sparse-factorization strategy must report fewer factorizations
         paths = []

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from icatop.errors import NonPositiveJacobianError
-from icatop.material import (GAUSS_POINTS, MaterialParams, elasticity_matrix,
+from icatop.material import (GAUSS_POINTS, MaterialParams,
                              gauss_shape_gradients, shape_gradients)
-from reference import deformation_gradient, energy_many, pk1_many, tangent_many
+from reference import (deformation_gradient, elasticity_matrix, energy_many,
+                       pk1_many, tangent_many)
 
 MAT = MaterialParams(3000.0, 0.4)
 

@@ -163,7 +163,7 @@ class TestNewtonSolve:
             ctx = ReanalysisContext()
             u, st = newton_solve(model, rho, 3.0, rest_state(model),
                                  s, ctx, outer_iter=1)
-            assert st.converged
+            assert st.residual_inf <= 1e-5
             assert st.iterations == 1
 
     def test_moderate_load_converges_quickly(self):
@@ -172,7 +172,6 @@ class TestNewtonSolve:
         ctx = ReanalysisContext()
         u, st = newton_solve(model, rho, 3.0, rest_state(model),
                              Strategy.N, ctx, outer_iter=1)
-        assert st.converged
         assert st.residual_inf <= 1e-5
 
     def test_near_path_newton_within_four(self):
@@ -186,7 +185,7 @@ class TestNewtonSolve:
         rng = np.random.default_rng(0)
         rho2 = np.clip(rho + rng.uniform(-0.01, 0.01, rho.size), 1e-3, 1.0)
         u2, st = newton_solve(model, rho2, 3.0, u, Strategy.N, ctx, outer_iter=2)
-        assert st.converged and st.iterations <= 4
+        assert st.residual_inf <= 1e-5 and st.iterations <= 4
 
     def test_strategies_agree_on_final_state(self):
         model = make_cantilever_model()
@@ -196,7 +195,7 @@ class TestNewtonSolve:
             ctx = ReanalysisContext()
             u, st = newton_solve(model, rho, 3.0, rest_state(model),
                                  s, ctx, outer_iter=10)
-            assert st.converged
+            assert st.residual_inf <= 1e-5
             states[s] = u.u
         assert np.abs(states[Strategy.N] - states[Strategy.UPK1]).max() <= 1e-4
 
@@ -221,7 +220,7 @@ class TestNewtonSolve:
         ctx = ReanalysisContext(model.tangent(rho_a, 3.0, rest_state(model)))
         u, st = newton_solve(model, rho_b, 3.0, rest_state(model),
                              Strategy.UPK100G, ctx, outer_iter=50)
-        assert st.converged
+        assert st.residual_inf <= 1e-5
         assert st.fallbacks >= 1
         # every extra factorization is booked with its reason
         assert sum(ctx.counts[name] for name in FALLBACKS) == st.fallbacks
@@ -255,7 +254,7 @@ class TestNewtonSolve:
         before = ctx.counts["factorizations"]
         _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,
                              outer_iter=10)
-        assert st.converged and len(failed) == 1
+        assert st.residual_inf <= 1e-5 and len(failed) == 1
         assert (st.fallbacks, ctx.counts["factorizations"] - before) == (1, 1)
         assert {name: ctx.counts[name] for name in REASONS
                 if ctx.counts[name]} == {"linesearch_fallbacks": 1}
@@ -269,7 +268,7 @@ class TestNewtonSolve:
         ctx = ReanalysisContext()
         _, st = newton_solve(model, rho, 3.0, rest_state(model),
                              strategy, ctx, outer_iter=1)
-        assert st.converged
+        assert st.residual_inf <= 1e-5
         assert ctx.counts["factorizations"] == st.iterations > 0
         assert ctx.initialized is held
         assert ctx.counts["newton_iters"] == st.iterations
@@ -283,7 +282,8 @@ class TestNewtonSolve:
             newton_solve(model, rho, 3.0, rest_state(model),
                          Strategy.N, ctx, outer_iter=1)
         stats = err.value.stats
-        assert (ctx.counts["factorizations"], stats.backtracks) == (0, 0)
+        assert (ctx.counts["factorizations"],
+                ctx.counts["newton_iters"]) == (0, 0)
         assert np.isnan(stats.residual_inf)
 
     def test_iteration_cap_raises_with_stats(self):
@@ -303,11 +303,12 @@ class TestNewtonSolve:
         u0 = rest_state(model)
         u, st = newton_solve(model, rho, 3.0, u0, Strategy.N,
                              ReanalysisContext(), outer_iter=1)
-        assert st.converged and st.iterations > 3
+        assert st.residual_inf <= 1e-5 and st.iterations > 3
         capped, st_capped = newton_solve(model, rho, 3.0, u0, Strategy.N,
                                          ReanalysisContext(), outer_iter=1,
                                          max_iter=st.iterations)
-        assert st_capped.converged and st_capped.iterations == st.iterations
+        assert st_capped.residual_inf <= 1e-5
+        assert st_capped.iterations == st.iterations
         assert np.array_equal(capped.u, u.u)
         with pytest.raises(NewtonConvergenceError) as err:
             newton_solve(model, rho, 3.0, u0, Strategy.N, ReanalysisContext(),
@@ -346,7 +347,8 @@ class TestNewtonSolve:
         monkeypatch.setattr(nonlinear, "ica_solve", sweep)
         _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,
                              outer_iter=10)
-        assert st.converged and sum(r.converged for r in reports) >= 2
+        assert st.residual_inf <= 1e-5
+        assert sum(r.converged for r in reports) >= 2
         assert products and all(products)
 
     def test_first_five_outers_force_full_newton(self):

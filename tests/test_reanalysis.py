@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import icatop
+from conftest import sweep_iterates
 from icatop.reanalysis import (ReanalysisContext, estimate_norm_B,
                                ica_adjoint_solve, ica_solve)
 from icatop.errors import SingularMatrixError
@@ -82,8 +83,8 @@ class TestIcaSolve:
             normB = np.linalg.svd(Bd, compute_uv=False)[0]
             r = rng.standard_normal(30)
             s_star = np.linalg.solve(Kcd, -r)
-            _, rep = ica_solve(ctx, -r, eps=1e-15, k_max=10, keep_iterates=True)
-            errs = [np.linalg.norm(s - s_star) for s in rep.iterates]
+            errs = [np.linalg.norm(s - s_star)
+                    for s in sweep_iterates(ctx, -r)]
             for nxt, cur in zip(errs[1:], errs[:-1]):
                 assert nxt <= (normB + 1e-10) * cur + 1e-14
 
@@ -94,8 +95,8 @@ class TestIcaSolve:
         ctx.refresh(Kc)
         r = rng.standard_normal(20)
         s_star = np.linalg.solve(Kcd, -r)
-        s_next = ctx.solve_reference(-r) - ctx.solve_reference(
-            (Kcd - K0d) @ s_star)
+        solve = ctx.factorization.solve
+        s_next = solve(-r) - solve((Kcd - K0d) @ s_star)
         assert np.abs(s_next - s_star).max() <= 1e-10 * np.abs(s_star).max()
 
     def test_divergent_flagged_within_budget(self):
@@ -120,19 +121,39 @@ class TestIcaSolve:
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         b = rng.standard_normal(30)
-        full_s, full = ica_solve(ctx, b, eps=eps, keep_iterates=True)
-        s, rep = ica_solve(ctx, b, eps=eps, keep_iterates=True, give_up=True)
+        full_s, full = ica_solve(ctx, b, eps=eps)
+        s, rep = ica_solve(ctx, b, eps=eps, give_up=True)
         if judged is None:
             assert rep.converged and full.converged
             assert np.array_equal(s, full_s)
             assert rep.iterations == full.iterations
         else:
-            # the same iterates as far as it goes, and the best of them
-            assert not rep.converged and len(full.iterates) == 11
-            assert len(rep.iterates) == judged
-            for mine, theirs in zip(rep.iterates, full.iterates):
-                assert np.array_equal(mine, theirs)
-            assert np.array_equal(s, rep.iterates[rep.iterations])
+            # the full budget's iterates, cut short after the judged ones
+            assert not rep.converged and not full.converged
+            assert (rep.iterations, full.iterations) == (judged - 1, 10)
+            assert np.array_equal(s, sweep_iterates(ctx, b)[judged - 1])
+
+    @pytest.mark.parametrize("give_up", [False, True])
+    @pytest.mark.parametrize("diverging", [False, True])
+    def test_unconverged_sweep_returns_where_it_stopped(self, diverging,
+                                                        give_up):
+        # the iterate it stopped at, not the one of least residual: with
+        # B = 1.5 I every sweep grows the residual, so that one is s_0
+        rng = np.random.default_rng(12)
+        if diverging:
+            K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 2.0, 30)))
+            Kc = SparseSym(30, K0.indptr, K0.indices, 2.5 * K0.data)
+        else:
+            K0, Kc, _, _ = make_pair(rng, 30, 0.9)
+        ctx = ReanalysisContext(K0)
+        ctx.refresh(Kc)
+        b = rng.standard_normal(30)
+        s, rep = ica_solve(ctx, b, eps=1e-8, give_up=give_up)
+        assert not rep.converged and rep.iterations > 0
+        assert np.array_equal(
+            s, ica_solve(ctx, b, eps=1e-8, k_max=rep.iterations)[0])
+        assert np.array_equal(rep.Ks, Kc.matvec(s))
+        assert rep.residual == np.abs(rep.Ks - b).max() / np.abs(b).max()
 
 
 class TestAdjointSolve:
@@ -175,7 +196,8 @@ class TestAdjointSolve:
         l = rng.standard_normal(20)
         lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8)
         assert rep.fallback and rep.converged
-        # the report keeps the sweeps' count and best residual: the adjoint
+        # the report keeps the sweeps' count and the residual they stopped
+        # at: the adjoint
         # sweeps to the budget, though 0.9 per sweep never reaches 1e-8
         assert rep.residual >= 1e-8 and rep.iterations == 10
         # the fallback factorization is booked as one, outside the sweeps
@@ -185,7 +207,7 @@ class TestAdjointSolve:
         # the context was refactored from the current matrix
         assert ctx.Kcur is Kc and ctx.counts["factorizations"] == 2
         b = rng.standard_normal(20)
-        assert np.abs(Kc.matvec(ctx.solve_reference(b)) - b).max() \
+        assert np.abs(Kc.matvec(ctx.factorization.solve(b)) - b).max() \
             <= 1e-10 * np.abs(b).max()
 
     def test_zero_output_vector(self):
