@@ -11,6 +11,8 @@ Each sweep costs one product with Kcur and one reuse of the factorization,
 never a new factorization.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from icatop.reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
@@ -28,8 +30,7 @@ for target in (0.3, 0.7, 0.95):
     dK = perturbation * target / np.linalg.svd(
         np.linalg.solve(K0_dense, perturbation), compute_uv=False)[0]
     K0 = SparseSym.from_dense(K0_dense)
-    Kc = SparseSym(n, K0.indptr, K0.indices,
-                   SparseSym.from_dense(K0_dense + dK).data)
+    Kc = replace(K0, data=SparseSym.from_dense(K0_dense + dK).data)
     ctx = ReanalysisContext(K0)
     ctx.refresh(Kc)
 
@@ -51,8 +52,7 @@ print("fresh factorization; the residual check catches it within ten sweeps")
 dK = perturbation * 1.5 / np.linalg.svd(
     np.linalg.solve(K0_dense, perturbation), compute_uv=False)[0]
 K0 = SparseSym.from_dense(K0_dense)
-Kc = SparseSym(n, K0.indptr, K0.indices,
-               SparseSym.from_dense(K0_dense + dK).data)
+Kc = replace(K0, data=SparseSym.from_dense(K0_dense + dK).data)
 ctx = ReanalysisContext(K0)
 ctx.refresh(Kc)
 _, report = ica_solve(ctx, rng.standard_normal(n), eps=1e-2)

@@ -1,8 +1,9 @@
 """SIMP-penalized tangent stiffness, internal forces, and residuals.
 
 A FeModel binds a mesh, a load case, and a material.  The sparsity pattern
-over free DOFs and its band-reducing order are computed once; every
-assembly rewrites values on that pattern.  Since the grid elements are
+over free DOFs and its band-reducing order are computed once, and the
+pattern's factorization plan on the first assembly; every assembly rewrites
+values on that pattern and carries that plan.  Since the grid elements are
 congruent, the shape-derivative matrices G_q at the Gauss points, and every
 fixed matrix built from them below, are shared across elements.
 
@@ -64,7 +65,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NonPositiveJacobianError
 from .material import MaterialParams, gauss_shape_gradients
 from .mesh import LoadCase, Mesh
-from .sparse import BandOrder, SparseSym
+from .sparse import BandPlan, SparseSym
 
 
 # elements per kernel block: the tangent's 81 invariant rows (0.66 MB),
@@ -193,7 +194,13 @@ class FeModel:
         # 2 * min(nx, ny) + 5 positions apart, the factorization's band
         grid = ids[1:-1, 1:-1]
         perm = (grid.transpose(1, 0, 2) if mesh.nx >= mesh.ny else grid).ravel()
-        self._order = BandOrder(perm[perm >= 0])
+        self._perm = perm[perm >= 0]
+
+    @cached_property
+    def plan(self) -> BandPlan:
+        """The pattern's band plan in the sweep order, built on first use
+        so that making a model stays cheap."""
+        return BandPlan.build(self._indptr, self._indices, self._perm)
 
     # -- kinematics ------------------------------------------------------
     def _gradients(self, u_e: np.ndarray) -> np.ndarray:
@@ -295,7 +302,7 @@ class FeModel:
                            minlength=self._n_upper + 1)[:-1]
         data[self._diag] += self.spring_free
         return SparseSym(self.mesh.n_free, self._indptr, self._indices,
-                         data[self._mirror], self._order)
+                         data[self._mirror], self.plan)
 
     # -- small-strain variant ----------------------------------------------
     @cached_property

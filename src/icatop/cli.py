@@ -31,7 +31,7 @@ HISTORY_COLUMNS = [
 # options of ``run`` that a config file may set too: key -> flag settings;
 # the flag is --key with dashes, and a file value obeys the flag's rules
 RUN_OPTIONS = {
-    "problem": {"choices": ["cantilever", "slender", "inverter", "gripper"]},
+    "problem": {"choices": list(bench.BUILDERS)},
     "mesh": {"help": "WxH element counts, e.g. 60x15"},
     "strategy": {"choices": [m.value for m in Strategy]},
     "budget": {"type": int},
@@ -71,8 +71,12 @@ REPORT_KEYS = {
                 and all(_is_number(t) for t in v.values()),
                 "an object of numbers"),
 }
-# read when present: reports from before the guard's refresh lack it
-OPTIONAL_KEYS = {"guard_refreshes": (_is_number_or_null, "a number or null")}
+# read when present: reports from before the guard's refresh lack the
+# first, and reports from before linear mode the second (read as False)
+OPTIONAL_KEYS = {
+    "guard_refreshes": (_is_number_or_null, "a number or null"),
+    "linear": (lambda v: isinstance(v, bool), "true or false"),
+}
 # rows of ``compare`` above the timings, in order
 COUNT_ROWS = {
     "Final F": lambda r: r["final_objective"],
@@ -284,10 +288,11 @@ def compare_command(args) -> int:
     if len(reports) < 2:
         print("error: compare needs at least two reports", file=sys.stderr)
         return 2
-    keys = {(r["problem"], tuple(r["mesh"])) for r in reports}
+    keys = {(r["problem"], tuple(r["mesh"]), r.get("linear", False))
+            for r in reports}
     if len(keys) != 1:
-        print(f"error: reports mix problems/meshes: {sorted(keys)}",
-              file=sys.stderr)
+        print(f"error: reports mix problems/meshes/linear modes: "
+              f"{sorted(keys)}", file=sys.stderr)
         return 2
     print(format_comparison(reports))
     return 0
@@ -313,6 +318,8 @@ def format_comparison(reports) -> str:
     width = max(22, *(len(n) + 10 for n in names))
     lines = []
     problem = f"{base['problem']} {base['mesh'][0]}x{base['mesh'][1]}"
+    if base.get("linear", False):
+        problem += " (linear)"
     lines.append(problem)
     lines.append("-" * (24 + width * len(reports)))
     header = f"{'':24}" + "".join(f"{n:>{width}}" for n in names)

@@ -127,11 +127,10 @@ class ReanalysisContext:
 
     def solve_held(self, b: np.ndarray) -> np.ndarray:
         """Solve with the held factor inside a sweep, demoting it to float32
-        first if the context sweeps in single precision.  The demoted factor
-        replaces the float64 one in the same buffer; the count of
-        factorizations does not move."""
+        in place first if the context sweeps in single precision; the count
+        of factorizations does not move."""
         if self.single_sweeps and not self.factorization.single:
-            self.factorization = self.factorization.demoted()
+            self.factorization.demote()
         return self.factorization.solve(b)
 
 

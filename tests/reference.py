@@ -14,13 +14,14 @@ offset by offset.  The reanalysis sweep's reference is the
 combined-approximation iteration in its delta form, s_{k+1} = s_0 - B s_k.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
 from icatop.errors import NonPositiveJacobianError
 from icatop.filtering import _kernel_weight
 from icatop.material import MaterialParams, gauss_shape_gradients
-from icatop.sparse import SparseSym
 
 
 def _as_batch(F):
@@ -208,7 +209,7 @@ def delta_form_iterates(ctx, K0, rhs, k_max):
     """Iterates s_0 .. s_{k_max} of s_{k+1} = s_0 - K0^{-1} dK s_k with
     s_0 = K0^{-1} rhs, through the context's held factor of ``K0`` and
     dK = Kcur - K0 on the shared pattern."""
-    dK = SparseSym(K0.n, K0.indptr, K0.indices, ctx.Kcur.data - K0.data)
+    dK = replace(K0, data=ctx.Kcur.data - K0.data)
     solve = ctx.factorization.solve
     s_tilde = solve(rhs)
     iterates = [s_tilde]

@@ -8,6 +8,7 @@ criteria through a session fixture.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,8 +133,7 @@ def test_criterion_3_ica_contraction():
                                      compute_uv=False)[0]
         Kcd = K0d + dK
         K0 = SparseSym.from_dense(K0d)
-        Kc = SparseSym(n, K0.indptr, K0.indices,
-                       SparseSym.from_dense(Kcd).data)
+        Kc = replace(K0, data=SparseSym.from_dense(Kcd).data)
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         normB = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
@@ -331,8 +331,7 @@ def test_criterion_11_normB_diagnostic():
         dK *= rng.uniform(0.1, 2.0) / np.linalg.svd(
             np.linalg.solve(K0d, dK), compute_uv=False)[0]
         K0 = SparseSym.from_dense(K0d)
-        Kc = SparseSym(n, K0.indptr, K0.indices,
-                       SparseSym.from_dense(K0d + dK).data)
+        Kc = replace(K0, data=SparseSym.from_dense(K0d + dK).data)
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         truth = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]

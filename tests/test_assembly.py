@@ -13,6 +13,7 @@ from icatop.assembly import FeModel
 from icatop.errors import NonPositiveJacobianError
 from icatop.material import MaterialParams, gauss_shape_gradients
 from icatop.mesh import LoadCase, build_grid, fix_region
+from icatop.sparse import BandPlan
 from reference import (deformation_gradient, element_internal_force,
                        element_tangent, energy_many, potential_energy,
                        small_strain_stiffness)
@@ -142,7 +143,7 @@ def assert_pattern_matches_full_keys(model):
     node, comp = np.divmod(mesh.free, 2)
     iy, ix = np.divmod(node, mesh.nx + 1)
     keys = (comp, iy, ix) if mesh.nx >= mesh.ny else (comp, ix, iy)
-    assert np.array_equal(model._order.perm, np.lexsort(keys))
+    assert np.array_equal(model.plan.perm, np.lexsort(keys))
     # values: a dense scatter of the element entries, then the springs
     ke = np.zeros((mesh.n_el, 8, 8))
     ke[:, assembly._UPPER[0], assembly._UPPER[1]] = \
@@ -181,6 +182,17 @@ def test_model_build_peaks_small():
     finally:
         tracemalloc.stop()
     assert peak - base < 26 * 2 ** 20
+
+
+def test_every_tangent_carries_the_models_plan(cantilever_model):
+    model = cantilever_model
+    assert "plan" not in vars(model)        # built on first assembly
+    rho, u = random_positive_state(model)
+    tangents = [model.tangent(rho, 3.0, rest_state(model)),
+                model.tangent(rho, 3.0, model.state(u)),
+                model.linear_tangent(rho, 1.0)]
+    assert all(K.plan is model.plan for K in tangents)
+    assert model.plan.n == model.mesh.n_free
 
 
 class TestGlobalAssembly:

@@ -471,6 +471,7 @@ class TestCompare:
         ("final_objective", "x",
          'final_objective must be a number or null, got "x"'),
         ("strategy", 3, "strategy must be a string, got 3"),
+        ("linear", "yes", 'linear must be true or false, got "yes"'),
     ])
     def test_wrong_typed_report_rejected(self, report, tmp_path, capsys,
                                          key, value, flaw):
@@ -480,6 +481,26 @@ class TestCompare:
         assert main(["compare", str(report), str(bad)]) == 2
         assert f"error: {bad}: not a run report: {flaw}" \
             in capsys.readouterr().err
+
+    def test_linear_and_nonlinear_reports_rejected(self, report, tmp_path,
+                                                   capsys):
+        # same problem, mesh and strategy, solved under the two models
+        out = tmp_path / "linear"
+        main(["run", "--out", str(out), "--problem", "cantilever",
+              "--mesh", "12x4", "--strategy", "N", "--budget", "1",
+              "--linear"])
+        linear = out / "report.json"
+        assert main(["compare", str(report), str(linear)]) == 2
+        assert "error: reports mix" in capsys.readouterr().err
+        assert main(["compare", str(linear), str(linear)]) == 0
+        assert "cantilever 12x4 (linear)" in capsys.readouterr().out
+        # a report from before linear mode reads as nonlinear
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({
+            key: value for key, value in json.loads(report.read_text()).items()
+            if key != "linear"}))
+        assert main(["compare", str(report), str(older)]) == 0
+        assert main(["compare", str(linear), str(older)]) == 2
 
     def test_aborted_report_compares(self, report, tmp_path, capsys):
         # an aborted run's report holds a null final objective

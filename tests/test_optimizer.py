@@ -11,6 +11,7 @@ from icatop.errors import InfeasibleSubproblemError
 from icatop.nonlinear import Strategy, predicted_factorizations
 from icatop.optimizer import (HARD_CAP, OptimizerConfig, optimize,
                               projected_gradient_norm, slp_subproblem)
+from icatop.sparse import BandPlan
 
 
 def knapsack_oracle(grad, rho, move, bounds, v, Vstar):
@@ -284,6 +285,21 @@ class TestOptimizeLoop:
                      "fallbacks", "guard_refreshes", "objective",
                      "residual_inf"):
             assert getattr(first, name) == getattr(second, name), name
+
+    def test_desk_run_builds_one_plan(self, monkeypatch):
+        # every tangent and factorization of the run reads the one plan
+        # the model built on its first assembly
+        builds, real = [], BandPlan.build.__func__
+
+        def build(cls, *args):
+            builds.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(BandPlan, "build", classmethod(build))
+        h = optimize(bench.desk("cantilever"),
+                     OptimizerConfig(strategy=Strategy.UPK03K100G, budget=12))
+        assert not h.aborted and h.total("factorizations") > 1
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
     def test_factorizations_are_policy_plus_fallbacks(self, problem):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def make_pair(rng, n, target_normB, diag_shift=None):
     nb = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
     dK *= target_normB / nb
     K0 = SparseSym.from_dense(K0d)
-    Kc = SparseSym(n, K0.indptr, K0.indices, SparseSym.from_dense(K0d + dK).data)
+    Kc = replace(K0, data=SparseSym.from_dense(K0d + dK).data)
     return K0, Kc, K0d, K0d + dK
 
 
@@ -102,7 +103,7 @@ class TestIcaSolve:
     def test_divergent_flagged_within_budget(self):
         rng = np.random.default_rng(4)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 2.0, 15)))
-        Kc = SparseSym(15, K0.indptr, K0.indices, 2.5 * K0.data)  # B = 1.5 I
+        Kc = replace(K0, data=2.5 * K0.data)  # B = 1.5 I
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         s, rep = ica_solve(ctx, rng.standard_normal(15), eps=1e-2)
@@ -142,7 +143,7 @@ class TestIcaSolve:
         rng = np.random.default_rng(12)
         if diverging:
             K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 2.0, 30)))
-            Kc = SparseSym(30, K0.indptr, K0.indices, 2.5 * K0.data)
+            Kc = replace(K0, data=2.5 * K0.data)
         else:
             K0, Kc, _, _ = make_pair(rng, 30, 0.9)
         ctx = ReanalysisContext(K0)
@@ -225,7 +226,7 @@ class TestNormB:
         rng = np.random.default_rng(12)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 4.0, 16)))
         for alpha in (0.37, 1.8):
-            Kc = SparseSym(16, K0.indptr, K0.indices, (1.0 + alpha) * K0.data)
+            Kc = replace(K0, data=(1.0 + alpha) * K0.data)
             ctx = ReanalysisContext(K0)
             ctx.refresh(Kc)
             assert estimate_norm_B(ctx) == pytest.approx(alpha, rel=1e-12)
@@ -259,7 +260,7 @@ def test_failed_reference_leaves_the_context_empty():
     K0, Kc, _, _ = make_pair(rng, 10, 0.3)
     ctx = ReanalysisContext(K0)
     ctx.counts["newton_iters"] = 4
-    bad = SparseSym(10, K0.indptr, K0.indices, np.full_like(K0.data, np.nan))
+    bad = replace(K0, data=np.full_like(K0.data, np.nan))
     with pytest.raises(SingularMatrixError):
         ctx.set_reference(bad)
     assert (ctx.Kcur, ctx.factorization) == (None, None)

@@ -42,13 +42,13 @@ def holed_cantilever():
 class CountDemotions:
     def __init__(self, monkeypatch):
         self.calls = 0
-        real = sparse.Factorization.demoted
+        real = sparse.Factorization.demote
 
-        def demoted(fact):
+        def demote(fact):
             self.calls += 1
-            return real(fact)
+            real(fact)
 
-        monkeypatch.setattr(sparse.Factorization, "demoted", demoted)
+        monkeypatch.setattr(sparse.Factorization, "demote", demote)
 
 
 class TestSingleSweeps:
@@ -114,19 +114,21 @@ class TestDemotion:
         rng = np.random.default_rng(24)
         K0, Kc, _, _ = make_pair(rng, 25, 0.4)
         ctx = ReanalysisContext(K0, single_sweeps=True)
-        old = ctx.factorization
-        band = old._lu.ab
-        assert not old.single and count.calls == 0
+        factored = ctx.factorization
+        band = factored._lu.ab
+        assert not factored.single and count.calls == 0
         ctx.refresh(Kc)
         for _ in range(3):
             ica_solve(ctx, rng.standard_normal(25), eps=1e-10)
         assert count.calls == 1 and ctx.counts["factorizations"] == 1
-        held = ctx.factorization
-        assert held is not old and held.single
-        # the float32 band lives in the float64 band's buffer
-        assert np.shares_memory(held._lu.ab, band)
-        with pytest.raises(RuntimeError, match="demoted"):
-            old.solve(np.ones(25))
+        # the factored object itself turned float32, in its own buffer
+        assert ctx.factorization is factored and factored.single
+        assert factored._lu.ab.dtype == np.float32
+        assert np.shares_memory(factored._lu.ab, band)
+        b = rng.standard_normal(25)
+        assert factored._lu.solve(b.copy()).dtype == np.float32
+        err = np.abs(K0.matvec(factored.solve(b)) - b).max() / np.abs(b).max()
+        assert 1e-12 < err < 1e-4
         # a new reference is float64 until its own first sweep
         ctx.set_reference(Kc)
         assert not ctx.factorization.single and count.calls == 1
@@ -223,9 +225,9 @@ def test_demotion_allocates_no_second_band():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        single = fact.demoted()
+        fact.demote()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert single.single
+    assert fact.single
     assert peak - base < 2 ** 20

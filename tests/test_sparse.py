@@ -3,13 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import make_cantilever_model, rest_state
 from icatop.errors import SingularMatrixError
-from icatop.sparse import (BandOrder, Factorization, SparseSym, delta_apply,
-                           ldlt_factor)
+from icatop.sparse import BandPlan, SparseSym, delta_apply, ldlt_factor
 
 
 def random_spd(rng, n):
@@ -36,7 +34,7 @@ def test_spd_against_dense_cholesky():
 def test_indefinite_diagonal():
     # diag(1, -1) embedded in a full pattern
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
-    K = SparseSym.from_csr(sp.csr_matrix(A))
+    K = SparseSym.from_dense(A)
     F = ldlt_factor(K)
     b = np.array([2.0, 3.0])
     assert np.allclose(F.solve(b), [2.0, -3.0], rtol=1e-14)
@@ -75,9 +73,9 @@ def test_ordering_invariance():
     K = SparseSym.from_dense(A)
     b = rng.standard_normal(25)
     x_nat = ldlt_factor(K).solve(b)
-    for order in (BandOrder(np.arange(25)), BandOrder(rng.permutation(25))):
-        x = ldlt_factor(SparseSym(25, K.indptr, K.indices, K.data,
-                                  order)).solve(b)
+    for perm in (np.arange(25), rng.permutation(25)):
+        plan = BandPlan.build(K.indptr, K.indices, perm)
+        x = ldlt_factor(replace(K, plan=plan)).solve(b)
         assert np.abs(x - x_nat).max() <= 1e-12 * max(1.0, np.abs(x_nat).max())
 
 
@@ -91,8 +89,9 @@ def test_repeated_solves_bitwise_identical():
 
 def test_singular_matrix_raises():
     # third pivot structurally present but exactly zero
-    K = SparseSym.from_csr(sp.csr_matrix(
-        ([1.0, 1.0, 0.0], ([0, 1, 2], [0, 1, 2])), shape=(3, 3)))
+    diag = np.arange(3)
+    K = SparseSym(3, np.arange(4), diag, np.array([1.0, 1.0, 0.0]),
+                  BandPlan.build(np.arange(4), diag, diag))
     with pytest.raises(SingularMatrixError):
         ldlt_factor(K)
 
@@ -127,7 +126,7 @@ class TestFeModelTangents:
     def test_band_within_sweep_bound(self, nx, ny):
         K = self.tangent(nx, ny)
         pos = np.empty(K.n, dtype=int)
-        pos[K.order.perm] = np.arange(K.n)
+        pos[K.plan.perm] = np.arange(K.n)
         rows = np.repeat(np.arange(K.n), np.diff(K.indptr))
         band = np.abs(pos[rows] - pos[K.indices]).max()
         assert band <= 2 * min(nx, ny) + 5
@@ -154,6 +153,13 @@ class TestFeModelTangents:
             ldlt_factor(replace(K, data=K.data.copy())).solve(b).tobytes()
 
 
+def test_plan_of_another_size_rejected():
+    K = SparseSym.from_dense(np.eye(4))
+    other = SparseSym.from_dense(np.eye(5)).plan
+    with pytest.raises(ValueError, match="plan"):
+        replace(K, plan=other)
+
+
 def test_dimension_mismatch():
     K = SparseSym.from_dense(np.eye(4))
     F = ldlt_factor(K)
@@ -171,8 +177,7 @@ class TestDeltaApply:
         self.rng = rng
 
     def _with_values(self, dense):
-        return SparseSym(15, self.K_old.indptr, self.K_old.indices,
-                         SparseSym.from_dense(dense).data)
+        return replace(self.K_old, data=SparseSym.from_dense(dense).data)
 
     def _minus_old(self, K_new):
         """K_new - K_old on the shared pattern."""
@@ -193,8 +198,7 @@ class TestDeltaApply:
             1e-13 * max(1.0, np.abs(direct).max())
 
     def test_double_matrix(self):
-        K_new = SparseSym(15, self.K_old.indptr, self.K_old.indices,
-                          2.0 * self.K_old.data)
+        K_new = replace(self.K_old, data=2.0 * self.K_old.data)
         v = self.rng.standard_normal(15)
         assert np.allclose(delta_apply(self._minus_old(K_new), v),
                            self.K_old.matvec(v), rtol=1e-14)
