@@ -37,7 +37,8 @@ print("much factorization work they spend getting there")
 
 history = optimize(problem, OptimizerConfig(strategy=Strategy.UPK03K100G,
                                             budget=budget))
-policy = predicted_factorizations(Strategy.UPK03K100G, history.newton_iters)
+policy = predicted_factorizations(Strategy.UPK03K100G, history.newton_iters,
+                                  history.accepted)
 print(f"\nupK03K100g policy alone would factor {policy} times; the measured "
       f"{history.total('factorizations')} adds one safeguard refactorization "
       f"per fallback ({history.total('fallbacks')}), triggered when the held "

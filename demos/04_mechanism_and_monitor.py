@@ -30,14 +30,15 @@ for i in range(0, history.iterations, 3):
 traced = [b for b in history.max_normB if b is not None]
 if traced:
     above = np.mean(np.array(traced) > 1.0)
+    accepted = [r for r, ok in zip(history.residual_inf, history.accepted)
+                if ok]
     print(f"\ndrift norm exceeded 1 on {above:.0%} of the monitored solves; "
-          f"max residual of any accepted equilibrium: "
-          f"{max(history.residual_inf):.1e}")
+          f"max residual of any accepted equilibrium: {max(accepted):.1e}")
 
 config = OptimizerConfig(strategy=Strategy.UPK03K100G, budget=2000,
                          converge_tol=1e-3)
 history = optimize(problem, config)
 print(f"\nstationarity mode: stopped after {history.iterations} iterations "
-      f"with projected-gradient norm {history.gp_norm[-1]:.2e} "
+      f"with projected-gradient norm {history.final('gp_norm'):.2e} "
       f"(converged = {history.converged})")
 print(f"output displacement reached: {-history.final_objective:.4f}")

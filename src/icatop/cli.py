@@ -1,9 +1,10 @@
 """Batch experiment runner.
 
 ``icatop run`` executes one optimization and writes report.json,
-history.csv, density.pgm, and (with --monitor-normB) normB.csv into the
-output directory.  ``icatop compare`` tabulates several reports of the
-same problem side by side with percentage deltas against the first.
+history.csv and density.pgm into the output directory; --monitor-normB
+fills history.csv's max_normB column.  ``icatop compare`` tabulates
+several reports of the same problem side by side with percentage deltas
+against the first.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .reanalysis import REASONS
 from .timing import CATEGORIES
 
 HISTORY_COLUMNS = [
-    "iteration", "objective", "newton_iters", "factorizations", "ica_iters",
-    "fallbacks", *REASONS, "gp_norm_inf", "penalty", "volume", "max_normB",
+    "iteration", "accepted", "move_limit", "objective", "newton_iters",
+    "factorizations", "ica_iters", "fallbacks", *REASONS, "gp_norm_inf",
+    "penalty", "volume", "max_normB",
 ] + list(CATEGORIES)
 
 # options of ``run`` that a config file may set too: key -> flag settings;
@@ -72,10 +74,12 @@ REPORT_KEYS = {
                 "an object of numbers"),
 }
 # read when present: reports from before the guard's refresh lack the
-# first, and reports from before linear mode the second (read as False)
+# first, reports from before linear mode the second (read as False), and
+# reports from before the acceptance rule the third
 OPTIONAL_KEYS = {
     "guard_refreshes": (_is_number_or_null, "a number or null"),
     "linear": (lambda v: isinstance(v, bool), "true or false"),
+    "rejected_steps": (_is_number, "a number"),
 }
 # rows of ``compare`` above the timings, in order
 COUNT_ROWS = {
@@ -85,6 +89,7 @@ COUNT_ROWS = {
     "Factorizations": lambda r: r["factorizations"],
     "Fallbacks": lambda r: r["fallbacks"],
     "Guard refreshes": lambda r: r.get("guard_refreshes"),
+    "Rejected steps": lambda r: r.get("rejected_steps"),
 }
 
 
@@ -189,8 +194,6 @@ def run_command(args) -> int:
     write_history_csv(out / "history.csv", history)
     write_density_pgm(out / "density.pgm", history.rho_phys,
                       problem.mesh.nx, problem.mesh.ny, RHO_MIN)
-    if config.monitor_normB:
-        write_normB_csv(out / "normB.csv", history)
 
     if history.aborted:
         print("solver aborted; partial artifacts written", file=sys.stderr)
@@ -203,6 +206,9 @@ def run_command(args) -> int:
 
 def write_report(path: Path, problem, config: OptimizerConfig,
                  history: RunHistory) -> None:
+    def final(name):    # an aborted run may have no row
+        return history.final(name) if history.objective else None
+
     report = {
         "problem": problem.name,
         "mesh": [problem.mesh.nx, problem.mesh.ny],
@@ -214,16 +220,17 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "move_limit": config.move_limit,
         "filter_kernel": config.filter_kernel,
         "filter_radius_elements": problem.filter_radius_elements,
-        "final_objective": history.final_objective if history.objective else None,
+        "final_objective": final("objective"),
         "outer_iterations": history.iterations,
+        "rejected_steps": history.accepted.count(False),
         "newton_iterations": history.total("newton_iters"),
         "factorizations": history.total("factorizations"),
         "ica_iterations": history.total("ica_iters"),
         "fallbacks": history.total("fallbacks"),
         **{name: history.total(name) for name in REASONS},
-        "final_gp_norm": history.gp_norm[-1] if history.gp_norm else None,
-        "final_volume": history.volume[-1] if history.volume else None,
-        "final_penalty": history.penalty[-1] if history.penalty else None,
+        "final_gp_norm": final("gp_norm"),
+        "final_volume": final("volume"),
+        "final_penalty": final("penalty"),
         "converged": history.converged,
         "aborted": history.aborted,
         "timings": {name: history.timing_table.get(name, 0.0)
@@ -240,13 +247,15 @@ def write_history_csv(path: Path, history: RunHistory) -> None:
             times = history.times[i]
             writer.writerow([
                 i + 1,
+                int(history.accepted[i]),
+                repr(history.move_limit[i]),
                 repr(history.objective[i]),
                 history.newton_iters[i],
                 history.factorizations[i],
                 history.ica_iters[i],
                 history.fallbacks[i],
                 *(getattr(history, name)[i] for name in REASONS),
-                repr(history.gp_norm[i]),
+                "" if history.gp_norm[i] is None else repr(history.gp_norm[i]),
                 history.penalty[i],
                 repr(history.volume[i]),
                 "" if history.max_normB[i] is None else repr(history.max_normB[i]),
@@ -262,14 +271,6 @@ def write_density_pgm(path: Path, rho_phys, nx: int, ny: int,
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
-
-
-def write_normB_csv(path: Path, history: RunHistory) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "max_normB"])
-        for i, value in enumerate(history.max_normB, 1):
-            writer.writerow([i, "" if value is None else repr(value)])
 
 
 def compare_command(args) -> int:

@@ -108,13 +108,9 @@ class ReusePolicy:
         reason is None when the strategy's schedule predicts the action."""
         s = self.strategy
         if (s.refactor_every_newton_iter or self.outer_iter <= FULL_NEWTON_UNTIL
-                or not ctx.initialized):
+                or not ctx.initialized
+                or (it == 0 and self.outer_iter % s.refactor_outer_period == 0)):
             return Action.REFACTOR, None
-        if it == 0 and self.outer_iter % s.refactor_outer_period == 0:
-            # a retried outer iteration made this refactor on its first try
-            again = ctx.refactored_outer == self.outer_iter
-            ctx.refactored_outer = self.outer_iter
-            return Action.REFACTOR, "retry_fallbacks" if again else None
         if s.refresh_period is None:
             return Action.HOLD, None
         fresh = ctx.counts["newton_iters"] % s.refresh_period == 0
@@ -167,24 +163,26 @@ def armijo_linesearch(merit_fn, merit0: float, slope: float, c1: float = 1e-4,
     return None, None, max_backtracks
 
 
-def predicted_factorizations(strategy: Strategy, newton_iters_per_outer) -> int:
+def predicted_factorizations(strategy: Strategy, newton_iters_per_outer,
+                             accepted) -> int:
     """Closed-form factorization count of a zero-fallback run.
 
     Follows ReusePolicy: exact Newton factors once per Newton iteration,
     the reuse strategies once per equilibrium solve that iterates at all
     (every third outer iteration for the sparsest policy), plus one direct
-    adjoint factorization per objective evaluation for strategies without
-    the iterative adjoint solve.  Every fallback adds exactly one
-    factorization to this count.
+    adjoint factorization per accepted outer iteration for strategies
+    without the iterative adjoint solve; ``accepted`` holds one flag per
+    outer iteration, and a rejected one forms no adjoint.  Every fallback
+    adds exactly one factorization to this count.
     """
     total = 0
-    for outer, iters in enumerate(newton_iters_per_outer, start=1):
+    for outer, (iters, ok) in enumerate(
+            zip(newton_iters_per_outer, accepted, strict=True), start=1):
         if outer <= FULL_NEWTON_UNTIL or strategy.refactor_every_newton_iter:
             total += iters
         elif iters >= 1 and outer % strategy.refactor_outer_period == 0:
             total += 1
-    if not strategy.adjoint_uses_ica:
-        total += len(newton_iters_per_outer)
+        total += ok and not strategy.adjoint_uses_ica
     return total
 
 
@@ -261,7 +259,7 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
         if accepted is None:
             raise NewtonConvergenceError(
                 f"line search failed at Newton iteration {it}", stats)
-        state.tangents = None   # the caller may hold it for a retry
+        state.tangents = None   # a row after a rejected one forms them again
         state, r_new = accepted
         policy.observe(exact, np.abs(r_new).max()
                        / max(np.abs(r).max(), 1e-300))

@@ -1,9 +1,15 @@
 """Outer optimization loop: linearize, solve a box+volume LP, continue SIMP.
 
-Each outer iteration filters the design densities, solves the equilibrium
-problem (warm started), forms the adjoint gradient, and updates the design
-through an exact continuous-knapsack subproblem with move limits.  The
-subproblem's multiplier feeds the projected-gradient stationarity test.
+Each outer iteration (a row) filters the design densities and solves the
+equilibrium problem from the last accepted row's state.  The row is
+accepted when that equilibrium converged and F fell by at least ETA times
+-g.d, the reduction the last accepted row's LP step d predicted; the first
+row, a new penalty and a step at a move limit <= MOVE_FLOOR need no fall.
+An accepted row forms the adjoint gradient, doubles the move limit up to
+``move_limit`` and solves its LP; a rejected one halves the move limit and
+solves the last accepted row's LP again.  The LP is an exact
+continuous-knapsack subproblem with move limits; its multiplier feeds the
+projected-gradient stationarity test.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .assembly import FeModel
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
 from .filtering import build_filter
-from .nonlinear import Strategy, linear_equilibrium, newton_solve
+from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
 from .reanalysis import COUNTS, FALLBACKS, ReanalysisContext
 from .sensitivity import objective_gradient, solve_adjoint
 from .timing import Timers
@@ -25,17 +31,15 @@ from .timing import Timers
 P_INITIAL, P_STEP, P_EVERY, P_MAX = 1.0, 0.1, 10, 3.0
 RHO_MIN = 1e-3          # lower density bound of the design box
 HARD_CAP = 100000       # outer iterations in convergence mode without a budget
-# convergence mode damps the move limit when the objective fails to
-# decrease; a fixed move limit lets the bang-bang updates cycle forever
-MOVE_SHRINK, MOVE_GROW, MOVE_FLOOR = 0.5, 1.1, 1e-4
+ETA, MOVE_FLOOR = 0.01, 1e-4    # of the acceptance rule, see above
 
 
 @dataclass
 class OptimizerConfig:
     strategy: Strategy = Strategy.N
-    budget: int = 100                 # outer iterations with a design update
+    budget: int = 100     # rows after the first, rejected rows included
     converge_tol: float = None        # if set, stop on the stationarity test
-    move_limit: float = 0.05
+    move_limit: float = 0.05          # the largest move limit of a step
     filter_kernel: str = "cone"
     monitor_normB: bool = False
 
@@ -152,10 +156,11 @@ class RunHistory:
     step_fallbacks: list = field(default_factory=list)
     linesearch_fallbacks: list = field(default_factory=list)
     adjoint_fallbacks: list = field(default_factory=list)
-    retry_fallbacks: list = field(default_factory=list)
     guard_refreshes: list = field(default_factory=list)
-    residual_inf: list = field(default_factory=list)
-    gp_norm: list = field(default_factory=list)
+    residual_inf: list = field(default_factory=list)    # NaN: failed solve
+    gp_norm: list = field(default_factory=list)         # None: rejected row
+    accepted: list = field(default_factory=list)
+    move_limit: list = field(default_factory=list)  # of the row's LP step
     penalty: list = field(default_factory=list)
     volume: list = field(default_factory=list)
     max_normB: list = field(default_factory=list)
@@ -170,9 +175,13 @@ class RunHistory:
     def iterations(self) -> int:
         return len(self.objective)
 
+    def final(self, name: str):
+        """Column ``name`` on the last accepted row."""
+        return getattr(self, name)[-1 - self.accepted[::-1].index(True)]
+
     @property
     def final_objective(self) -> float:
-        return self.objective[-1]
+        return self.final("objective")
 
     def total(self, name: str) -> int:
         return int(sum(getattr(self, name)))
@@ -183,10 +192,13 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
     ``problem`` carries the mesh, loads, material, volume fraction, filter
     radius, and objective selector (see the problem builders).  With a
-    budget of B, the objective is evaluated B+1 times and the design updated
-    B times; in convergence mode the loop stops once the projected-gradient
-    norm falls below the tolerance.  Raises ValueError up front when the
-    mesh leaves no free DOF.
+    budget of B, the loop makes B+1 rows, rejected ones included; in
+    convergence mode it stops once an accepted row's projected-gradient
+    norm falls below the tolerance.  The run returns the last accepted
+    design.  A failed equilibrium aborts the run on the first row or at a
+    move limit <= MOVE_FLOOR, as does a singular factorization or a
+    non-finite gradient.  Raises ValueError up front when the mesh leaves
+    no free DOF.
     """
     problem.require_free_dofs()
     mesh = problem.mesh
@@ -205,17 +217,15 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     timers = ctx.timers
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
 
-    move = config.move_limit
-    retried = False
-    prev = None     # (rho_design, grad_design) of the last accepted iterate
-    max_outer = config.max_outer()
+    # the last accepted row: its design, design gradient, objective and
+    # penalty; ``state`` is its equilibrium
+    rho_acc, grad_acc, F_acc, p_acc = rho_design, None, None, None
+    move = config.move_limit    # of the LP step that made rho_design
+    pred = 0.0                  # -g.d of the last accepted row's LP step
 
-    t = 0
-    while t < max_outer + 1:
-        t += 1
+    for t in range(1, config.max_outer() + 2):
         p = config.penalty_at(t)
-        if not retried:     # a retried row books its failed attempt too
-            before, booked = timers.table(), ctx.counts.copy()
+        before, booked = timers.table(), ctx.counts.copy()
 
         with timers.scope("Filtering"):
             rho_phys = filt.apply(rho_design)
@@ -227,43 +237,43 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 new, nstats = newton_solve(
                     model, rho_phys, p, state, config.strategy, ctx, t,
                     monitor_normB=config.monitor_normB)
+            F = float(l_free @ new.u)
         except SingularMatrixError:
-            return _aborted(history, rho_design, filt, timers)
+            return _aborted(history, rho_acc, filt, timers)
         except NewtonConvergenceError:
-            if retried or prev is None:
-                return _aborted(history, rho_design, filt, timers)
-            # back off once: halve the move limit and redo the last update
-            retried = True
-            move *= 0.5
-            rho_prev, grad_prev = prev
-            sub = slp_subproblem(grad_prev, rho_prev, move, bounds, v_eff, Vstar)
-            rho_design = sub.rho_new
-            t -= 1
-            continue
+            if grad_acc is None or move <= MOVE_FLOOR:
+                return _aborted(history, rho_acc, filt, timers)
+            new, nstats, F = None, NewtonStats(residual_inf=np.nan), np.nan
 
-        F = float(l_free @ new.u)
-
-        if problem.linear:
-            # the equilibrium factorization serves the adjoint as well
-            with timers.scope("Linear systems"):
-                lam = ctx.factorization.solve(-l_free)
+        accepted = new is not None and (
+            grad_acc is None or p != p_acc or move <= MOVE_FLOOR
+            or F_acc - F >= ETA * pred)
+        if accepted:
+            if problem.linear:
+                # the equilibrium factorization serves the adjoint as well
+                with timers.scope("Linear systems"):
+                    lam = ctx.factorization.solve(-l_free)
+            else:
+                try:
+                    lam = solve_adjoint(model, rho_phys, p, new, l_free,
+                                        config.strategy, ctx)
+                except SingularMatrixError:
+                    return _aborted(history, rho_acc, filt, timers)
+            with timers.scope("grad F(rho)"):
+                grad_phys = objective_gradient(model, rho_phys, p, new, lam)
+                grad_design = filt.backpropagate(grad_phys)
+            if not np.isfinite(grad_design).all():
+                return _aborted(history, rho_acc, filt, timers)
+            rho_acc, grad_acc, F_acc, p_acc = rho_design, grad_design, F, p
+            state = new     # its forces and tangents start the next row
+            step = min(config.move_limit, 2.0 * move)
         else:
-            try:
-                lam = solve_adjoint(model, rho_phys, p, new, l_free,
-                                    config.strategy, ctx)
-            except SingularMatrixError:
-                return _aborted(history, rho_design, filt, timers)
-        with timers.scope("grad F(rho)"):
-            grad_phys = objective_gradient(model, rho_phys, p, new, lam)
-            grad_design = filt.backpropagate(grad_phys)
-        if not np.isfinite(grad_design).all():
-            return _aborted(history, rho_design, filt, timers)
+            step = 0.5 * move
 
         with timers.scope("Subproblem solving"):
-            sub = slp_subproblem(grad_design, rho_design, move, bounds,
-                                 v_eff, Vstar)
-        gp = projected_gradient_norm(rho_design, grad_design, sub.theta,
-                                     bounds, v_eff)
+            sub = slp_subproblem(grad_acc, rho_acc, step, bounds, v_eff, Vstar)
+        gp = projected_gradient_norm(rho_acc, grad_acc, sub.theta, bounds,
+                                     v_eff) if accepted else None
 
         row = ctx.counts - booked
         history.objective.append(F)
@@ -272,30 +282,22 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
         history.fallbacks.append(sum(row[name] for name in FALLBACKS))
         history.residual_inf.append(nstats.residual_inf)
         history.gp_norm.append(gp)
+        history.accepted.append(accepted)
+        history.move_limit.append(move)
         history.penalty.append(p)
         history.volume.append(float(v @ rho_phys))
         history.max_normB.append(nstats.max_normB)
         history.times.append(Timers.delta(timers.table(), before))
 
-        state = new     # its forces and tangents start the next row
-        if config.converge_tol is not None and gp < config.converge_tol:
+        if accepted and config.converge_tol is not None \
+                and gp < config.converge_tol:
             history.converged = True
             break
-        if t == max_outer + 1:
-            break
-        if config.converge_tol is not None and len(history.objective) >= 2:
-            if history.objective[-1] > history.objective[-2]:
-                move = max(MOVE_FLOOR, move * MOVE_SHRINK)
-                # redo the update from the current design with the tighter box
-                sub = slp_subproblem(grad_design, rho_design, move, bounds,
-                                     v_eff, Vstar)
-            else:
-                move = min(config.move_limit, move * MOVE_GROW)
-        prev = (rho_design.copy(), grad_design)
-        rho_design = sub.rho_new
-        retried = False
+        rho_design, move = sub.rho_new, step
+        if accepted:
+            pred = -float(grad_acc @ (rho_design - rho_acc))
 
-    return _finished(history, rho_design, filt, timers)
+    return _finished(history, rho_acc, filt, timers)
 
 
 def _finished(history: RunHistory, rho_design, filt, timers) -> RunHistory:
@@ -306,6 +308,6 @@ def _finished(history: RunHistory, rho_design, filt, timers) -> RunHistory:
 
 
 def _aborted(history: RunHistory, rho_design, filt, timers) -> RunHistory:
-    """Typed abort: the history so far, flagged, with the last design."""
+    """Typed abort: the history so far, flagged, and the accepted design."""
     history.aborted = True
     return _finished(history, rho_design, filt, timers)

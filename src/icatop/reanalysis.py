@@ -37,7 +37,7 @@ from .timing import Timers
 # reasons for work off the strategy's schedule, named as in the run
 # report: extra factorizations (fallbacks), then the guard's refresh
 FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
-             "adjoint_fallbacks", "retry_fallbacks")
+             "adjoint_fallbacks")
 REASONS = FALLBACKS + ("guard_refreshes",)
 # the ledger's keys, named as the history columns
 COUNTS = ("newton_iters", "factorizations", "ica_iters") + REASONS
@@ -69,15 +69,12 @@ class ReanalysisContext:
     ``counts`` books the work its callers report under the names in
     ``COUNTS``, and ``timers`` its seconds.  The given matrices are kept,
     not copied; nothing edits a tangent in place.  The Newton-iteration
-    count paces the refresh of ``Kcur``; ``refactored_outer`` is the outer
-    iteration of the last scheduled refactor, so that a retried one books
-    its second under ``retry_fallbacks``.  With ``single_sweeps`` the held
+    count paces the refresh of ``Kcur``.  With ``single_sweeps`` the held
     factor is demoted to float32 on its first sweep solve (``solve_held``).
     """
 
     def __init__(self, K: SparseSym = None, single_sweeps: bool = False):
         self.single_sweeps = single_sweeps
-        self.refactored_outer = None
         self.counts = Counter()
         self.timers = Timers()
         self.release()

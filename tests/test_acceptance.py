@@ -4,7 +4,8 @@ Each test prints one PASS line when its criterion holds; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  The strategy
 matrix (seven strategies on two desk problems, 100-iteration budget) is
 shared between the equivalence, accounting, economy, and feasibility
-criteria through a session fixture.
+criteria through a session fixture; the equivalence criterion also runs
+the desk gripper under N, upK100g and upK03K100g.
 """
 
 import time
@@ -205,8 +206,18 @@ def test_criterion_4_adjoint_gradient_fd():
                 f"{elapsed:.1f}s")
 
 
+def accepted_residuals(hist):
+    """The equilibrium residuals of the accepted rows."""
+    return [r for r, ok in zip(hist.residual_inf, hist.accepted) if ok]
+
+
 def test_criterion_5_strategy_equivalence(strategy_matrix):
     runs, elapsed = strategy_matrix
+    # the gripper's outer loop once took the strategies to finals 20x apart
+    prob = bench.desk("gripper")
+    runs = {**runs, "gripper": {
+        strat: optimize(prob, OptimizerConfig(strategy=strat, budget=100))
+        for strat in (Strategy.N, Strategy.UPK100G, Strategy.UPK03K100G)}}
     details = []
     for pname, by_strategy in runs.items():
         F_ref = by_strategy[Strategy.N].final_objective
@@ -214,7 +225,8 @@ def test_criterion_5_strategy_equivalence(strategy_matrix):
             assert not hist.aborted, (pname, strat)
             rel = abs(hist.final_objective - F_ref) / abs(F_ref)
             assert rel <= 0.005, (pname, strat.value, rel)
-            assert max(hist.residual_inf) <= 1e-5, (pname, strat.value)
+            assert max(accepted_residuals(hist)) <= 1e-5, \
+                (pname, strat.value)
         spread = max(abs(h.final_objective - F_ref) / abs(F_ref)
                      for h in by_strategy.values())
         details.append(f"{pname} spread {spread:.2e}")
@@ -227,7 +239,8 @@ def test_criterion_6_factorization_accounting(strategy_matrix):
     for pname, by_strategy in runs.items():
         for strat, hist in by_strategy.items():
             if hist.total("fallbacks") == 0:
-                predicted = predicted_factorizations(strat, hist.newton_iters)
+                predicted = predicted_factorizations(strat, hist.newton_iters,
+                                                     hist.accepted)
                 assert hist.total("factorizations") == predicted, \
                     (pname, strat.value, hist.total("factorizations"), predicted)
                 exact_checked += 1
@@ -238,7 +251,7 @@ def test_criterion_6_factorization_accounting(strategy_matrix):
         up = by_strategy[Strategy.UPK03K100G]
         bound = mn.total("factorizations") / 3.0 + 6.0
         policy_count = predicted_factorizations(Strategy.UPK03K100G,
-                                                up.newton_iters)
+                                                up.newton_iters, up.accepted)
         assert policy_count < bound, (pname, policy_count, bound)
         if up.total("fallbacks") == 0:
             assert up.total("factorizations") < bound
@@ -348,7 +361,7 @@ def test_criterion_11_normB_diagnostic():
         cfg = OptimizerConfig(strategy=strat, budget=40, monitor_normB=True)
         hist = optimize(prob, cfg)
         assert not hist.aborted
-        assert max(hist.residual_inf) <= 1e-5
+        assert max(accepted_residuals(hist)) <= 1e-5
         traced = [b for b in hist.max_normB if b is not None]
         assert traced, "monitor produced no estimates"
         assert np.isfinite(traced).all()

@@ -42,12 +42,12 @@ REPORT_KEYS = [
     "final_gp_norm", "final_objective", "final_penalty", "final_volume",
     "guard_fallbacks", "guard_refreshes", "ica_iterations", "linear",
     "linesearch_fallbacks", "mesh", "mode", "move_limit", "newton_iterations",
-    "outer_iterations", "problem", "retry_fallbacks", "step_fallbacks",
+    "outer_iterations", "problem", "rejected_steps", "step_fallbacks",
     "strategy", "timings"]
 HISTORY_HEADER = (
-    "iteration,objective,newton_iters,factorizations,ica_iters,fallbacks,"
-    "guard_fallbacks,step_fallbacks,linesearch_fallbacks,adjoint_fallbacks,"
-    "retry_fallbacks,guard_refreshes,gp_norm_inf,penalty,volume,max_normB,"
+    "iteration,accepted,move_limit,objective,newton_iters,factorizations,"
+    "ica_iters,fallbacks,guard_fallbacks,step_fallbacks,linesearch_fallbacks,"
+    "adjoint_fallbacks,guard_refreshes,gp_norm_inf,penalty,volume,max_normB,"
     "Total,F(rho),K_T,RHS,Factorizations,Linear systems,grad F(rho),"
     "Subproblem solving,Filtering,Other")
 
@@ -87,14 +87,16 @@ def test_pgm_format(tmp_path):
     assert img.min() >= 0 and img.max() <= 255
 
 
-def test_monitor_normb_artifact(tmp_path):
+def test_monitor_normb_column(tmp_path):
+    # the estimates of the reuse rows after the five exact-Newton rows
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
                         "--strategy", "upK100g", "--budget", "8",
                         "--monitor-normB")
     assert code == 0
-    lines = (out / "normB.csv").read_text().splitlines()
-    assert lines[0] == "iteration,max_normB"
-    assert len(lines) == 1 + 9
+    rows = read_history(out)
+    assert len(rows) == 9
+    assert [row["max_normB"] for row in rows[:5]] == [""] * 5
+    assert all(float(row["max_normB"]) >= 0.0 for row in rows[5:])
 
 
 def test_linear_flag(tmp_path):
@@ -285,7 +287,7 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
 
     def newton(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
         outer["t"] = outer_iter
-        if site == "residual" and outer_iter == 3:
+        if site == "residual" and outer_iter >= 3:
             rho = rho.copy()
             rho[0] = np.nan
         before = ctx.counts["factorizations"]
@@ -304,17 +306,21 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
     monkeypatch.setattr(optimizer, "newton_solve", newton)
     monkeypatch.setattr(optimizer, "objective_gradient", gradient)
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
-                        "--strategy", "N", "--budget", "5")
+                        "--strategy", "N", "--budget", "5",
+                        "--move-limit", "2e-4")
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["aborted"] is True
-    assert report["outer_iterations"] == 2
-    assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+    if site == "residual":
+        # a poisoned residual fails at once, before any factorization:
+        # row 3 is rejected, and row 4, stepped at MOVE_FLOOR, aborts
+        assert report["outer_iterations"] == 3 and failed == [0, 0]
+        assert report["rejected_steps"] == 1
+    else:
+        assert report["outer_iterations"] == 2 and not failed
+    assert len((out / "history.csv").read_text().splitlines()) \
+        == 1 + report["outer_iterations"]
     assert (out / "density.pgm").exists()
-    # a poisoned residual fails at once, before any factorization, both on
-    # the first attempt and on the retry with a halved move limit
-    expected = 2 if site == "residual" else 0
-    assert failed == [0] * expected
 
 
 def read_history(out):
@@ -351,10 +357,12 @@ def test_line_search_exhaustion(tmp_path, monkeypatch, strategy):
     rows = read_history(out)
     assert (out / "density.pgm").exists()
     if strategy == "N":
-        # the exact step has no rescue: a typed abort after the retry
-        assert code == 1 and report["aborted"] is True
-        assert report["outer_iterations"] == 2 == len(rows)
-        assert failed == [3, 3]
+        # the exact step has no rescue: the row is rejected, the run goes on
+        assert code == 0 and report["aborted"] is False
+        assert report["outer_iterations"] == 10 == len(rows)
+        assert failed == [3]
+        assert [row["accepted"] for row in rows[1:4]] == ["1", "0", "1"]
+        assert rows[2]["objective"] == "nan" and rows[2]["gp_norm_inf"] == ""
     else:
         # the exact step rescues the stale one; the run goes on
         assert code == 0 and report["aborted"] is False
@@ -472,6 +480,7 @@ class TestCompare:
          'final_objective must be a number or null, got "x"'),
         ("strategy", 3, "strategy must be a string, got 3"),
         ("linear", "yes", 'linear must be true or false, got "yes"'),
+        ("rejected_steps", None, "rejected_steps must be a number, got null"),
     ])
     def test_wrong_typed_report_rejected(self, report, tmp_path, capsys,
                                          key, value, flaw):
@@ -501,6 +510,18 @@ class TestCompare:
             if key != "linear"}))
         assert main(["compare", str(report), str(older)]) == 0
         assert main(["compare", str(linear), str(older)]) == 2
+
+    def test_report_without_rejected_steps_compares(self, report, tmp_path,
+                                                    capsys):
+        # a report from before the acceptance rule shows "-"
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({
+            key: value for key, value in json.loads(report.read_text()).items()
+            if key != "rejected_steps"}))
+        assert main(["compare", str(report), str(older)]) == 0
+        line, = (line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("Rejected steps"))
+        assert line.split()[2:] == ["0", "-"]
 
     def test_aborted_report_compares(self, report, tmp_path, capsys):
         # an aborted run's report holds a null final objective

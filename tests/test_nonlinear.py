@@ -364,24 +364,39 @@ class TestNewtonSolve:
 class TestFactorizationPrediction:
     def test_newton(self):
         iters = [5, 3, 2, 2, 2, 2, 1]
-        assert predicted_factorizations(Strategy.N, iters) == sum(iters) + len(iters)
+        assert predicted_factorizations(Strategy.N, iters, [True] * 7) \
+            == sum(iters) + len(iters)
 
     def test_modified_newton(self):
         iters = [5, 3, 2, 2, 2, 4, 0, 1]
         expect = (5 + 3 + 2 + 2 + 2) + 2 + 8       # full-Newton window, solves, adjoints
-        assert predicted_factorizations(Strategy.MN, iters) == expect
+        assert predicted_factorizations(Strategy.MN, iters, [True] * 8) \
+            == expect
 
     def test_sparse_policy(self):
         iters = [4, 2, 2, 2, 2] + [2] * 10          # outers 1..15
         # refactors at outers 6, 9, 12, 15; iterative adjoint adds none
         expect = 12 + 4
-        assert predicted_factorizations(Strategy.UPK03K100G, iters) == expect
+        assert predicted_factorizations(Strategy.UPK03K100G, iters,
+                                        [True] * 15) == expect
 
     def test_g_variants_skip_adjoint(self):
         iters = [3, 2, 2, 2, 2, 2]
-        a = predicted_factorizations(Strategy.UPK100, iters)
-        b = predicted_factorizations(Strategy.UPK100G, iters)
+        a = predicted_factorizations(Strategy.UPK100, iters, [True] * 6)
+        b = predicted_factorizations(Strategy.UPK100G, iters, [True] * 6)
         assert a - b == len(iters)
+
+    def test_rejected_rows_form_no_adjoint(self):
+        iters = [3, 2, 2, 2, 2, 2, 0]
+        accepted = [True, True, False, True, True, False, False]
+        assert predicted_factorizations(Strategy.N, iters, accepted) \
+            == sum(iters) + 4
+        assert predicted_factorizations(Strategy.MN, iters, accepted) \
+            == 11 + 1 + 4
+        assert predicted_factorizations(Strategy.UPK100G, iters, accepted) \
+            == 11 + 1
+        with pytest.raises(ValueError):
+            predicted_factorizations(Strategy.N, iters, accepted[:-1])
 
 
 def test_linear_equilibrium_solves_density_only_system():

@@ -234,12 +234,12 @@ class TestOptimizeLoop:
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
                      "fallbacks", "guard_fallbacks", "step_fallbacks",
                      "linesearch_fallbacks", "adjoint_fallbacks",
-                     "retry_fallbacks", "guard_refreshes", "residual_inf",
-                     "gp_norm", "penalty", "volume", "max_normB", "times"):
+                     "guard_refreshes", "residual_inf", "gp_norm", "accepted",
+                     "move_limit", "penalty", "volume", "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
     def test_first_iteration_failure_aborts(self, monkeypatch):
-        # an iteration cap the cold start cannot meet: nothing to retry from
+        # an iteration cap the cold start cannot meet: no accepted row yet
         import icatop.optimizer as opt
         monkeypatch.setattr(opt, "newton_solve",
                             functools.partial(opt.newton_solve, max_iter=2))
@@ -309,14 +309,14 @@ class TestOptimizeLoop:
         for strategy in Strategy:
             h = optimize(prob, OptimizerConfig(strategy=strategy, budget=40))
             assert not h.aborted
-            predicted = predicted_factorizations(strategy, h.newton_iters)
+            predicted = predicted_factorizations(strategy, h.newton_iters,
+                                                 h.accepted)
             assert h.total("factorizations") \
                 == predicted + h.total("fallbacks"), strategy.value
-            # the five reasons add up to the fallbacks of every iteration
+            # the four reasons add up to the fallbacks of every iteration
             assert [sum(reasons) for reasons in zip(
                 h.guard_fallbacks, h.step_fallbacks, h.linesearch_fallbacks,
-                h.adjoint_fallbacks, h.retry_fallbacks)] == h.fallbacks, \
-                strategy.value
+                h.adjoint_fallbacks)] == h.fallbacks, strategy.value
             refreshes += h.total("guard_refreshes")
         assert refreshes > 0
 
@@ -326,19 +326,22 @@ class TestOptimizeLoop:
     def test_ica_iters_are_the_sweeps_performed(self, monkeypatch, sweeps,
                                                 problem, strategy):
         # Newton and adjoint sweeps alike, converged or not, row by row:
-        # each row ends with its gradient
+        # each row ends with its LP solve, a rejected row (no adjoint) too
         import icatop.optimizer as opt
-        marks, real = [], opt.objective_gradient
+        marks, real = [], opt.slp_subproblem
 
-        def gradient(*args):
+        def subproblem(*args):
             marks.append(sweeps.count)
             return real(*args)
 
-        monkeypatch.setattr(opt, "objective_gradient", gradient)
+        monkeypatch.setattr(opt, "slp_subproblem", subproblem)
         h = optimize(bench.desk(problem),
                      OptimizerConfig(strategy=strategy, budget=20))
         assert not h.aborted and h.total("ica_iters") > 0
+        assert len(marks) == h.iterations
         assert h.ica_iters == np.diff([0] + marks).tolist()
+        if problem == "cantilever":
+            assert not all(h.accepted)
 
     @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
     @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.MN,
@@ -355,10 +358,10 @@ class TestOptimizeLoop:
         for name, digests in kernel_calls.items():
             assert digests and len(set(digests)) == len(digests), name
 
-    def test_newton_failure_halves_move_and_retries(self, monkeypatch,
-                                                    factor_scopes, sweeps):
-        # the solve of outer iteration 3 fails once, at once or after it
-        # has factored; the retried row books the failed attempt too: its
+    def test_newton_failure_is_a_rejected_row(self, monkeypatch,
+                                              factor_scopes, sweeps):
+        # the solve of outer iteration 3 fails, at once or after it has
+        # factored: its row is rejected and books the failed attempt's
         # factorizations, time, Newton iterations and sweeps
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError
@@ -366,7 +369,7 @@ class TestOptimizeLoop:
         prob = bench.build("cantilever", mesh=(12, 4))
         for strategy, after_work in ((Strategy.N, False), (Strategy.N, True),
                                      (Strategy.UPK100, True)):
-            calls = {"n": 0, "failed": False, "newton": 0}
+            calls = {"newton": 0}
 
             def solve(*args, **kw):
                 u, stats = real(*args, **kw)
@@ -374,9 +377,7 @@ class TestOptimizeLoop:
                 return u, stats
 
             def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
-                calls["n"] += 1
-                if outer_iter == 3 and not calls["failed"]:
-                    calls["failed"] = True
+                if outer_iter == 3:
                     stats = solve(model, rho, p, u0, strategy, ctx,
                                   outer_iter, **kw)[1] if after_work else None
                     raise NewtonConvergenceError("synthetic failure", stats)
@@ -386,9 +387,12 @@ class TestOptimizeLoop:
             monkeypatch.setattr(opt, "newton_solve", flaky)
             factors, swept = len(factor_scopes.at_factor), sweeps.count
             h = optimize(prob, OptimizerConfig(strategy=strategy, budget=5))
-            assert calls["failed"]
             assert not h.aborted
-            assert h.iterations == 6            # full budget despite the retry
+            assert h.iterations == 6            # rejected rows count too
+            assert not h.accepted[2] and all(h.accepted[:2])
+            assert np.isnan(h.objective[2]) and np.isnan(h.residual_inf[2])
+            assert h.gp_norm[2] is None
+            assert h.move_limit[2:4] == [0.05, 0.025]
             assert h.total("factorizations") \
                 == len(factor_scopes.at_factor) - factors
             assert sum(row["Factorizations"] for row in h.times) \
@@ -397,20 +401,94 @@ class TestOptimizeLoop:
             assert h.total("ica_iters") == sweeps.count - swept
             if strategy is Strategy.N:
                 assert h.total("factorizations") == predicted_factorizations(
-                    strategy, h.newton_iters) + h.total("fallbacks")
+                    strategy, h.newton_iters, h.accepted) \
+                    + h.total("fallbacks")
 
-    def test_second_newton_failure_aborts(self, monkeypatch):
+    def test_repeated_newton_failures_are_rejected_rows(self, monkeypatch):
+        # each failure halves the move limit; none aborts above MOVE_FLOOR
         import icatop.optimizer as opt
         from icatop.errors import NewtonConvergenceError
         real = opt.newton_solve
 
         def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
-            if outer_iter == 3:
+            if outer_iter in (3, 4, 5):
                 raise NewtonConvergenceError("synthetic failure", None)
             return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
 
         monkeypatch.setattr(opt, "newton_solve", flaky)
         prob = bench.build("cantilever", mesh=(12, 4))
         h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5))
+        assert not h.aborted
+        assert h.iterations == 6
+        assert h.accepted[:5] == [True, True, False, False, False]
+        assert h.move_limit == [0.05, 0.05, 0.05, 0.025, 0.0125, 0.00625]
+        last = max(i for i, ok in enumerate(h.accepted) if ok)
+        assert h.final_objective == h.objective[last]
+
+    def test_newton_failure_at_move_floor_aborts(self, monkeypatch):
+        # the move limit halves from 8e-4 to MOVE_FLOOR; the failure there
+        # ends the run with the last accepted design
+        import icatop.optimizer as opt
+        from icatop.errors import NewtonConvergenceError
+        real = opt.newton_solve
+
+        def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+            if outer_iter >= 3:
+                raise NewtonConvergenceError("synthetic failure", None)
+            return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+        monkeypatch.setattr(opt, "newton_solve", flaky)
+        prob = bench.build("cantilever", mesh=(12, 4))
+        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=10,
+                                           move_limit=8e-4))
         assert h.aborted
-        assert h.iterations == 2            # two evaluations succeeded
+        assert h.move_limit == [8e-4] * 3 + [4e-4, 2e-4]
+        assert h.accepted == [True, True, False, False, False]
+        assert h.move_limit[-1] / 2 <= opt.MOVE_FLOOR
+        assert h.final_objective == h.objective[1]
+
+    def test_rejected_step_resolves_the_lp_at_half_the_move(self,
+                                                            monkeypatch):
+        # the objectives of rows 4 and 5 rise: each is rejected, and the
+        # LP is solved again from row 3's design and gradient at half the
+        # move; accepted rows double the move up to move_limit
+        import icatop.optimizer as opt
+        from icatop.filtering import build_filter
+        real_solve, real_lp = opt.newton_solve, opt.slp_subproblem
+        designs, lps = {}, []
+
+        def rising(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+            designs[outer_iter] = rho
+            new, stats = real_solve(model, rho, p, u0, strategy, ctx,
+                                    outer_iter, **kw)
+            if outer_iter in (4, 5):    # compliance rises with |u|
+                new = model.state(1.01 * u0.u)
+            return new, stats
+
+        def lp(grad, rho, move, *args):
+            lps.append((grad, rho, move, args))
+            return real_lp(grad, rho, move, *args)
+
+        monkeypatch.setattr(opt, "newton_solve", rising)
+        monkeypatch.setattr(opt, "slp_subproblem", lp)
+        prob = bench.build("cantilever", mesh=(12, 4))
+        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=9))
+        assert h.accepted[:5] == [True, True, True, False, False]
+        assert h.objective[3] > h.objective[2] < h.objective[4]
+        assert h.gp_norm[3] is None is h.gp_norm[4]
+        # rows 4 and 5 solve row 3's LP again, at 1/2 and 1/4 of its move
+        grad3, rho3, move3, args = lps[2]
+        filt = build_filter(prob.mesh, prob.filter_radius_elements, "cone")
+        assert np.array_equal(filt.apply(rho3), designs[3])
+        for row in (3, 4):
+            grad, rho, move, _ = lps[row]
+            assert grad is grad3 and rho is rho3
+            assert move == move3 / 2 ** (row - 2)
+        half = real_lp(grad3, rho3, move3 / 2, *args).rho_new
+        assert np.array_equal(filt.apply(half), designs[5])
+        # the move recurrence, row by row
+        for i in range(1, h.iterations):
+            m = h.move_limit[i - 1]
+            assert h.move_limit[i] == (min(0.05, 2.0 * m)
+                                       if h.accepted[i - 1] else 0.5 * m)
+        assert h.move_limit[3:6] == [0.05, 0.025, 0.0125]
