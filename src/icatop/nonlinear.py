@@ -11,7 +11,10 @@ gives up.  Its iterates are element states, so each trial's element
 quantities are formed once.  Every factorization goes through the
 ``ReanalysisContext``, the run's ledger, which times and counts it, books
 the reason of each one off the schedule, and holds at most one; each
-Newton iteration is booked there too.  Whatever the strategy, the first
+Newton iteration is booked there too.  A held factor that has gone stale
+is refactored down one path, the step and line-search fallbacks of
+``newton_solve``; the policy's slow-progress guard only refreshes the
+current matrix.  Whatever the strategy, the first
 five outer iterations run exact Newton and every accepted solution
 satisfies the same max-norm residual tolerance; the policies trade cost,
 never accuracy.
@@ -84,16 +87,16 @@ class ReusePolicy:
 
     The strategies that refresh also carry a slow-progress guard: when two
     consecutive accepted steps contract the residual by less than
-    SLOW_RATE, or when STALE_CAP held iterations pass without a fresh
-    factorization, the approximation is judged too stale.  The guard
-    escalates gradually: first the current matrix is refreshed at the
-    current state (one assembly, no factorization), and only if progress
-    stays slow does the fallback refactorization fire.  ``decide`` names
-    the first reason ``guard_refreshes``, the second ``guard_fallbacks``.
-    Without the guard, a drifted reference whose current matrix happens to
-    be the factored one would creep for dozens of iterations with a
-    formally tiny linear residual.  Modified Newton is exempt: creeping is
-    its definition.
+    SLOW_RATE, or when STALE_CAP iterations pass since the last exact step
+    or guard refresh, the held current matrix is judged too stale and is
+    refreshed at the current state (one assembly, no factorization),
+    booked as ``guard_refreshes``.  The guard never refactors: after a
+    refresh the sweep either solves the true Newton system to eps_R, or it
+    fails and the step or line-search fallback refactors.  Without the
+    guard, a drifted reference whose current matrix happens to be the
+    factored one would creep for dozens of iterations with a formally tiny
+    linear residual.  Modified Newton is exempt: creeping is its
+    definition.
     """
 
     def __init__(self, strategy: Strategy, outer_iter: int):
@@ -101,7 +104,6 @@ class ReusePolicy:
         self.outer_iter = outer_iter
         self.slow_streak = 0
         self.since_exact = 0
-        self.guard_refreshed = False
 
     def decide(self, it: int, ctx: ReanalysisContext):
         """(action, reason) for Newton iteration ``it`` of this solve; the
@@ -113,17 +115,12 @@ class ReusePolicy:
             return Action.REFACTOR, None
         if s.refresh_period is None:
             return Action.HOLD, None
-        fresh = ctx.counts["newton_iters"] % s.refresh_period == 0
-        if self.slow_streak >= 2 or (not fresh and self.since_exact >= STALE_CAP):
-            self.slow_streak = 0
-            # a fresh tangent and still stalling: the factorization itself
-            # is too stale
-            if fresh or self.guard_refreshed:
-                return Action.REFACTOR, "guard_fallbacks"
-            self.guard_refreshed = True
-            self.since_exact = 0
+        if ctx.counts["newton_iters"] % s.refresh_period == 0:
+            return Action.REFRESH, None
+        if self.slow_streak >= 2 or self.since_exact >= STALE_CAP:
+            self.slow_streak = self.since_exact = 0
             return Action.REFRESH, "guard_refreshes"
-        return Action.REFRESH if fresh else Action.HOLD, None
+        return Action.HOLD, None
 
     def observe(self, exact: bool, contraction: float) -> None:
         """Record an accepted step: exact, or inexact with the given
@@ -131,7 +128,6 @@ class ReusePolicy:
         if exact:
             self.slow_streak = 0
             self.since_exact = 1
-            self.guard_refreshed = False
         else:
             self.slow_streak = self.slow_streak + 1 if contraction > SLOW_RATE else 0
             self.since_exact += 1

@@ -152,7 +152,6 @@ class RunHistory:
     ica_iters: list = field(default_factory=list)
     fallbacks: list = field(default_factory=list)     # sum of the FALLBACKS
     # one list per name in REASONS
-    guard_fallbacks: list = field(default_factory=list)
     step_fallbacks: list = field(default_factory=list)
     linesearch_fallbacks: list = field(default_factory=list)
     adjoint_fallbacks: list = field(default_factory=list)

@@ -36,8 +36,7 @@ from .timing import Timers
 
 # reasons for work off the strategy's schedule, named as in the run
 # report: extra factorizations (fallbacks), then the guard's refresh
-FALLBACKS = ("guard_fallbacks", "step_fallbacks", "linesearch_fallbacks",
-             "adjoint_fallbacks")
+FALLBACKS = ("step_fallbacks", "linesearch_fallbacks", "adjoint_fallbacks")
 REASONS = FALLBACKS + ("guard_refreshes",)
 # the ledger's keys, named as the history columns
 COUNTS = ("newton_iters", "factorizations", "ica_iters") + REASONS

@@ -40,13 +40,13 @@ REPORT_KEYS = [
     "aborted", "adjoint_fallbacks", "budget", "converge_tol", "converged",
     "factorizations", "fallbacks", "filter_kernel", "filter_radius_elements",
     "final_gp_norm", "final_objective", "final_penalty", "final_volume",
-    "guard_fallbacks", "guard_refreshes", "ica_iterations", "linear",
+    "guard_refreshes", "ica_iterations", "linear",
     "linesearch_fallbacks", "mesh", "mode", "move_limit", "newton_iterations",
     "outer_iterations", "problem", "rejected_steps", "step_fallbacks",
     "strategy", "timings"]
 HISTORY_HEADER = (
     "iteration,accepted,move_limit,objective,newton_iters,factorizations,"
-    "ica_iters,fallbacks,guard_fallbacks,step_fallbacks,linesearch_fallbacks,"
+    "ica_iters,fallbacks,step_fallbacks,linesearch_fallbacks,"
     "adjoint_fallbacks,guard_refreshes,gp_norm_inf,penalty,volume,max_normB,"
     "Total,F(rho),K_T,RHS,Factorizations,Linear systems,grad F(rho),"
     "Subproblem solving,Filtering,Other")

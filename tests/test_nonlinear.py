@@ -59,7 +59,6 @@ SCHEDULED_REFACTOR = (Action.REFACTOR, None)
 FRESH = (Action.REFRESH, None)
 HELD = (Action.HOLD, None)
 GUARD_REFRESH = (Action.REFRESH, "guard_refreshes")
-GUARD_REFACTOR = (Action.REFACTOR, "guard_fallbacks")
 
 
 class TestDecideAction:
@@ -95,15 +94,15 @@ class TestDecideAction:
 
 
 class TestSlowProgressGuard:
-    def test_slow_progress_escalates_refresh_then_refactor(self):
+    def test_slow_progress_after_a_guard_refresh_refreshes_again(self):
+        # the guard never refactors: a stale factor is the fallbacks' job
         policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
         policy.observe(True, 0.0)
-        for _ in range(2):
-            policy.observe(False, 0.9)
-        assert policy.decide(2, ctx) == GUARD_REFRESH
-        for _ in range(2):
-            policy.observe(False, 0.9)
-        assert policy.decide(4, ctx) == GUARD_REFACTOR
+        for it in (2, 4, 6):
+            for _ in range(2):
+                policy.observe(False, 0.9)
+            assert policy.decide(it, ctx) == GUARD_REFRESH
+        assert ctx.counts["factorizations"] == 1
 
     def test_stale_cap_refreshes_the_held_delta(self):
         policy, ctx = ReusePolicy(Strategy.UPK100, 10), held_context(201)
@@ -113,11 +112,12 @@ class TestSlowProgressGuard:
             policy.observe(False, 0.1)
         assert policy.decide(STALE_CAP, ctx) == GUARD_REFRESH
 
-    def test_slow_fresh_delta_refactors(self):
-        policy, ctx = ReusePolicy(Strategy.UPK1, 10), held_context(57)
-        for _ in range(2):
-            policy.observe(False, 0.9)
-        assert policy.decide(2, ctx) == GUARD_REFACTOR
+    def test_slow_progress_on_a_fresh_iteration_is_a_scheduled_refresh(self):
+        for strategy, counter in ((Strategy.UPK1, 57), (Strategy.UPK100, 200)):
+            policy, ctx = ReusePolicy(strategy, 10), held_context(counter)
+            for _ in range(2):
+                policy.observe(False, 0.9)
+            assert policy.decide(2, ctx) == FRESH
 
     def test_modified_newton_is_not_guarded(self):
         policy, ctx = ReusePolicy(Strategy.MN, 10), held_context(200)

@@ -232,7 +232,7 @@ class TestOptimizeLoop:
         h = optimize(prob, OptimizerConfig(strategy=Strategy.UPK1G, budget=8))
         n = h.iterations
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
-                     "fallbacks", "guard_fallbacks", "step_fallbacks",
+                     "fallbacks", "step_fallbacks",
                      "linesearch_fallbacks", "adjoint_fallbacks",
                      "guard_refreshes", "residual_inf", "gp_norm", "accepted",
                      "move_limit", "penalty", "volume", "max_normB", "times"):
@@ -313,9 +313,9 @@ class TestOptimizeLoop:
                                                  h.accepted)
             assert h.total("factorizations") \
                 == predicted + h.total("fallbacks"), strategy.value
-            # the four reasons add up to the fallbacks of every iteration
+            # the three reasons add up to the fallbacks of every iteration
             assert [sum(reasons) for reasons in zip(
-                h.guard_fallbacks, h.step_fallbacks, h.linesearch_fallbacks,
+                h.step_fallbacks, h.linesearch_fallbacks,
                 h.adjoint_fallbacks)] == h.fallbacks, strategy.value
             refreshes += h.total("guard_refreshes")
         assert refreshes > 0

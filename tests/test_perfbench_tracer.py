@@ -62,7 +62,7 @@ def test_traced_fallbacks_match_the_booked_reasons():
                                            budget=12))
     metrics = tr.layer_metrics(tracer)
     newton = sum(history.total(name) for name in (
-        "guard_fallbacks", "step_fallbacks", "linesearch_fallbacks"))
+        "step_fallbacks", "linesearch_fallbacks"))
     assert newton > 0 < history.total("adjoint_fallbacks")
     assert metrics["nonlinear.fallbacks"] == newton
     assert metrics["reanalysis.adjoint_fallback_ratio"] \
