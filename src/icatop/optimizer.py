@@ -5,11 +5,13 @@ equilibrium problem from the last accepted row's state.  The row is
 accepted when that equilibrium converged and F fell by at least ETA times
 -g.d, the reduction the last accepted row's LP step d predicted; the first
 row, a new penalty and a step at a move limit <= MOVE_FLOOR need no fall.
-An accepted row forms the adjoint gradient, doubles the move limit up to
-``move_limit`` and solves its LP; a rejected one halves the move limit and
-solves the last accepted row's LP again.  The LP is an exact
-continuous-knapsack subproblem with move limits; its multiplier feeds the
-projected-gradient stationarity test.
+An accepted row forms the adjoint gradient and solves its LP.  It doubles
+the move limit up to ``move_limit`` when it is the first row, when its
+penalty is new, or when F fell by at least ETA_GROW times -g.d, and keeps
+it otherwise.  A rejected row halves the move limit and solves the last
+accepted row's LP again.  The LP is an exact continuous-knapsack
+subproblem with move limits; its multiplier feeds the projected-gradient
+stationarity test.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .timing import Timers
 P_INITIAL, P_STEP, P_EVERY, P_MAX = 1.0, 0.1, 10, 3.0
 RHO_MIN = 1e-3          # lower density bound of the design box
 HARD_CAP = 100000       # outer iterations in convergence mode without a budget
-ETA, MOVE_FLOOR = 0.01, 1e-4    # of the acceptance rule, see above
+ETA, ETA_GROW, MOVE_FLOOR = 0.01, 0.75, 1e-4   # of the acceptance rule
 
 
 @dataclass
@@ -244,10 +246,11 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 return _aborted(history, rho_acc, filt, timers)
             new, nstats, F = None, NewtonStats(residual_inf=np.nan), np.nan
 
+        restart = grad_acc is None or p != p_acc
         accepted = new is not None and (
-            grad_acc is None or p != p_acc or move <= MOVE_FLOOR
-            or F_acc - F >= ETA * pred)
+            restart or move <= MOVE_FLOOR or F_acc - F >= ETA * pred)
         if accepted:
+            grow = restart or F_acc - F >= ETA_GROW * pred
             if problem.linear:
                 # the equilibrium factorization serves the adjoint as well
                 with timers.scope("Linear systems"):
@@ -265,7 +268,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 return _aborted(history, rho_acc, filt, timers)
             rho_acc, grad_acc, F_acc, p_acc = rho_design, grad_design, F, p
             state = new     # its forces and tangents start the next row
-            step = min(config.move_limit, 2.0 * move)
+            step = min(config.move_limit, 2.0 * move) if grow else move
         else:
             step = 0.5 * move
 

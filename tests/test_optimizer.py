@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from icatop import bench
 from icatop.errors import InfeasibleSubproblemError
 from icatop.nonlinear import Strategy, predicted_factorizations
-from icatop.optimizer import (HARD_CAP, OptimizerConfig, optimize,
-                              projected_gradient_norm, slp_subproblem)
+from icatop.optimizer import (ETA, ETA_GROW, HARD_CAP, OptimizerConfig,
+                              optimize, projected_gradient_norm,
+                              slp_subproblem)
 from icatop.sparse import BandPlan
 
 
@@ -451,7 +452,8 @@ class TestOptimizeLoop:
                                                             monkeypatch):
         # the objectives of rows 4 and 5 rise: each is rejected, and the
         # LP is solved again from row 3's design and gradient at half the
-        # move; accepted rows double the move up to move_limit
+        # move; accepted rows double the move up to move_limit on a good
+        # fall and keep it otherwise
         import icatop.optimizer as opt
         from icatop.filtering import build_filter
         real_solve, real_lp = opt.newton_solve, opt.slp_subproblem
@@ -466,8 +468,9 @@ class TestOptimizeLoop:
             return new, stats
 
         def lp(grad, rho, move, *args):
-            lps.append((grad, rho, move, args))
-            return real_lp(grad, rho, move, *args)
+            sub = real_lp(grad, rho, move, *args)
+            lps.append((grad, rho, move, args, sub.rho_new))
+            return sub
 
         monkeypatch.setattr(opt, "newton_solve", rising)
         monkeypatch.setattr(opt, "slp_subproblem", lp)
@@ -477,18 +480,69 @@ class TestOptimizeLoop:
         assert h.objective[3] > h.objective[2] < h.objective[4]
         assert h.gp_norm[3] is None is h.gp_norm[4]
         # rows 4 and 5 solve row 3's LP again, at 1/2 and 1/4 of its move
-        grad3, rho3, move3, args = lps[2]
+        grad3, rho3, move3, args, _ = lps[2]
         filt = build_filter(prob.mesh, prob.filter_radius_elements, "cone")
         assert np.array_equal(filt.apply(rho3), designs[3])
         for row in (3, 4):
-            grad, rho, move, _ = lps[row]
+            grad, rho, move, _, _ = lps[row]
             assert grad is grad3 and rho is rho3
             assert move == move3 / 2 ** (row - 2)
         half = real_lp(grad3, rho3, move3 / 2, *args).rho_new
         assert np.array_equal(filt.apply(half), designs[5])
-        # the move recurrence, row by row
-        for i in range(1, h.iterations):
-            m = h.move_limit[i - 1]
-            assert h.move_limit[i] == (min(0.05, 2.0 * m)
-                                       if h.accepted[i - 1] else 0.5 * m)
+        # the move recurrence, row by row (one penalty throughout)
+        F_acc = pred = None
+        for i in range(h.iterations - 1):
+            m = h.move_limit[i]
+            if h.accepted[i]:
+                grow = F_acc is None \
+                    or F_acc - h.objective[i] >= ETA_GROW * pred
+                expected = min(0.05, 2.0 * m) if grow else m
+                grad, rho, _, _, rho_new = lps[i]
+                F_acc, pred = h.objective[i], -float(grad @ (rho_new - rho))
+            else:
+                expected = 0.5 * m
+            assert h.move_limit[i + 1] == expected
         assert h.move_limit[3:6] == [0.05, 0.025, 0.0125]
+
+    def test_accepted_row_grows_the_move_only_on_a_good_fall(self,
+                                                            monkeypatch):
+        # row 4 rises and is rejected, which halves the move; rows 5 to 7
+        # fall by a set share of the reduction the last accepted row's LP
+        # step predicted: below ETA_GROW the move is kept, at or above it
+        # the move doubles, up to move_limit
+        import icatop.optimizer as opt
+        real_solve, real_lp = opt.newton_solve, opt.slp_subproblem
+        prob = bench.build("cantilever", mesh=(12, 4))
+        l_free = prob.mesh.gather(prob.output_selector())
+        small, good = 0.5 * (ETA + ETA_GROW), 0.5 * (ETA_GROW + 1.0)
+        share = {5: small, 6: good, 7: good}
+        last_accepted = {5: 3, 6: 5, 7: 6}
+        F, preds = {}, []
+
+        def solve(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+            new, stats = real_solve(model, rho, p, u0, strategy, ctx,
+                                    outer_iter, **kw)
+            if outer_iter == 4:         # compliance rises with |u|
+                new = model.state(1.01 * u0.u)
+            elif outer_iter in share:
+                prev = last_accepted[outer_iter]
+                target = F[prev] - share[outer_iter] * preds[prev - 1]
+                new = model.state(target / float(l_free @ new.u) * new.u)
+            F[outer_iter] = float(l_free @ new.u)
+            return new, stats
+
+        def lp(grad, rho, move, *args):
+            sub = real_lp(grad, rho, move, *args)
+            preds.append(-float(grad @ (sub.rho_new - rho)))
+            return sub
+
+        monkeypatch.setattr(opt, "newton_solve", solve)
+        monkeypatch.setattr(opt, "slp_subproblem", lp)
+        h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=7))
+        assert h.accepted == [True, True, True, False, True, True, True, True]
+        assert (h.objective[2] - h.objective[4]) / preds[2] \
+            == pytest.approx(small)
+        assert (h.objective[4] - h.objective[5]) / preds[4] \
+            == pytest.approx(good)
+        # rows 5 to 8 step at the moves rows 4 to 7 left behind
+        assert h.move_limit[3:] == [0.05, 0.025, 0.025, 0.05, 0.05]
