@@ -14,10 +14,9 @@ the reason of each one off the schedule, and holds at most one; each
 Newton iteration is booked there too.  A held factor that has gone stale
 is refactored down one path, the step and line-search fallbacks of
 ``newton_solve``; the policy's slow-progress guard only refreshes the
-current matrix.  Whatever the strategy, the first
-five outer iterations run exact Newton and every accepted solution
-satisfies the same max-norm residual tolerance; the policies trade cost,
-never accuracy.
+current matrix.  Whatever the strategy, the first five outer iterations
+run exact Newton and every accepted solution satisfies the same max-norm
+residual tolerance; the policies trade cost, never accuracy.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 
 FULL_NEWTON_UNTIL = 5   # outer iterations that always run exact Newton
 SLOW_RATE = 0.7         # residual contraction the guard counts as slow
-STALE_CAP = 7           # iterations since an exact step before a refresh
+STALE_CAP = 7           # iterations since an exact step or guard refresh
 
 
 class Strategy(enum.Enum):
