@@ -5,11 +5,10 @@ symmetry edge gets roller supports (vertical displacement fixed), springs
 sitting on that edge carry half stiffness, and point loads applied on it
 carry half magnitude.
 
-Builders accept a geometric ``scale`` that multiplies the canonical mesh
-resolution, or an explicit ``mesh=(nx, ny)`` override.  The filter radius,
-expressed in element lengths, scales proportionally so the physical radius
-is resolution independent; a floor of 1.5 elements keeps the neighborhood
-nontrivial on coarse desk meshes.
+Builders make the canonical mesh, or the ``mesh=(nx, ny)`` they are given.
+The filter radius, expressed in element lengths, scales with nx so the
+physical radius is resolution independent; a floor of 1.5 elements keeps
+the neighborhood nontrivial on coarse desk meshes.
 """
 
 from __future__ import annotations
@@ -66,24 +65,19 @@ class Problem:
             raise ValueError(f"mesh {self.mesh.nx}x{self.mesh.ny} leaves "
                              f"{self.name} no free DOFs")
 
-    def output_selector(self, mesh: Mesh = None) -> np.ndarray:
+    def output_selector(self) -> np.ndarray:
         """Full-length selector vector l: the load for compliance problems,
         -1 at the output DOFs for mechanisms."""
-        mesh = mesh or self.mesh
         if self.objective == "compliance":
-            return self.loads.force_vector(mesh)
-        return self.loads.output_vector(mesh)
+            return self.loads.force_vector(self.mesh)
+        return self.loads.output_vector(self.mesh)
 
 
-def _resolve_mesh(name, scale, mesh):
+def _resolve_mesh(name, mesh):
     cx, cy = CANONICAL_MESH[name]
-    if mesh is not None:
-        nx, ny = int(mesh[0]), int(mesh[1])
-    else:
-        nx, ny = round(cx * scale), round(cy * scale)
+    nx, ny = (cx, cy) if mesh is None else (int(mesh[0]), int(mesh[1]))
     if nx < 1 or ny < 1:
-        given = f"scale {scale}" if mesh is None else f"mesh {nx}x{ny}"
-        raise ValueError(f"{given} yields an empty mesh")
+        raise ValueError(f"mesh {nx}x{ny} yields an empty mesh")
     return nx, ny, cx
 
 
@@ -96,14 +90,14 @@ def _radius(canonical_radius, nx, cx, override):
     return max(_MIN_RADIUS, canonical_radius * nx / cx)
 
 
-def cantilever(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
+def cantilever(mesh=None, filter_radius=None) -> Problem:
     """Beam clamped at the left edge, vertical tip load on the right.
 
     120 x 30 mm domain, unit thickness, E = 3000 N/mm^2, nu = 0.4, a 120 N
     downward load at the right-edge midpoint, 50 % volume.  Canonical mesh
     400 x 100 with a 10-element filter radius.
     """
-    nx, ny, cx = _resolve_mesh("cantilever", scale, mesh)
+    nx, ny, cx = _resolve_mesh("cantilever", mesh)
     grid = build_grid(nx, ny, 120.0, 30.0, 1.0)
     grid = fix_region(grid, lambda x, y: x <= 1e-12, axes="both")
     loads = LoadCase().add_load(grid.node_id(nx, ny // 2), 1, -120.0)
@@ -111,14 +105,14 @@ def cantilever(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
                    0.5, _radius(10.0, nx, cx, filter_radius), "compliance")
 
 
-def slender(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
+def slender(mesh=None, filter_radius=None) -> Problem:
     """Slender beam fixed at both vertical edges, load at the basis center.
 
     400 x 50 mm domain, unit thickness, E = 3000 N/mm^2, nu = 0.3, a 40 N
     downward load at the bottom midpoint, 20 % volume.  Canonical mesh
     600 x 75 with a 5-element filter radius.
     """
-    nx, ny, cx = _resolve_mesh("slender", scale, mesh)
+    nx, ny, cx = _resolve_mesh("slender", mesh)
     width = 400.0
     grid = build_grid(nx, ny, width, 50.0, 1.0)
     grid = fix_region(grid, lambda x, y: (x <= 1e-12) | (x >= width - 1e-12),
@@ -128,7 +122,7 @@ def slender(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
                    0.2, _radius(5.0, nx, cx, filter_radius), "compliance")
 
 
-def inverter(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
+def inverter(mesh=None, filter_radius=None) -> Problem:
     """Displacement inverter, upper half of a 300 x 300 um square domain.
 
     Thickness 7 um, E = 180 mN/um^2, nu = 0.3.  The input port at the
@@ -139,7 +133,7 @@ def inverter(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
     becomes the top-left corner of the half model.  20 % volume, canonical
     half mesh 300 x 150, 7.5-element filter radius.
     """
-    nx, ny, cx = _resolve_mesh("inverter", scale, mesh)
+    nx, ny, cx = _resolve_mesh("inverter", mesh)
     height = 150.0
     grid = build_grid(nx, ny, 300.0, height, 7.0)
     grid = fix_region(grid, lambda x, y: y <= 1e-12, axes="y")      # symmetry
@@ -156,7 +150,7 @@ def inverter(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
                    0.2, _radius(7.5, nx, cx, filter_radius), "mechanism")
 
 
-def gripper(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
+def gripper(mesh=None, filter_radius=None) -> Problem:
     """Gripper, upper half of a 320 x 320 um square domain.
 
     Thickness 7 um, E = 180 mN/um^2, nu = 0.3.  A 4 mN horizontal force
@@ -167,7 +161,7 @@ def gripper(scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
     the top of the left edge.  20 % volume, canonical half mesh 320 x 160,
     5-element filter radius.
     """
-    nx, ny, cx = _resolve_mesh("gripper", scale, mesh)
+    nx, ny, cx = _resolve_mesh("gripper", mesh)
     side = 320.0
     height = 160.0
     grid = build_grid(nx, ny, side, height, 7.0)
@@ -196,11 +190,11 @@ BUILDERS = {
 }
 
 
-def build(name: str, scale: float = 1.0, mesh=None, filter_radius=None) -> Problem:
+def build(name: str, mesh=None, filter_radius=None) -> Problem:
     if name not in BUILDERS:
         raise ValueError(f"unknown problem {name!r}; expected one of "
                          f"{sorted(BUILDERS)}")
-    problem = BUILDERS[name](scale, mesh, filter_radius)
+    problem = BUILDERS[name](mesh, filter_radius)
     problem.require_free_dofs()
     return problem
 

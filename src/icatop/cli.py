@@ -1,10 +1,11 @@
 """Batch experiment runner.
 
-``icatop run`` executes one optimization and writes report.json,
-history.csv and density.pgm into the output directory; --monitor-normB
-fills history.csv's max_normB column.  ``icatop compare`` tabulates
-several reports of the same problem side by side with percentage deltas
-against the first.
+``icatop run`` executes one optimization, of --budget outer iterations
+after the first (default 100) or fewer once --converge stops it, and
+writes report.json, history.csv and density.pgm into the output
+directory; --monitor-normB fills history.csv's max_normB column.
+``icatop compare`` tabulates several reports of the same problem side by
+side with percentage deltas against the first.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .reanalysis import REASONS
 from .timing import CATEGORIES
 
 HISTORY_COLUMNS = [
-    "iteration", "accepted", "move_limit", "objective", "newton_iters",
-    "factorizations", "ica_iters", "fallbacks", *REASONS, "gp_norm_inf",
-    "penalty", "volume", "max_normB",
+    "iteration", "accepted", "move_limit", "objective", "objective_error",
+    "residual_inf", "newton_iters", "factorizations", "ica_iters",
+    "fallbacks", *REASONS, "gp_norm_inf", "penalty", "volume", "max_normB",
 ] + list(CATEGORIES)
 
 # options of ``run`` that a config file may set too: key -> flag settings;
@@ -37,8 +38,8 @@ RUN_OPTIONS = {
     "mesh": {"help": "WxH element counts, e.g. 60x15"},
     "strategy": {"choices": [m.value for m in Strategy]},
     "budget": {"type": int},
-    "converge": {"type": float,
-                 "help": "stop on the projected-gradient criterion"},
+    "converge": {"type": float, "help": "stop early, within the budget, on "
+                 "the projected-gradient criterion"},
     "move_limit": {"type": float},
     "filter_kernel": {"choices": KERNELS},
     "filter_radius": {"type": float,
@@ -74,12 +75,14 @@ REPORT_KEYS = {
                 "an object of numbers"),
 }
 # read when present: reports from before the guard's refresh lack the
-# first, reports from before linear mode the second (read as False), and
-# reports from before the acceptance rule the third
+# first, reports from before linear mode the second (read as False),
+# reports from before the acceptance rule the third, and reports from
+# before the objective error the fourth
 OPTIONAL_KEYS = {
     "guard_refreshes": (_is_number_or_null, "a number or null"),
     "linear": (lambda v: isinstance(v, bool), "true or false"),
     "rejected_steps": (_is_number, "a number"),
+    "max_rel_objective_error": (_is_number_or_null, "a number or null"),
 }
 # rows of ``compare`` above the timings, in order
 COUNT_ROWS = {
@@ -90,6 +93,7 @@ COUNT_ROWS = {
     "Fallbacks": lambda r: r["fallbacks"],
     "Guard refreshes": lambda r: r.get("guard_refreshes"),
     "Rejected steps": lambda r: r.get("rejected_steps"),
+    "Max rel objective error": lambda r: r.get("max_rel_objective_error"),
 }
 
 
@@ -176,11 +180,10 @@ def run_command(args) -> int:
             problem = bench.linear_mode(problem)
         config = OptimizerConfig(
             strategy=Strategy.from_name(opts.get("strategy", "N")),
-            budget=opts.get("budget", 100 if "converge" not in opts else None),
             converge_tol=opts.get("converge"),
             monitor_normB=bool(opts.get("monitor_normB", False)),
-            **{key: opts[key] for key in ("move_limit", "filter_kernel")
-               if key in opts},
+            **{key: opts[key] for key in ("budget", "move_limit",
+                                          "filter_kernel") if key in opts},
         )
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -221,6 +224,7 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "filter_kernel": config.filter_kernel,
         "filter_radius_elements": problem.filter_radius_elements,
         "final_objective": final("objective"),
+        "max_rel_objective_error": history.max_rel_objective_error,
         "outer_iterations": history.iterations,
         "rejected_steps": history.accepted.count(False),
         "newton_iterations": history.total("newton_iters"),
@@ -250,16 +254,23 @@ def write_history_csv(path: Path, history: RunHistory) -> None:
                 int(history.accepted[i]),
                 repr(history.move_limit[i]),
                 repr(history.objective[i]),
+                _text(history.objective_error[i]),
+                repr(history.residual_inf[i]),
                 history.newton_iters[i],
                 history.factorizations[i],
                 history.ica_iters[i],
                 history.fallbacks[i],
                 *(getattr(history, name)[i] for name in REASONS),
-                "" if history.gp_norm[i] is None else repr(history.gp_norm[i]),
+                _text(history.gp_norm[i]),
                 history.penalty[i],
                 repr(history.volume[i]),
-                "" if history.max_normB[i] is None else repr(history.max_normB[i]),
+                _text(history.max_normB[i]),
             ] + [f"{times.get(name, 0.0):.6f}" for name in CATEGORIES])
+
+
+def _text(value) -> str:
+    """A history cell that may be empty: None is written as ""."""
+    return "" if value is None else repr(value)
 
 
 def write_density_pgm(path: Path, rho_phys, nx: int, ny: int,

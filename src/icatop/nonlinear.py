@@ -32,6 +32,7 @@ from .reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 FULL_NEWTON_UNTIL = 5   # outer iterations that always run exact Newton
 SLOW_RATE = 0.7         # residual contraction the guard counts as slow
 STALE_CAP = 7           # iterations since an exact step or guard refresh
+ARMIJO_C1, MAX_BACKTRACKS = 1e-4, 20    # sufficient decrease; step halvings
 
 
 class Strategy(enum.Enum):
@@ -138,11 +139,11 @@ class NewtonStats:
     fallbacks: int = 0     # extra factorizations; ctx.counts says why
     residual_inf: float = np.inf
     max_normB: float = None
+    residual: np.ndarray = None     # the accepted state's residual
 
 
-def armijo_linesearch(merit_fn, merit0: float, slope: float, c1: float = 1e-4,
-                      max_backtracks: int = 20):
-    """Backtracking search on alpha in {1, 1/2, ..., 2^-max_backtracks}.
+def armijo_linesearch(merit_fn, merit0: float, slope: float):
+    """Backtracking search on alpha in {1, 1/2, ..., 2^-MAX_BACKTRACKS}.
 
     ``merit_fn(alpha)`` returns (value, payload); an infinite value marks an
     inadmissible trial (for example det(F) <= 0) and is treated like a
@@ -150,12 +151,12 @@ def armijo_linesearch(merit_fn, merit0: float, slope: float, c1: float = 1e-4,
     (None, None, backtracks) when the budget is exhausted.
     """
     alpha = 1.0
-    for i in range(max_backtracks + 1):
+    for i in range(MAX_BACKTRACKS + 1):
         value, payload = merit_fn(alpha)
-        if np.isfinite(value) and value <= merit0 + c1 * alpha * slope:
+        if np.isfinite(value) and value <= merit0 + ARMIJO_C1 * alpha * slope:
             return alpha, payload, i
         alpha *= 0.5
-    return None, None, max_backtracks
+    return None, None, MAX_BACKTRACKS
 
 
 def predicted_factorizations(strategy: Strategy, newton_iters_per_outer,
@@ -188,9 +189,10 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
     """Solve the equilibrium residual to max-norm tolerance ``tol``.
 
     Returns (state, NewtonStats): the last accepted trial, or ``state``
-    itself.  Raises NewtonConvergenceError when the iteration cap or the
-    line-search budget is exhausted, or at once when a residual it would
-    accept or step from is not finite; the stats travel on the exception.
+    itself, with its residual in ``stats.residual``.  Raises
+    NewtonConvergenceError when the iteration cap or the line-search
+    budget is exhausted, or at once when a residual it would accept or
+    step from is not finite; the stats travel on the exception.
     An iteration takes the exact step when the policy refactors, or when a
     reused direction was no descent direction or failed the line search.
     ``stats.fallbacks`` counts the exact steps off the strategy's schedule;
@@ -208,6 +210,7 @@ def newton_solve(model, rho, p, state, strategy: Strategy,
     for it in range(max_iter + 1):
         stats.residual_inf = float(np.abs(r).max())
         if stats.residual_inf <= tol:
+            stats.residual = r
             return state, stats
         if not np.isfinite(stats.residual_inf):
             raise NewtonConvergenceError(
@@ -298,4 +301,4 @@ def linear_equilibrium(model, rho, p, ctx: ReanalysisContext):
     with ctx.timers.scope("RHS"):
         r = model.residual(rho, p, state)
     return state, NewtonStats(iterations=1,
-                              residual_inf=float(np.abs(r).max()))
+                              residual_inf=float(np.abs(r).max()), residual=r)

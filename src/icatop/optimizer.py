@@ -11,7 +11,7 @@ penalty is new, or when F fell by at least ETA_GROW times -g.d, and keeps
 it otherwise.  A rejected row halves the move limit and solves the last
 accepted row's LP again.  The LP is an exact continuous-knapsack
 subproblem with move limits; its multiplier feeds the projected-gradient
-stationarity test.
+stationarity test, which stops a run early, within its budget of rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .timing import Timers
 # SIMP continuation: p rises by P_STEP every P_EVERY outer iterations
 P_INITIAL, P_STEP, P_EVERY, P_MAX = 1.0, 0.1, 10, 3.0
 RHO_MIN = 1e-3          # lower density bound of the design box
-HARD_CAP = 100000       # outer iterations in convergence mode without a budget
 ETA, ETA_GROW, MOVE_FLOOR = 0.01, 0.75, 1e-4   # of the acceptance rule
 
 
@@ -40,16 +39,14 @@ ETA, ETA_GROW, MOVE_FLOOR = 0.01, 0.75, 1e-4   # of the acceptance rule
 class OptimizerConfig:
     strategy: Strategy = Strategy.N
     budget: int = 100     # rows after the first, rejected rows included
-    converge_tol: float = None        # if set, stop on the stationarity test
+    converge_tol: float = None        # if set, stop early on stationarity
     move_limit: float = 0.05          # the largest move limit of a step
     filter_kernel: str = "cone"
     monitor_normB: bool = False
 
     def __post_init__(self):
-        if self.budget is None and self.converge_tol is None:
-            raise ValueError("a budget or a convergence tolerance is needed")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if not isinstance(self.budget, int) or self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         if not 0.0 < self.move_limit < np.inf:
             raise ValueError(f"move_limit must be finite and > 0, "
                              f"got {self.move_limit}")
@@ -61,9 +58,6 @@ class OptimizerConfig:
     def penalty_at(self, outer_iter: int) -> float:
         step = (outer_iter - 1) // P_EVERY
         return min(P_MAX, P_INITIAL + P_STEP * step)
-
-    def max_outer(self) -> int:
-        return HARD_CAP if self.budget is None else self.budget
 
 
 @dataclass
@@ -159,6 +153,8 @@ class RunHistory:
     adjoint_fallbacks: list = field(default_factory=list)
     guard_refreshes: list = field(default_factory=list)
     residual_inf: list = field(default_factory=list)    # NaN: failed solve
+    # lam^T r, to first order the exact objective minus F; None: rejected
+    objective_error: list = field(default_factory=list)
     gp_norm: list = field(default_factory=list)         # None: rejected row
     accepted: list = field(default_factory=list)
     move_limit: list = field(default_factory=list)  # of the row's LP step
@@ -184,6 +180,14 @@ class RunHistory:
     def final_objective(self) -> float:
         return self.final("objective")
 
+    @property
+    def max_rel_objective_error(self):
+        """Largest |lam^T r| / |F| over the accepted rows with F != 0, or
+        None when there is none."""
+        return max((abs(e / F) for e, F in zip(self.objective_error,
+                                               self.objective)
+                    if e is not None and F != 0.0), default=None)
+
     def total(self, name: str) -> int:
         return int(sum(getattr(self, name)))
 
@@ -193,9 +197,9 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
     ``problem`` carries the mesh, loads, material, volume fraction, filter
     radius, and objective selector (see the problem builders).  With a
-    budget of B, the loop makes B+1 rows, rejected ones included; in
-    convergence mode it stops once an accepted row's projected-gradient
-    norm falls below the tolerance.  The run returns the last accepted
+    budget of B, the loop makes at most B+1 rows, rejected ones included;
+    with a convergence tolerance it stops early, once an accepted row's
+    projected-gradient norm falls below it.  The run returns the last accepted
     design.  A failed equilibrium aborts the run on the first row or at a
     move limit <= MOVE_FLOOR, as does a singular factorization or a
     non-finite gradient.  Raises ValueError up front when the mesh leaves
@@ -205,7 +209,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     mesh = problem.mesh
     model = FeModel(mesh, problem.loads, problem.material)
     filt = build_filter(mesh, problem.filter_radius_elements, config.filter_kernel)
-    l_free = mesh.gather(problem.output_selector(mesh))
+    l_free = mesh.gather(problem.output_selector())
 
     v = model.element_volumes
     v_eff = filt.backpropagate(v)     # design-space volume coefficients
@@ -224,7 +228,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     move = config.move_limit    # of the LP step that made rho_design
     pred = 0.0                  # -g.d of the last accepted row's LP step
 
-    for t in range(1, config.max_outer() + 2):
+    for t in range(1, config.budget + 2):
         p = config.penalty_at(t)
         before, booked = timers.table(), ctx.counts.copy()
 
@@ -266,11 +270,12 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 grad_design = filt.backpropagate(grad_phys)
             if not np.isfinite(grad_design).all():
                 return _aborted(history, rho_acc, filt, timers)
+            error = float(lam @ nstats.residual)
             rho_acc, grad_acc, F_acc, p_acc = rho_design, grad_design, F, p
             state = new     # its forces and tangents start the next row
             step = min(config.move_limit, 2.0 * move) if grow else move
         else:
-            step = 0.5 * move
+            step, error = 0.5 * move, None
 
         with timers.scope("Subproblem solving"):
             sub = slp_subproblem(grad_acc, rho_acc, step, bounds, v_eff, Vstar)
@@ -283,6 +288,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
             getattr(history, name).append(row[name])
         history.fallbacks.append(sum(row[name] for name in FALLBACKS))
         history.residual_inf.append(nstats.residual_inf)
+        history.objective_error.append(error)
         history.gp_norm.append(gp)
         history.accepted.append(accepted)
         history.move_limit.append(move)

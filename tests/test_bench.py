@@ -38,7 +38,8 @@ def test_canonical_constants_table(name):
 
 
 def test_cantilever_scaling():
-    assert bench.cantilever(0.1).mesh.n_el == 40 * 10
+    canonical = bench.cantilever()
+    assert (canonical.mesh.nx, canonical.mesh.ny) == (400, 100)
     desk = bench.desk("cantilever")
     assert (desk.mesh.nx, desk.mesh.ny) == (60, 15)
 
@@ -61,10 +62,13 @@ def test_slender_refinement_family():
                            filter_radius=radius)
         assert prob.mesh.n_el == nx * ny
         assert prob.filter_radius_elements == radius
-    # proportional default reproduces the family without overrides
+    # the mesh alone gives the family's mesh, with the builder's default
+    # radius: 5 elements at the canonical nx = 600, proportional to nx (the
+    # family's own radii are 1.5 times that)
     for (nx, ny), radius in bench.REFINEMENT["slender"]:
-        scaled = bench.slender(nx / 600.0)
-        assert (scaled.mesh.nx, scaled.mesh.ny) == (nx, ny)
+        prob = bench.slender(mesh=(nx, ny))
+        assert (prob.mesh.nx, prob.mesh.ny) == (nx, ny)
+        assert prob.filter_radius_elements == pytest.approx(5.0 * nx / 600)
 
 
 def test_inverter_refinement_family():
@@ -129,8 +133,6 @@ def test_out_of_range_sizes_rejected():
                        filter_radius=0.0).filter_radius_elements == 0.0
     with pytest.raises(ValueError, match="mesh 0x4 yields an empty mesh"):
         bench.build("cantilever", mesh=(0, 4))
-    with pytest.raises(ValueError, match="scale 0.001 yields an empty mesh"):
-        bench.build("cantilever", scale=0.001)
     # both edges clamped: a single column of elements has no free DOF
     with pytest.raises(ValueError, match="mesh 1x1 leaves slender no free DOFs"):
         bench.build("slender", mesh=(1, 1))

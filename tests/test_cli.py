@@ -41,12 +41,14 @@ REPORT_KEYS = [
     "factorizations", "fallbacks", "filter_kernel", "filter_radius_elements",
     "final_gp_norm", "final_objective", "final_penalty", "final_volume",
     "guard_refreshes", "ica_iterations", "linear",
-    "linesearch_fallbacks", "mesh", "mode", "move_limit", "newton_iterations",
+    "linesearch_fallbacks", "max_rel_objective_error", "mesh", "mode",
+    "move_limit", "newton_iterations",
     "outer_iterations", "problem", "rejected_steps", "step_fallbacks",
     "strategy", "timings"]
 HISTORY_HEADER = (
-    "iteration,accepted,move_limit,objective,newton_iters,factorizations,"
-    "ica_iters,fallbacks,step_fallbacks,linesearch_fallbacks,"
+    "iteration,accepted,move_limit,objective,objective_error,residual_inf,"
+    "newton_iters,factorizations,ica_iters,fallbacks,step_fallbacks,"
+    "linesearch_fallbacks,"
     "adjoint_fallbacks,guard_refreshes,gp_norm_inf,penalty,volume,max_normB,"
     "Total,F(rho),K_T,RHS,Factorizations,Linear systems,grad F(rho),"
     "Subproblem solving,Filtering,Other")
@@ -115,6 +117,37 @@ def test_converge_mode(tmp_path):
     assert report["mode"] == "converge"
     assert report["converged"] is True
     assert report["final_gp_norm"] < 1e-3
+
+
+def test_converge_mode_runs_within_the_default_budget(tmp_path):
+    code, out = run_cli(tmp_path, "--problem", "inverter", "--mesh", "12x6",
+                        "--converge", "1e-3")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["budget"] == 100
+    assert report["converged"] is True
+    assert report["outer_iterations"] <= 101
+
+
+def test_history_has_residual_and_objective_error(tmp_path):
+    # the objective error is empty on rejected rows, and bounded by the
+    # max-norm residual's share on accepted ones
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", "N", "--budget", "20")
+    assert code == 0
+    rows = read_history(out)
+    assert any(row["accepted"] == "0" for row in rows)
+    for row in rows:
+        assert 0.0 <= float(row["residual_inf"]) <= 1e-5
+        if row["accepted"] == "0":
+            assert row["objective_error"] == ""
+        else:
+            assert abs(float(row["objective_error"])) \
+                < 1e-5 * abs(float(row["objective"]))
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_rel_objective_error"] == max(
+        abs(float(row["objective_error"]) / float(row["objective"]))
+        for row in rows if row["accepted"] == "1")
 
 
 def test_determinism_modulo_timings(tmp_path):
@@ -522,6 +555,26 @@ class TestCompare:
         line, = (line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("Rejected steps"))
         assert line.split()[2:] == ["0", "-"]
+
+    def test_report_without_objective_error_compares(self, report, tmp_path,
+                                                     capsys):
+        # a report from before the objective error shows "-"
+        fields = json.loads(report.read_text())
+        assert fields["max_rel_objective_error"] < 1e-5
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({
+            key: value for key, value in fields.items()
+            if key != "max_rel_objective_error"}))
+        assert main(["compare", str(report), str(older)]) == 0
+        line, = (line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("Max rel objective error"))
+        assert line.split()[4:] == [
+            f"{fields['max_rel_objective_error']:.6g}", "-"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**fields, "max_rel_objective_error": "x"}))
+        assert main(["compare", str(report), str(bad)]) == 2
+        assert "max_rel_objective_error must be a number or null, got " \
+            '"x"' in capsys.readouterr().err
 
     def test_aborted_report_compares(self, report, tmp_path, capsys):
         # an aborted run's report holds a null final objective

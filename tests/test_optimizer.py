@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from icatop import bench
 from icatop.errors import InfeasibleSubproblemError
 from icatop.nonlinear import Strategy, predicted_factorizations
-from icatop.optimizer import (ETA, ETA_GROW, HARD_CAP, OptimizerConfig,
-                              optimize, projected_gradient_norm,
-                              slp_subproblem)
+from icatop.optimizer import (ETA, ETA_GROW, OptimizerConfig, optimize,
+                              projected_gradient_norm, slp_subproblem)
 from icatop.sparse import BandPlan
 
 
@@ -196,9 +195,11 @@ class TestOptimizeLoop:
             OptimizerConfig(budget=-1)
         with pytest.raises(ValueError, match="budget"):
             OptimizerConfig(budget=None)
-        cfg = OptimizerConfig(budget=None, converge_tol=1e-3)
-        assert cfg.max_outer() == HARD_CAP
-        assert OptimizerConfig(budget=0).max_outer() == 0
+        with pytest.raises(ValueError, match="budget"):
+            OptimizerConfig(budget=None, converge_tol=1e-3)
+
+    def test_convergence_mode_keeps_the_default_budget(self):
+        assert OptimizerConfig(converge_tol=1e-3).budget == 100
 
     @pytest.mark.parametrize("move", [0.0, -0.5, np.nan, np.inf])
     def test_invalid_move_limits_rejected(self, move):
@@ -207,9 +208,8 @@ class TestOptimizeLoop:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_invalid_convergence_tolerances_rejected(self, tol):
-        # a tolerance no projected gradient meets would plan HARD_CAP rows
         with pytest.raises(ValueError, match="converge_tol"):
-            OptimizerConfig(budget=None, converge_tol=tol)
+            OptimizerConfig(converge_tol=tol)
 
     def test_penalty_monotone_in_history(self):
         prob = bench.build("cantilever", mesh=(12, 4))
@@ -235,8 +235,9 @@ class TestOptimizeLoop:
         for name in ("objective", "newton_iters", "factorizations", "ica_iters",
                      "fallbacks", "step_fallbacks",
                      "linesearch_fallbacks", "adjoint_fallbacks",
-                     "guard_refreshes", "residual_inf", "gp_norm", "accepted",
-                     "move_limit", "penalty", "volume", "max_normB", "times"):
+                     "guard_refreshes", "residual_inf", "objective_error",
+                     "gp_norm", "accepted", "move_limit", "penalty", "volume",
+                     "max_normB", "times"):
             assert len(getattr(h, name)) == n
 
     def test_first_iteration_failure_aborts(self, monkeypatch):
@@ -546,3 +547,65 @@ class TestOptimizeLoop:
             == pytest.approx(good)
         # rows 5 to 8 step at the moves rows 4 to 7 left behind
         assert h.move_limit[3:] == [0.05, 0.025, 0.025, 0.05, 0.05]
+
+
+class TestObjectiveError:
+    """lam^T r: to first order the exact objective minus the row's F."""
+
+    REUSE = (Strategy.MN, Strategy.UPK1G, Strategy.UPK100G,
+             Strategy.UPK03K100G)
+
+    def test_corrected_objectives_agree_with_exact_newton(self):
+        # the strategies' raw objectives differ by their residuals' share;
+        # the corrected ones F + lam^T r agree far tighter
+        prob = bench.desk("cantilever")
+        runs = {s: optimize(prob, OptimizerConfig(strategy=s, budget=20))
+                for s in (Strategy.N, *self.REUSE)}
+        exact = runs[Strategy.N]
+        worst_raw = 0.0
+        for strategy in self.REUSE:
+            h = runs[strategy]
+            assert h.accepted == exact.accepted, strategy.value
+            for i in np.flatnonzero(h.accepted):
+                F, F_exact = h.objective[i], exact.objective[i]
+                corrected = F + h.objective_error[i]
+                corrected_exact = F_exact + exact.objective_error[i]
+                assert abs(corrected - corrected_exact) \
+                    <= 1e-10 * abs(corrected_exact), (strategy.value, i)
+                worst_raw = max(worst_raw, abs(F - F_exact) / abs(F_exact))
+        assert worst_raw > 1e-8
+
+    def test_none_exactly_on_rejected_rows(self):
+        h = optimize(bench.desk("gripper"),
+                     OptimizerConfig(strategy=Strategy.UPK03K100G, budget=20))
+        assert not h.aborted and not all(h.accepted)
+        assert [e is None for e in h.objective_error] \
+            == [not ok for ok in h.accepted]
+
+    def test_none_on_a_failed_solve(self, monkeypatch):
+        import icatop.optimizer as opt
+        from icatop.errors import NewtonConvergenceError
+        real = opt.newton_solve
+
+        def flaky(model, rho, p, u0, strategy, ctx, outer_iter, **kw):
+            if outer_iter == 3:
+                raise NewtonConvergenceError("synthetic failure", None)
+            return real(model, rho, p, u0, strategy, ctx, outer_iter, **kw)
+
+        monkeypatch.setattr(opt, "newton_solve", flaky)
+        h = optimize(bench.build("cantilever", mesh=(12, 4)),
+                     OptimizerConfig(strategy=Strategy.N, budget=4))
+        assert h.accepted == [True, True, False, True, True]
+        assert [e is None for e in h.objective_error] \
+            == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("problem", ["cantilever", "inverter"])
+    @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.UPK03K100G])
+    def test_linear_mode_is_exact_to_roundoff(self, problem, strategy):
+        # one exact solve per row leaves only the roundoff residual
+        h = optimize(bench.linear_mode(bench.desk(problem)),
+                     OptimizerConfig(strategy=strategy, budget=10))
+        assert all(h.accepted)
+        for F, error in zip(h.objective, h.objective_error):
+            assert abs(error) <= 1e-9 * abs(F)
+        assert h.max_rel_objective_error <= 1e-9

@@ -173,7 +173,7 @@ class TestAdjointSolve:
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         l = rng.standard_normal(25)
-        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8)
+        lam, rep = ica_adjoint_solve(ctx, l)
         assert rep.converged
         assert np.abs(Kc.matvec(lam) + l).max() <= 1e-8 * np.abs(l).max()
 
@@ -195,7 +195,7 @@ class TestAdjointSolve:
         ctx = ReanalysisContext(K0)
         ctx.refresh(Kc)
         l = rng.standard_normal(20)
-        lam, rep = ica_adjoint_solve(ctx, l, eps_T=1e-8)
+        lam, rep = ica_adjoint_solve(ctx, l)
         assert rep.fallback and rep.converged
         # the report keeps the sweeps' count and the residual they stopped
         # at: the adjoint
