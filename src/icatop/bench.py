@@ -34,14 +34,6 @@ CANONICAL_MESH = {
     "gripper": (320, 160),
 }
 
-# mesh-refinement families: (nx, ny) -> filter radius in element lengths
-REFINEMENT = {
-    "slender": [((200, 25), 2.5), ((400, 50), 5.0),
-                ((600, 75), 7.5), ((800, 100), 10.0)],
-    "inverter": [((200, 100), 5.0), ((300, 150), 7.5),
-                 ((400, 200), 10.0), ((500, 250), 12.5)],
-}
-
 _MIN_RADIUS = 1.5
 
 

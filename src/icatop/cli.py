@@ -3,7 +3,11 @@
 ``icatop run`` executes one optimization, of --budget outer iterations
 after the first (default 100) or fewer once --converge stops it, and
 writes report.json, history.csv and density.pgm into the output
-directory; --monitor-normB fills history.csv's max_normB column.
+directory; --monitor-normB fills history.csv's max_normB column.  An
+argument ``@FILE`` reads flags from FILE, one or more per line in shell
+syntax, with blank lines and ``#`` comments; of two settings of the same
+flag the later wins, so ``icatop run @run.args --budget 2`` overrides the
+file's budget.
 ``icatop compare`` tabulates several reports of the same problem side by
 side with percentage deltas against the first.
 """
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -25,30 +31,12 @@ from .optimizer import RHO_MIN, OptimizerConfig, RunHistory, optimize
 from .reanalysis import REASONS
 from .timing import CATEGORIES
 
-HISTORY_COLUMNS = [
-    "iteration", "accepted", "move_limit", "objective", "objective_error",
-    "residual_inf", "newton_iters", "factorizations", "ica_iters",
-    "fallbacks", *REASONS, "gp_norm_inf", "penalty", "volume", "max_normB",
-] + list(CATEGORIES)
-
-# options of ``run`` that a config file may set too: key -> flag settings;
-# the flag is --key with dashes, and a file value obeys the flag's rules
-RUN_OPTIONS = {
-    "problem": {"choices": list(bench.BUILDERS)},
-    "mesh": {"help": "WxH element counts, e.g. 60x15"},
-    "strategy": {"choices": [m.value for m in Strategy]},
-    "budget": {"type": int},
-    "converge": {"type": float, "help": "stop early, within the budget, on "
-                 "the projected-gradient criterion"},
-    "move_limit": {"type": float},
-    "filter_kernel": {"choices": KERNELS},
-    "filter_radius": {"type": float,
-                      "help": "radius in element lengths (default per problem)"},
-    "monitor_normB": {"action": "store_true"},
-    "linear": {"action": "store_true"},
-}
-BOOLEANS = {"1": True, "true": True, "yes": True,
-            "0": False, "false": False, "no": False}
+# the RunHistory columns of history.csv, in order, after ``iteration``;
+# the header writes gp_norm as gp_norm_inf, and the timings follow
+HISTORY_COLUMNS = (
+    "accepted", "move_limit", "objective", "objective_error", "residual_inf",
+    "newton_iters", "factorizations", "ica_iters", "fallbacks", *REASONS,
+    "gp_norm", "penalty", "volume", "max_normB")
 
 
 def _is_number(value) -> bool:
@@ -59,104 +47,63 @@ def _is_number_or_null(value) -> bool:
     return value is None or _is_number(value)
 
 
-# what ``compare`` reads of every report: key -> (check, what it expects);
-# an aborted run writes a null final objective
+# what ``compare`` reads of every report: key -> (check, what it expects,
+# label of its row above the timings or None); an aborted run writes a
+# null final objective
 REPORT_KEYS = {
-    "problem": (lambda v: isinstance(v, str), "a string"),
+    "problem": (lambda v: isinstance(v, str), "a string", None),
     "mesh": (lambda v: isinstance(v, list) and len(v) == 2
-             and all(type(n) is int for n in v), "two integers"),
-    "strategy": (lambda v: isinstance(v, str), "a string"),
-    "final_objective": (_is_number_or_null, "a number or null"),
-    **{key: (_is_number, "a number")
-       for key in ("outer_iterations", "newton_iterations", "factorizations",
-                   "fallbacks")},
+             and all(type(n) is int for n in v), "two integers", None),
+    "strategy": (lambda v: isinstance(v, str), "a string", None),
+    "final_objective": (_is_number_or_null, "a number or null", "Final F"),
+    "outer_iterations": (_is_number, "a number", "Outer iterations"),
+    "newton_iterations": (_is_number, "a number", "Newton iterations"),
+    "factorizations": (_is_number, "a number", "Factorizations"),
+    "fallbacks": (_is_number, "a number", "Fallbacks"),
     "timings": (lambda v: isinstance(v, dict)
                 and all(_is_number(t) for t in v.values()),
-                "an object of numbers"),
+                "an object of numbers", None),
+    "guard_refreshes": (_is_number_or_null, "a number or null",
+                        "Guard refreshes"),
+    "linear": (lambda v: isinstance(v, bool), "true or false", None),
+    "rejected_steps": (_is_number, "a number", "Rejected steps"),
+    "max_rel_objective_error": (_is_number_or_null, "a number or null",
+                                "Max rel objective error"),
 }
 # read when present: reports from before the guard's refresh lack the
 # first, reports from before linear mode the second (read as False),
 # reports from before the acceptance rule the third, and reports from
-# before the objective error the fourth
-OPTIONAL_KEYS = {
-    "guard_refreshes": (_is_number_or_null, "a number or null"),
-    "linear": (lambda v: isinstance(v, bool), "true or false"),
-    "rejected_steps": (_is_number, "a number"),
-    "max_rel_objective_error": (_is_number_or_null, "a number or null"),
-}
-# rows of ``compare`` above the timings, in order
-COUNT_ROWS = {
-    "Final F": lambda r: r["final_objective"],
-    "Outer iterations": lambda r: r["outer_iterations"],
-    "Newton iterations": lambda r: r["newton_iterations"],
-    "Factorizations": lambda r: r["factorizations"],
-    "Fallbacks": lambda r: r["fallbacks"],
-    "Guard refreshes": lambda r: r.get("guard_refreshes"),
-    "Rejected steps": lambda r: r.get("rejected_steps"),
-    "Max rel objective error": lambda r: r.get("max_rel_objective_error"),
-}
+# before the objective error the fourth; a missing row shows "-"
+OPTIONAL_KEYS = ("guard_refreshes", "linear", "rejected_steps",
+                 "max_rel_objective_error")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="icatop",
-                                     description=__doc__.splitlines()[0])
+                                     description=__doc__.splitlines()[0],
+                                     fromfile_prefix_chars="@")
+    parser.convert_arg_line_to_args = functools.partial(shlex.split,
+                                                        comments=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one optimization")
-    run.add_argument("--config", type=Path,
-                     help="flat key=value file; flags override it")
-    for key, settings in RUN_OPTIONS.items():
-        run.add_argument("--" + key.replace("_", "-"), default=None,
-                         **settings)
+    run.add_argument("--problem", required=True, choices=list(bench.BUILDERS))
+    run.add_argument("--mesh", help="WxH element counts, e.g. 60x15")
+    run.add_argument("--strategy", choices=[m.value for m in Strategy])
+    run.add_argument("--budget", type=int)
+    run.add_argument("--converge", type=float, help="stop early, within the "
+                     "budget, on the projected-gradient criterion")
+    run.add_argument("--move-limit", type=float)
+    run.add_argument("--filter-kernel", choices=KERNELS)
+    run.add_argument("--filter-radius", type=float,
+                     help="radius in element lengths (default per problem)")
+    run.add_argument("--monitor-normB", action="store_true")
+    run.add_argument("--linear", action="store_true")
     run.add_argument("--out", type=Path, default=Path("."))
 
     comp = sub.add_parser("compare", help="tabulate several run reports")
     comp.add_argument("reports", nargs="+", type=Path)
     return parser
-
-
-def read_config_file(path: Path) -> dict:
-    """Flat key=value format; keys and values follow the run flags."""
-    opts = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        try:
-            opts[key] = _parse_option(key, value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return opts
-
-
-def _parse_option(key: str, text: str):
-    """A config-file value, checked as its flag would check it."""
-    if key not in RUN_OPTIONS:
-        raise ValueError(f"unknown key; expected one of {list(RUN_OPTIONS)}")
-    settings = RUN_OPTIONS[key]
-    if settings.get("action") == "store_true":
-        if text.lower() not in BOOLEANS:
-            raise ValueError(f"expected one of {list(BOOLEANS)}, got {text!r}")
-        return BOOLEANS[text.lower()]
-    value = settings.get("type", str)(text)
-    choices = settings.get("choices")
-    if choices is not None and value not in choices:
-        raise ValueError(f"invalid choice {text!r}; expected one of "
-                         f"{list(choices)}")
-    return value
-
-
-def _merge_options(args) -> dict:
-    opts = read_config_file(args.config) if args.config is not None else {}
-    for key in RUN_OPTIONS:
-        value = getattr(args, key)
-        if value is not None:
-            opts[key] = value
-    return opts
 
 
 def _parse_mesh(text):
@@ -168,24 +115,23 @@ def _parse_mesh(text):
 
 
 def run_command(args) -> int:
+    opts = {key: value for key, value in vars(args).items()
+            if value is not None}
     try:
-        opts = _merge_options(args)
-        if "problem" not in opts:
-            raise ValueError("a problem must be given (--problem or config)")
         mesh = _parse_mesh(opts["mesh"]) if "mesh" in opts \
             else bench.DESK_MESH[opts["problem"]]
         problem = bench.build(opts["problem"], mesh=mesh,
                               filter_radius=opts.get("filter_radius"))
-        if opts.get("linear"):
+        if opts["linear"]:
             problem = bench.linear_mode(problem)
         config = OptimizerConfig(
             strategy=Strategy.from_name(opts.get("strategy", "N")),
             converge_tol=opts.get("converge"),
-            monitor_normB=bool(opts.get("monitor_normB", False)),
+            monitor_normB=opts["monitor_normB"],
             **{key: opts[key] for key in ("budget", "move_limit",
                                           "filter_kernel") if key in opts},
         )
-    except (ValueError, KeyError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -244,33 +190,27 @@ def write_report(path: Path, problem, config: OptimizerConfig,
 
 
 def write_history_csv(path: Path, history: RunHistory) -> None:
+    header = ["iteration", *("gp_norm_inf" if name == "gp_norm" else name
+                             for name in HISTORY_COLUMNS), *CATEGORIES]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
+        writer.writerow(header)
         for i in range(history.iterations):
             times = history.times[i]
-            writer.writerow([
-                i + 1,
-                int(history.accepted[i]),
-                repr(history.move_limit[i]),
-                repr(history.objective[i]),
-                _text(history.objective_error[i]),
-                repr(history.residual_inf[i]),
-                history.newton_iters[i],
-                history.factorizations[i],
-                history.ica_iters[i],
-                history.fallbacks[i],
-                *(getattr(history, name)[i] for name in REASONS),
-                _text(history.gp_norm[i]),
-                history.penalty[i],
-                repr(history.volume[i]),
-                _text(history.max_normB[i]),
-            ] + [f"{times.get(name, 0.0):.6f}" for name in CATEGORIES])
+            writer.writerow(
+                [i + 1, *(_cell(getattr(history, name)[i])
+                          for name in HISTORY_COLUMNS)]
+                + [f"{times.get(name, 0.0):.6f}" for name in CATEGORIES])
 
 
-def _text(value) -> str:
-    """A history cell that may be empty: None is written as ""."""
-    return "" if value is None else repr(value)
+def _cell(value) -> str:
+    """A history cell: None is empty, a bool 0 or 1, an int its digits and
+    any other number the repr of its float."""
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(int(value))
+    return repr(float(value))
 
 
 def write_density_pgm(path: Path, rho_phys, nx: int, ny: int,
@@ -314,10 +254,11 @@ def _report_flaw(report) -> str:
     """Why ``report`` cannot be compared, or "" when it can."""
     if not isinstance(report, dict):
         return f"expected a JSON object, got {type(report).__name__}"
-    missing = [key for key in REPORT_KEYS if key not in report]
+    missing = [key for key in REPORT_KEYS
+               if key not in report and key not in OPTIONAL_KEYS]
     if missing:
         return f"no {', '.join(missing)}"
-    for key, (check, expected) in {**REPORT_KEYS, **OPTIONAL_KEYS}.items():
+    for key, (check, expected, _) in REPORT_KEYS.items():
         if key in report and not check(report[key]):
             return f"{key} must be {expected}, got {json.dumps(report[key])}"
     return ""
@@ -346,10 +287,11 @@ def format_comparison(reports) -> str:
             cells.append(f"{text:>{width}}")
         return f"{label:24}" + "".join(cells)
 
-    for label, get in COUNT_ROWS.items():
-        lines.append(row(label, [get(r) for r in reports],
-                         base_value=get(base)))
-    lines.append("CPU time (s)")
+    for key, (_, _, label) in REPORT_KEYS.items():
+        if label is not None:
+            lines.append(row(label, [r.get(key) for r in reports],
+                             base_value=base.get(key)))
+    lines.append("Wall time (s)")
     for name in CATEGORIES:
         values = [r["timings"].get(name) for r in reports]
         lines.append(row("  " + name, values, fmt="{:.3f}",

@@ -45,7 +45,7 @@ class OptimizerConfig:
     monitor_normB: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.budget, int) or self.budget < 0:
+        if type(self.budget) is not int or self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         if not 0.0 < self.move_limit < np.inf:
             raise ValueError(f"move_limit must be finite and > 0, "

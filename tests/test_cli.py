@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from icatop import nonlinear, optimizer, reanalysis
-from icatop.cli import main, read_config_file
+from icatop import bench, nonlinear, optimizer, reanalysis
+from icatop.cli import build_parser, main, write_history_csv
 from icatop.errors import NewtonConvergenceError, SingularMatrixError
 from icatop.reanalysis import IcaReport
 from icatop.timing import CATEGORIES
@@ -164,64 +165,81 @@ def test_determinism_modulo_timings(tmp_path):
 
 
 def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
+    # an @FILE holds flags, one or more per line; a later flag wins
+    cfg = tmp_path / "run.args"
     cfg.write_text(
         "# desk run\n"
-        "problem = cantilever\n"
-        "mesh = 12x4\n"
-        "strategy = upK1\n"
-        "budget = 3\n"
-        "move-limit = 0.1\n")
-    parsed = read_config_file(cfg)
-    assert parsed == {"problem": "cantilever", "mesh": "12x4",
-                      "strategy": "upK1", "budget": 3, "move_limit": 0.1}
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--budget", "2",
-                 "--out", str(out)])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["budget"] == 2            # flag wins over the file
-    assert report["move_limit"] == 0.1
-    assert report["strategy"] == "upK1"
+        "--problem cantilever --mesh 12x4\n"
+        "\n"
+        "--strategy=upK1   # a comment after the flags\n"
+        "--budget 3\n"
+        "--move-limit 0.1\n")
+    reports = []
+    for sub, args in (("file", [f"@{cfg}", "--budget", "2"]),
+                      ("flags", ["--problem", "cantilever", "--mesh", "12x4",
+                                 "--strategy", "upK1", "--budget", "2",
+                                 "--move-limit", "0.1"])):
+        out = tmp_path / sub
+        assert main(["run", *args, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0]["budget"] == 2        # flag wins over the file
+    assert reports[0]["move_limit"] == 0.1
+    assert reports[0]["strategy"] == "upK1"
+    assert reports[0] == reports[1]
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
-    assert main(["run", "--out", str(tmp_path)]) == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("problem cantilever\n")
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--problem" in capsys.readouterr().err
+    bad = tmp_path / "bad.args"
+    bad.write_text("problem = cantilever\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", f"@{bad}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_config_booleans(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("linear = No\nmonitor-normB = TRUE\n")
-    assert read_config_file(cfg) == {"linear": False, "monitor_normB": True}
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--problem cantilever\n--linear\n--monitor-normB\n")
+    args = build_parser().parse_args(["run", f"@{cfg}"])
+    assert args.linear is True and args.monitor_normB is True
+    cfg.write_text("--problem cantilever\n")
+    args = build_parser().parse_args(["run", f"@{cfg}"])
+    assert args.linear is False and args.monitor_normB is False
 
 
-@pytest.mark.parametrize("line, key", [
-    ("budgt = 2", "budgt"),
-    ("filter_kernel = box", "filter_kernel"),
-    ("problem = bridge", "problem"),
-    ("strategy = upK2", "strategy"),
-    ("linear = maybe", "linear"),
-    ("budget = two", "budget"),
+@pytest.mark.parametrize("line, flag", [
+    ("--budgt 2", "--budgt"),
+    ("--filter-kernel box", "--filter-kernel"),
+    ("--problem bridge", "--problem"),
+    ("--strategy upK2", "--strategy"),
+    ("--linear=maybe", "--linear"),
+    ("--budget two", "--budget"),
 ], ids=["unknown_key", "kernel", "problem", "strategy", "boolean", "int"])
-def test_config_rejects_bad_key_or_value(tmp_path, capsys, line, key):
-    # a bad entry stops the run before anything is written
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"problem = cantilever\nmesh = 12x4\n{line}\n")
+def test_config_rejects_bad_key_or_value(tmp_path, capsys, line, flag):
+    # a bad entry stops the run before anything is written, as the same
+    # flag typed on the command line does
+    cfg = tmp_path / "run.args"
+    cfg.write_text(f"--problem cantilever\n--mesh 12x4\n{line}\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{cfg}:3: {key}:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", f"@{cfg}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_missing_config_exits_before_writing(tmp_path, capsys):
-    missing = tmp_path / "missing.cfg"
-    code, out = run_cli(tmp_path, "--config", str(missing))
-    assert code == 2
+    missing = tmp_path / "missing.args"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, f"@{missing}")
+    assert exc.value.code == 2
     assert str(missing) in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, message", [
@@ -360,6 +378,51 @@ def read_history(out):
     lines = (out / "history.csv").read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def history_cell(value) -> str:
+    """The written form of a history value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def test_history_cells_are_pinned(tmp_path):
+    # a run with a rejected row and the drift monitor on: every non-timing
+    # cell is its RunHistory value written by the one cell rule
+    prob = bench.build("cantilever", mesh=(12, 4))
+    h = optimizer.optimize(prob, optimizer.OptimizerConfig(
+        strategy=nonlinear.Strategy.UPK100G, budget=20, monitor_normB=True))
+    assert False in h.accepted
+    assert any(value is not None for value in h.max_normB)
+    write_history_csv(tmp_path / "history.csv", h)
+    header, *rows = csv.reader(open(tmp_path / "history.csv"))
+    assert header == HISTORY_HEADER.split(",") and len(rows) == h.iterations
+    columns = header[:-len(CATEGORIES)]
+    assert len(columns) == 18
+    for i, row in enumerate(rows):
+        for name, cell in zip(columns, row):
+            attr = {"gp_norm_inf": "gp_norm"}.get(name, name)
+            value = i + 1 if name == "iteration" else getattr(h, attr)[i]
+            assert cell == history_cell(value), (i, name)
+            if cell:
+                float(cell)
+
+
+def test_numpy_settings_write_plain_cells(tmp_path):
+    # a move limit given as a numpy float is written as a plain number
+    prob = bench.build("cantilever", mesh=(12, 4))
+    h = optimizer.optimize(prob, optimizer.OptimizerConfig(
+        move_limit=np.float64(0.05), budget=2))
+    write_history_csv(tmp_path / "history.csv", h)
+    rows = read_history(tmp_path)
+    assert [row["move_limit"] for row in rows] == [
+        repr(float(move)) for move in h.move_limit]
+    assert rows[0]["move_limit"] == "0.05"
 
 
 @pytest.mark.parametrize("strategy", ["N", "upK03K100g"])

@@ -198,6 +198,12 @@ class TestOptimizeLoop:
         with pytest.raises(ValueError, match="budget"):
             OptimizerConfig(budget=None, converge_tol=1e-3)
 
+    def test_boolean_budget_rejected(self):
+        # bool is an int subclass; True is not a budget of 1
+        for budget in (True, False):
+            with pytest.raises(ValueError, match="budget"):
+                OptimizerConfig(budget=budget)
+
     def test_convergence_mode_keeps_the_default_budget(self):
         assert OptimizerConfig(converge_tol=1e-3).budget == 100
 
