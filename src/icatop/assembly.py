@@ -167,23 +167,26 @@ class FeModel:
         ids = np.full((mesh.ny + 3, mesh.nx + 3, 2), -1, dtype=np.intp)
         ids[1:-1, 1:-1] = mesh.full_to_free.reshape(mesh.ny + 1, mesh.nx + 1, 2)
         # row r's stencil, ascending, with r itself in slot 8 + comp
-        nbr = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18)[mesh.free // 2]
+        nbr = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18).take(
+            mesh.free // 2, axis=0)
         comp = (mesh.free % 2)[:, None]
         slot = np.arange(18)
         keep = nbr >= 0
         upper = keep & (slot >= 8 + comp)
-        # upper position of entry (r, nbr[r, k]); the dropped bin n_upper
-        # off the upper triangle and on row n, which fixed DOFs (-1) read
+        # upper position of entry (r, nbr[r, k]) at flat index 18 r + k; the
+        # dropped bin n_upper off the upper triangle and on row n, which
+        # fixed DOFs (-1) read as a negative index
         self._n_upper = int(np.count_nonzero(upper))
         rank = np.full((n + 1, 18), self._n_upper, dtype=np.intp)
         rank[:-1][upper] = np.arange(self._n_upper)
-        self._diag = rank[np.arange(n), 8 + comp[:, 0]]
-        self._uidx = rank[self.elem_free[:, _LO], _SLOT].ravel()
-        self._indptr = np.append(0, keep.sum(axis=1).cumsum()).astype(np.int32)
+        self._diag = rank.take(18 * np.arange(n) + 8 + comp[:, 0])
+        self._uidx = rank.take(18 * self.elem_free[:, _LO] + _SLOT).ravel()
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=self._indptr[1:])
         self._indices = nbr[keep].astype(np.int32)
         # lower slot k of row r holds (r, j); row j holds (j, r) in slot
         # 16 - k + k % 2 + comp
-        mirror = rank[nbr, 16 - slot + slot % 2 + comp]
+        mirror = rank.take(18 * nbr + (16 - slot + slot % 2 + comp))
         np.copyto(mirror, rank[:-1], where=upper)
         self._mirror = mirror[keep]
         # free index of every element DOF, fixed ones to a dropped bin

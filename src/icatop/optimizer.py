@@ -9,8 +9,8 @@ An accepted row forms the adjoint gradient and solves its LP.  It doubles
 the move limit up to ``move_limit`` when it is the first row, when its
 penalty is new, or when F fell by at least ETA_GROW times -g.d, and keeps
 it otherwise.  A rejected row halves the move limit and solves the last
-accepted row's LP again.  The LP is an exact continuous-knapsack
-subproblem with move limits; its multiplier feeds the projected-gradient
+accepted row's LP again.  The LP, a continuous knapsack with move limits,
+is solved exactly by one sort; its multiplier feeds the projected-gradient
 stationarity test, which stops a run early, within its budget of rows.
 """
 
@@ -69,10 +69,12 @@ class SubproblemResult:
 def slp_subproblem(grad, rho, move, bounds, v, Vstar) -> SubproblemResult:
     """Exact solve of  min grad^T d  s.t.  v^T (rho + d) = Vstar, box+move.
 
-    Bisection on the volume multiplier theta: for fixed theta each component
-    sits at its lower or upper limit depending on the sign of
-    grad_i + theta v_i, with ties kept at d_i = 0.  The tie group absorbs
-    the leftover volume so the equality holds to roundoff.
+    Component i sits at its upper limit while theta < -grad_i / v_i and at
+    its lower one past it, so the volume is a step function of theta with
+    one step per breakpoint.  One sort lists the steps; theta is the first
+    breakpoint past which the volume is below Vstar.  Ties (grad_i + theta
+    v_i zero to roundoff) start at rho and take up the leftover volume in
+    index order, so the equality holds to roundoff.
     """
     grad = np.asarray(grad, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -85,28 +87,14 @@ def slp_subproblem(grad, rho, move, bounds, v, Vstar) -> SubproblemResult:
         raise InfeasibleSubproblemError(
             f"target volume {Vstar} outside [{vol_lo}, {vol_hi}]")
 
-    breakpoints = -grad / v
-    t0 = float(breakpoints.min()) - 1.0
-    t1 = float(breakpoints.max()) + 1.0
-
-    def bang(theta):
-        c = grad + theta * v
-        return np.where(c > 0.0, lo, np.where(c < 0.0, hi, rho))
-
-    # invariant: volume(t0) >= Vstar >= volume(t1)
-    for _ in range(200):
-        if (t1 - t0) <= 1e-16 * (1.0 + abs(t0) + abs(t1)):
-            break
-        mid = 0.5 * (t0 + t1)
-        if float(v @ bang(mid)) >= Vstar:
-            t0 = mid
-        else:
-            t1 = mid
-
-    theta = t1
+    b = -grad / v
+    order = np.argsort(b, kind="stable")
+    # the volume lost once the k+1 smallest breakpoints are passed
+    drop = np.cumsum((v * (hi - lo))[order])
+    k = min(np.searchsorted(drop, vol_hi - Vstar, side="right"), b.size - 1)
+    theta = b[order[k]]
     c = grad + theta * v
-    atol = 4.0 * np.finfo(float).eps * (np.abs(grad) + abs(theta) * v) \
-        + (t1 - t0) * v
+    atol = 4.0 * np.finfo(float).eps * (np.abs(grad) + abs(theta) * v)
     ties = np.abs(c) <= atol
     rho_new = np.where(ties, rho, np.where(c > 0.0, lo, hi))
 

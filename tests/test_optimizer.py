@@ -111,6 +111,20 @@ class TestSubproblem:
             resid = np.abs(grad + sub.theta * v)[interior]
             if resid.size:
                 assert resid.max() <= 1e-8 * (1.0 + abs(sub.theta) * v.max())
+            assert sub.theta in (-grad / v).tolist()
+
+    @pytest.mark.parametrize("grad, Vstar, expect", [
+        # the two ties take up the leftover volume in index order
+        ([-3.0, -1.0, -1.0, 2.0], 2.2, [0.75, 0.7, 0.5, 0.25]),
+        ([-3.0, -1.0, -1.0, 2.0], 2.3, [0.75, 0.75, 0.55, 0.25]),
+        # degenerate: the bang-bang design at theta = 1 meets Vstar
+        ([-3.0, -1.0, 0.5, 2.0], 2.0, [0.75, 0.75, 0.25, 0.25]),
+    ])
+    def test_binary_instances(self, grad, Vstar, expect):
+        v, rho = np.ones(4), np.full(4, 0.5)
+        sub = slp_subproblem(np.array(grad), rho, 0.25, (1e-3, 1.0), v, Vstar)
+        assert sub.theta == 1.0
+        assert np.allclose(sub.rho_new, expect, rtol=0.0, atol=1e-15)
 
     def test_infeasible_raises(self):
         v = np.ones(3)
