@@ -48,10 +48,10 @@ k_e, give the forces u_e k_e.
 Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
 to the free DOFs of the 3x3 node block around its node, an ascending
 18-slot stencil on the grid of free ids padded with -1; the CSR rows, the
-upper numbering and positions, the mirrors and the band order all follow
-from it without a sort.  Assembly sums element entries in element order
-into the upper triangle, and ``mirror`` copies each upper value into
-(i, j) and (j, i), so the tangent is exactly symmetric by construction.
+element entries' positions in them and the band order all follow from it
+without a sort.  Only the upper triangle is stored, as CSR rows with the
+diagonal first; assembly sums element entries in element order into it,
+so the tangent is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -164,31 +164,26 @@ class FeModel:
     def _build_pattern(self):
         mesh, n = self.mesh, self.mesh.n_free
         # free DOF ids on the node grid; -1 on fixed DOFs and on the border
-        ids = np.full((mesh.ny + 3, mesh.nx + 3, 2), -1, dtype=np.intp)
+        ids = np.full((mesh.ny + 3, mesh.nx + 3, 2), -1, dtype=np.int32)
         ids[1:-1, 1:-1] = mesh.full_to_free.reshape(mesh.ny + 1, mesh.nx + 1, 2)
-        # row r's stencil, ascending, with r itself in slot 8 + comp
+        # row r's stencil, ascending, with r itself in slot 8 + comp; its
+        # upper entries are the slots from there on, the diagonal first
         nbr = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18).take(
             mesh.free // 2, axis=0)
         comp = (mesh.free % 2)[:, None]
-        slot = np.arange(18)
-        keep = nbr >= 0
-        upper = keep & (slot >= 8 + comp)
-        # upper position of entry (r, nbr[r, k]) at flat index 18 r + k; the
+        upper = (nbr >= 0) & (np.arange(18) >= 8 + comp)
+        # position of entry (r, nbr[r, k]) at flat index 18 r + k; the
         # dropped bin n_upper off the upper triangle and on row n, which
         # fixed DOFs (-1) read as a negative index
         self._n_upper = int(np.count_nonzero(upper))
-        rank = np.full((n + 1, 18), self._n_upper, dtype=np.intp)
-        rank[:-1][upper] = np.arange(self._n_upper)
-        self._diag = rank.take(18 * np.arange(n) + 8 + comp[:, 0])
-        self._uidx = rank.take(18 * self.elem_free[:, _LO] + _SLOT).ravel()
+        rank = np.full((n + 1, 18), self._n_upper, dtype=np.int32)
+        rank[:-1][upper] = np.arange(self._n_upper, dtype=np.int32)
+        # intp once here, or bincount converts it on every assembly
+        self._uidx = rank.take(
+            18 * self.elem_free[:, _LO] + _SLOT).ravel().astype(np.intp)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=self._indptr[1:])
-        self._indices = nbr[keep].astype(np.int32)
-        # lower slot k of row r holds (r, j); row j holds (j, r) in slot
-        # 16 - k + k % 2 + comp
-        mirror = rank.take(18 * nbr + (16 - slot + slot % 2 + comp))
-        np.copyto(mirror, rank[:-1], where=upper)
-        self._mirror = mirror[keep]
+        np.cumsum(np.count_nonzero(upper, axis=1), out=self._indptr[1:])
+        self._indices = nbr[upper]
         # free index of every element DOF, fixed ones to a dropped bin
         self._fidx = np.where(self.elem_free >= 0, self.elem_free, n).ravel()
 
@@ -303,9 +298,9 @@ class FeModel:
         """Global matrix from (n_el, 36) upper element entries plus springs."""
         data = np.bincount(self._uidx, weights=upper.ravel(),
                            minlength=self._n_upper + 1)[:-1]
-        data[self._diag] += self.spring_free
+        data[self._indptr[:-1]] += self.spring_free     # diagonals
         return SparseSym(self.mesh.n_free, self._indptr, self._indices,
-                         data[self._mirror], self.plan)
+                         data, self.plan)
 
     # -- small-strain variant ----------------------------------------------
     @cached_property

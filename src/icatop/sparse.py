@@ -1,5 +1,6 @@
 """Symmetric sparse matrices with reusable band factorizations.
 
+A symmetric matrix stores its upper triangle once, as CSR rows.
 Matrices share one sparsity pattern per mesh; each assembly writes new
 values, never into a matrix already made.  A pattern carries its
 factorization plan (``BandPlan``): a band-reducing symmetric order of its
@@ -38,14 +39,15 @@ class BandPlan:
     ``perm[k]`` is the original index of the k-th row in the band's
     symmetric order.  The band is LAPACK lower band storage, Fortran-ordered
     with shape (kd + 1, n), so LAPACK works on it in place; entry (i, j) of
-    the permuted matrix, i >= j, sits at row i - j of column j.
+    the permuted matrix, i >= j, sits at row i - j of column j.  Built on
+    the stored triangle, whose entry (i, j) lands at row |i - j| of column
+    min(i, j).
     """
 
     n: int
     kd: int             # half-bandwidth of the permuted matrix
     perm: np.ndarray
-    pick: np.ndarray    # data positions of the entries with i >= j
-    dest: np.ndarray    # flat band offsets of those entries
+    dest: np.ndarray    # flat band offset of each stored entry
 
     @classmethod
     def build(cls, indptr: np.ndarray, indices: np.ndarray,
@@ -56,10 +58,9 @@ class BandPlan:
         pos[perm] = np.arange(n)
         rows = pos[np.repeat(np.arange(n), np.diff(indptr))]
         cols = pos[indices]
-        pick = np.flatnonzero(rows >= cols)
-        offset, cols = rows[pick] - cols[pick], cols[pick]
+        offset = np.abs(rows - cols)
         kd = int(offset.max()) if offset.size else 0
-        return cls(n, kd, perm, pick, offset + cols * (kd + 1))
+        return cls(n, kd, perm, offset + np.minimum(rows, cols) * (kd + 1))
 
     def cholesky_band(self, vals: np.ndarray) -> np.ndarray:
         ab = np.zeros((self.kd + 1) * self.n)
@@ -79,12 +80,13 @@ class BandPlan:
 
 @dataclass
 class SparseSym:
-    """Symmetric matrix in CSR form with a fixed, sorted pattern.
+    """Symmetric matrix stored as its upper triangle (i <= j) in CSR rows
+    with a fixed, sorted pattern.
 
     ``indptr``/``indices`` and ``plan`` are shared between matrices on the
     same pattern; only ``data`` differs, so a matrix on an existing pattern
-    is ``dataclasses.replace(K, data=...)``.  Symmetry is by construction
-    (both triangles are stored).
+    is ``dataclasses.replace(K, data=...)``.  Symmetry is by construction:
+    each entry off the diagonal is stored once, for both of its places.
     """
 
     n: int
@@ -102,19 +104,24 @@ class SparseSym:
 
     @classmethod
     def from_dense(cls, A: np.ndarray) -> "SparseSym":
-        """The nonzeros of A, with a plan in the natural order."""
-        A = sp.csr_matrix(np.asarray(A, dtype=float))
-        n = A.shape[0]
-        return cls(n, A.indptr, A.indices, A.data,
-                   BandPlan.build(A.indptr, A.indices, np.arange(n)))
+        """The upper nonzeros of a symmetric A, with a plan in the natural
+        order; raises ValueError if A is not symmetric."""
+        A = np.asarray(A, dtype=float)
+        if not np.array_equal(A, A.T, equal_nan=True):
+            raise ValueError("matrix is not symmetric")
+        U = sp.csr_matrix(np.triu(A))
+        n = U.shape[0]
+        return cls(n, U.indptr, U.indices, U.data,
+                   BandPlan.build(U.indptr, U.indices, np.arange(n)))
 
     def to_csr(self) -> sp.csr_matrix:
-        # cached view sharing the data buffer; values edited in place show up
+        """The stored triangle U, a cached CSR view of ``data`` (cached
+        with its diagonal); the matrix is U + triu(U, 1).T."""
         csr = getattr(self, "_csr", None)
         if csr is None:
             csr = sp.csr_matrix((self.data, self.indices, self.indptr),
                                 shape=(self.n, self.n))
-            self._csr = csr
+            self._csr, self._diagonal = csr, csr.diagonal()
         return csr
 
     def same_pattern(self, other: "SparseSym") -> bool:
@@ -128,7 +135,8 @@ class SparseSym:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {v.shape}")
-        return self.to_csr() @ v
+        U = self.to_csr()
+        return U @ v + U.T @ v - self._diagonal * v
 
 
 def _lapack_info(routine: str, info: int) -> None:
@@ -219,13 +227,12 @@ def ldlt_factor(K: SparseSym) -> Factorization:
     if not np.isfinite(K.data).all():
         raise SingularMatrixError("matrix holds non-finite values")
     plan = K.plan
-    vals = K.data[plan.pick]
-    ab, info = dpbtrf(plan.cholesky_band(vals), lower=1, overwrite_ab=1)
+    ab, info = dpbtrf(plan.cholesky_band(K.data), lower=1, overwrite_ab=1)
     _lapack_info("dpbtrf", info)
     if info == 0:
         return Factorization(K.n, BandFactor(ab, plan.kd), plan.perm)
     # not positive definite: LU with partial pivoting on the same band
-    ab, piv, info = dgbtrf(plan.lu_band(vals), plan.kd, plan.kd,
+    ab, piv, info = dgbtrf(plan.lu_band(K.data), plan.kd, plan.kd,
                            overwrite_ab=1)
     _lapack_info("dgbtrf", info)
     if info > 0:
@@ -234,14 +241,11 @@ def ldlt_factor(K: SparseSym) -> Factorization:
 
 
 def delta_apply(dK: SparseSym, v: np.ndarray) -> np.ndarray:
-    """dK @ v for a matrix dK, counted apart from ``matvec``.
+    """dK @ v for a matrix dK: ``dK.matvec(v)`` under its own name.
 
     Nothing in the package calls it since the sweeps iterate in residual
     form.  It stays only because the benchmark's span tracer
     (``perfbench/tracer.py``) refuses to install when one of its layers,
     ``sparse.delta_apply`` among them, has no lookup site left.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dK.n,):
-        raise ValueError(f"expected vector of length {dK.n}, got {v.shape}")
-    return dK.to_csr() @ v
+    return dK.matvec(v)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from icatop import nonlinear, reanalysis
 from icatop.assembly import FeModel
@@ -26,6 +27,13 @@ def make_cantilever_model(nx=12, ny=4, load=-30.0, spring=0.0):
     if spring:
         loads.add_spring(tip, 1, spring)
     return FeModel(mesh, loads, MaterialParams(3000.0, 0.4))
+
+
+def full_csr(K):
+    """Both triangles of the symmetric ``K``, rebuilt from the stored upper
+    triangle U as U + triu(U, 1)^T."""
+    U = K.to_csr()
+    return (U + sp.triu(U, 1).T).tocsr()
 
 
 def rest_state(model):

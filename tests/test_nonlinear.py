@@ -235,21 +235,29 @@ class TestNewtonSolve:
                             ctx, outer_iter=1)
         rho2 = np.clip(rho + np.random.default_rng(1).uniform(
             -0.05, 0.05, rho.size), 1e-3, 1.0)
-        real_search, real_observe = nonlinear.armijo_linesearch, \
-            ReusePolicy.observe
-        failed, observed = [], []
+        real_search, real_decide, real_observe = \
+            nonlinear.armijo_linesearch, ReusePolicy.decide, ReusePolicy.observe
+        failed, decided, observed = [], [], []
 
         def search(merit_fn, merit0, slope, *args):
-            if slope != -2.0 * merit0 and not failed:
+            # a reused direction: the iteration's action is not a refactor
+            # (no step fallback happens, which the counts below confirm)
+            if decided[-1] is not Action.REFACTOR and not failed:
                 failed.append(slope)
                 return None, None, 20
             return real_search(merit_fn, merit0, slope, *args)
+
+        def decide(policy, it, ctx):
+            action, reason = real_decide(policy, it, ctx)
+            decided.append(action)
+            return action, reason
 
         def observe(policy, exact, contraction):
             observed.append(exact)
             real_observe(policy, exact, contraction)
 
         monkeypatch.setattr(nonlinear, "armijo_linesearch", search)
+        monkeypatch.setattr(ReusePolicy, "decide", decide)
         monkeypatch.setattr(ReusePolicy, "observe", observe)
         before = ctx.counts["factorizations"]
         _, st = newton_solve(model, rho2, 3.0, u, Strategy.UPK03K100G, ctx,

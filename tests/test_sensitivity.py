@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_cantilever_model, rest_state
+from conftest import full_csr, make_cantilever_model, rest_state
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
 from icatop.mesh import LoadCase, build_grid, fix_region
@@ -56,7 +56,7 @@ class TestSolveAdjoint:
         u, ctx = converge(model, rho, 2.0)
         l_free = mesh.gather(loads.output_vector(mesh))
         lam = solve_adjoint(model, rho, 2.0, u, l_free, Strategy.N, ctx)
-        K = model.tangent(rho, 2.0, u).to_csr().toarray()
+        K = full_csr(model.tangent(rho, 2.0, u)).toarray()
         col = mesh.full_to_free[2 * out_node + 1]
         expect = np.linalg.solve(K, np.eye(mesh.n_free)[col])
         assert np.allclose(lam, expect, rtol=1e-8, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from conftest import make_cantilever_model, rest_state
+from conftest import full_csr, make_cantilever_model, rest_state
 from icatop.errors import SingularMatrixError
 from icatop.sparse import BandPlan, SparseSym, delta_apply, ldlt_factor
 
@@ -104,6 +104,14 @@ def test_non_finite_values_raise(bad):
         ldlt_factor(SparseSym.from_dense(A))
 
 
+def test_from_dense_rejects_non_symmetric():
+    # storing the upper triangle would silently drop A[2, 0]
+    A = np.eye(3)
+    A[0, 2] = 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseSym.from_dense(A)
+
+
 @pytest.mark.parametrize("nx, ny", [(30, 10), (8, 30)])
 class TestFeModelTangents:
     """Tangents on the model's own pattern and sweep order; the two meshes
@@ -120,7 +128,7 @@ class TestFeModelTangents:
     def check_against_spsolve(self, K):
         b = self.rng.standard_normal(K.n)
         x = ldlt_factor(K).solve(b)
-        expect = spla.spsolve(K.to_csr().tocsc(), b)
+        expect = spla.spsolve(full_csr(K).tocsc(), b)
         assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
 
     def test_band_within_sweep_bound(self, nx, ny):
