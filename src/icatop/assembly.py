@@ -110,7 +110,8 @@ def _check_jacobian(J: np.ndarray, start: int) -> None:
 class ElementState:
     """Unpenalized element forces (n_el, 8) and upper tangents (n_el, 36)
     at the free displacements ``u``, the tangents formed on first use by
-    ``FeModel.tangent``.  A state is passed along, never looked up by u."""
+    ``FeModel.tangent``.  Both are formed from ``FeModel.element_values(u)``,
+    zero on fixed DOFs.  A state is passed along, never looked up by u."""
 
     u: np.ndarray
     forces: np.ndarray
@@ -118,7 +119,12 @@ class ElementState:
 
 
 class FeModel:
-    """Vectorized assembly on a fixed free-DOF pattern."""
+    """Vectorized assembly on a fixed free-DOF pattern.
+
+    ``_fidx`` (n_el, 8) maps each element DOF to its free index and every
+    fixed DOF to slot n_free: ``element_values`` gathers through it and
+    the residual sums back through it, so no vector is made full length.
+    """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, material: MaterialParams):
         self.mesh = mesh
@@ -130,9 +136,8 @@ class FeModel:
         self.quad_w = 0.25 * mesh.elem_w * mesh.elem_h * mesh.thickness
         self.element_volumes = np.full(mesh.n_el, mesh.elem_volume)
 
-        self.elem_dofs = mesh.elem_dofs
-        self.elem_free = mesh.full_to_free[self.elem_dofs]       # (n_el, 8), -1 fixed
-        self._dofs_t = np.ascontiguousarray(self.elem_dofs.T)   # (8, n_el)
+        elem_free = mesh.full_to_free[mesh.elem_dofs]
+        self._fidx = np.where(elem_free >= 0, elem_free, mesh.n_free)
 
         self.f_free = mesh.gather(loads.force_vector(mesh))
         self.spring_free = mesh.gather(loads.spring_vector(mesh))
@@ -173,19 +178,17 @@ class FeModel:
         comp = (mesh.free % 2)[:, None]
         upper = (nbr >= 0) & (np.arange(18) >= 8 + comp)
         # position of entry (r, nbr[r, k]) at flat index 18 r + k; the
-        # dropped bin n_upper off the upper triangle and on row n, which
-        # fixed DOFs (-1) read as a negative index
+        # dropped bin n_upper off the upper triangle and on row n, the row
+        # a fixed DOF's slot n reads
         self._n_upper = int(np.count_nonzero(upper))
         rank = np.full((n + 1, 18), self._n_upper, dtype=np.int32)
         rank[:-1][upper] = np.arange(self._n_upper, dtype=np.int32)
         # intp once here, or bincount converts it on every assembly
         self._uidx = rank.take(
-            18 * self.elem_free[:, _LO] + _SLOT).ravel().astype(np.intp)
+            18 * self._fidx[:, _LO] + _SLOT).ravel().astype(np.intp)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.count_nonzero(upper, axis=1), out=self._indptr[1:])
         self._indices = nbr[upper]
-        # free index of every element DOF, fixed ones to a dropped bin
-        self._fidx = np.where(self.elem_free >= 0, self.elem_free, n).ravel()
 
         # sweep along the longer grid axis, then the shorter one, then the
         # component: every element then couples free DOFs at most
@@ -210,6 +213,14 @@ class FeModel:
         return (self._Gc @ u_e).reshape(4, 4, -1)
 
     # -- element quantities ----------------------------------------------
+    def element_values(self, v: np.ndarray) -> np.ndarray:
+        """Values of the free-DOF vector ``v`` at every element DOF,
+        (n_el, 8); a fixed DOF reads the zero appended at slot n_free."""
+        if np.shape(v) != (self.mesh.n_free,):
+            raise ValueError(f"expected length {self.mesh.n_free}, "
+                             f"got {np.shape(v)}")
+        return np.append(v, 0.0)[self._fidx]
+
     def _blocks(self):
         n_el = self.mesh.n_el
         for start in range(0, n_el, BLOCK_ELEMENTS):
@@ -221,14 +232,14 @@ class FeModel:
         The SIMP-scaled element force is rho_e^p times a row of this array;
         the same kernel feeds the density derivative of the residual.
         """
-        u_full = self.mesh.scatter(u_free)
+        u_e = self.element_values(u_free)
         mu, lam = self.material.mu, self.material.lam
         q = np.empty((self.mesh.n_el, 8))
         buf = np.empty(24 * min(BLOCK_ELEMENTS, self.mesh.n_el))
         for start, stop in self._blocks():
             # rows: u_e, then P - mu H by (component, Gauss point)
             X = buf[:24 * (stop - start)].reshape(24, -1)
-            X[:8] = u_full[self._dofs_t[:, start:stop]]
+            X[:8] = u_e[start:stop].T
             h11, h12, h21, h22 = self._gradients(X[:8])
             d = h12 * h21
             jm1 = h11 + h22 + (h11 * h22 - d)                   # J - 1
@@ -251,7 +262,7 @@ class FeModel:
 
         Column k holds entry (_UPPER[0][k], _UPPER[1][k]) of every element.
         """
-        u_full = self.mesh.scatter(u_free)
+        u_e = self.element_values(u_free)
         mu, lam = self.material.mu, self.material.lam
         K = np.empty((self.mesh.n_el, _UPPER[0].size))
         buf = np.empty(81 * min(BLOCK_ELEMENTS, self.mesh.n_el))
@@ -260,7 +271,7 @@ class FeModel:
             # b / J^2, then ones
             X = buf[:81 * (stop - start)].reshape(81, -1)
             X[80] = 1.0
-            F = self._gradients(u_full[self._dofs_t[:, start:stop]])
+            F = self._gradients(u_e[start:stop].T)
             F[0] += 1.0
             F[3] += 1.0
             J = F[0] * F[3] - F[1] * F[2]
@@ -283,7 +294,7 @@ class FeModel:
 
     def residual(self, rho, p, state: ElementState) -> np.ndarray:
         scaled = (np.asarray(rho) ** p)[:, None] * state.forces
-        f_int = np.bincount(self._fidx, weights=scaled.ravel(),
+        f_int = np.bincount(self._fidx.ravel(), weights=scaled.ravel(),
                             minlength=self.mesh.n_free + 1)[:-1]
         return f_int + self.spring_free * state.u - self.f_free
 
@@ -311,7 +322,7 @@ class FeModel:
 
     def linear_state(self, u_free: np.ndarray) -> ElementState:
         """State of the small-displacement model: forces u_e k_e."""
-        u_e = self.mesh.scatter(u_free)[self.elem_dofs]
+        u_e = self.element_values(u_free)
         return ElementState(u_free, u_e @ self.rest_tangent[_POS])
 
     def linear_tangent(self, rho, p) -> SparseSym:

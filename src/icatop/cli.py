@@ -47,9 +47,9 @@ def _is_number_or_null(value) -> bool:
     return value is None or _is_number(value)
 
 
-# what ``compare`` reads of every report: key -> (check, what it expects,
-# label of its row above the timings or None); an aborted run writes a
-# null final objective
+# what ``compare`` reads of every report, each key required: key ->
+# (check, what it expects, label of its row above the timings or None);
+# an aborted run writes a null final objective
 REPORT_KEYS = {
     "problem": (lambda v: isinstance(v, str), "a string", None),
     "mesh": (lambda v: isinstance(v, list) and len(v) == 2
@@ -70,12 +70,6 @@ REPORT_KEYS = {
     "max_rel_objective_error": (_is_number_or_null, "a number or null",
                                 "Max rel objective error"),
 }
-# read when present: reports from before the guard's refresh lack the
-# first, reports from before linear mode the second (read as False),
-# reports from before the acceptance rule the third, and reports from
-# before the objective error the fourth; a missing row shows "-"
-OPTIONAL_KEYS = ("guard_refreshes", "linear", "rejected_steps",
-                 "max_rel_objective_error")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +234,7 @@ def compare_command(args) -> int:
     if len(reports) < 2:
         print("error: compare needs at least two reports", file=sys.stderr)
         return 2
-    keys = {(r["problem"], tuple(r["mesh"]), r.get("linear", False))
+    keys = {(r["problem"], tuple(r["mesh"]), r["linear"])
             for r in reports}
     if len(keys) != 1:
         print(f"error: reports mix problems/meshes/linear modes: "
@@ -254,12 +248,11 @@ def _report_flaw(report) -> str:
     """Why ``report`` cannot be compared, or "" when it can."""
     if not isinstance(report, dict):
         return f"expected a JSON object, got {type(report).__name__}"
-    missing = [key for key in REPORT_KEYS
-               if key not in report and key not in OPTIONAL_KEYS]
+    missing = [key for key in REPORT_KEYS if key not in report]
     if missing:
         return f"no {', '.join(missing)}"
     for key, (check, expected, _) in REPORT_KEYS.items():
-        if key in report and not check(report[key]):
+        if not check(report[key]):
             return f"{key} must be {expected}, got {json.dumps(report[key])}"
     return ""
 
@@ -271,7 +264,7 @@ def format_comparison(reports) -> str:
     width = max(22, *(len(n) + 10 for n in names))
     lines = []
     problem = f"{base['problem']} {base['mesh'][0]}x{base['mesh'][1]}"
-    if base.get("linear", False):
+    if base["linear"]:
         problem += " (linear)"
     lines.append(problem)
     lines.append("-" * (24 + width * len(reports)))
@@ -289,8 +282,8 @@ def format_comparison(reports) -> str:
 
     for key, (_, _, label) in REPORT_KEYS.items():
         if label is not None:
-            lines.append(row(label, [r.get(key) for r in reports],
-                             base_value=base.get(key)))
+            lines.append(row(label, [r[key] for r in reports],
+                             base_value=base[key]))
     lines.append("Wall time (s)")
     for name in CATEGORIES:
         values = [r["timings"].get(name) for r in reports]

@@ -42,5 +42,5 @@ def solve_adjoint(model, rho, p, state, l_free, strategy: Strategy,
 def objective_gradient(model, rho, p, state, lam) -> np.ndarray:
     """Gradient of l^T u with respect to the (physical) element densities."""
     rho = np.asarray(rho, dtype=float)
-    lam_e = model.mesh.scatter(lam)[model.elem_dofs]    # (n_el, 8)
+    lam_e = model.element_values(lam)                   # (n_el, 8)
     return p * rho ** (p - 1.0) * np.einsum("ni,ni->n", lam_e, state.forces)

@@ -136,7 +136,10 @@ class SparseSym:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {v.shape}")
         U = self.to_csr()
-        return U @ v + U.T @ v - self._diagonal * v
+        y = U @ v
+        y += U.T @ v
+        y -= self._diagonal * v
+        return y
 
 
 def _lapack_info(routine: str, info: int) -> None:
@@ -231,7 +234,9 @@ def ldlt_factor(K: SparseSym) -> Factorization:
     _lapack_info("dpbtrf", info)
     if info == 0:
         return Factorization(K.n, BandFactor(ab, plan.kd), plan.perm)
-    # not positive definite: LU with partial pivoting on the same band
+    # not positive definite: LU with partial pivoting on the same band,
+    # built once the failed band is dropped, so one band is held at a time
+    del ab
     ab, piv, info = dgbtrf(plan.lu_band(K.data), plan.kd, plan.kd,
                            overwrite_ab=1)
     _lapack_info("dgbtrf", info)

@@ -46,7 +46,7 @@ def energy_many(F: np.ndarray, mat: MaterialParams) -> np.ndarray:
 def potential_energy(model, rho, p, u_free) -> float:
     """Total potential of a FeModel at (rho, u): SIMP-scaled stored energy
     plus spring energy minus the work of the loads."""
-    u_e = model.mesh.scatter(u_free)[model.elem_dofs]        # (n_el, 8)
+    u_e = model.mesh.scatter(u_free)[model.mesh.elem_dofs]   # (n_el, 8)
     F = np.einsum("qij,nj->nqi", model.G, u_e).reshape(-1, 2, 2) + np.eye(2)
     W = energy_many(F, model.material).reshape(-1, 4).sum(axis=1) * model.quad_w
     elastic = float(np.asarray(rho) ** p @ W)

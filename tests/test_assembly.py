@@ -111,8 +111,9 @@ def assert_pattern_matches_full_keys(model):
     """Pattern, element map, band order and tangent of ``model`` against
     one np.unique over all 64 keys of every element."""
     mesh, n = model.mesh, model.mesh.n_free
-    rows = np.repeat(model.elem_free, 8, axis=1).ravel()
-    cols = np.tile(model.elem_free, (1, 8)).ravel()
+    elem_free = mesh.full_to_free[mesh.elem_dofs]            # -1 fixed
+    rows = np.repeat(elem_free, 8, axis=1).ravel()
+    cols = np.tile(elem_free, (1, 8)).ravel()
     keep = (rows >= 0) & (cols >= 0)
     full = np.unique(rows[keep] * n + cols[keep])
     ref_rows, ref_cols = np.divmod(full, n) if n else (full, full)
@@ -127,7 +128,7 @@ def assert_pattern_matches_full_keys(model):
     assert np.array_equal(K.indices[K.indptr[:-1]], np.arange(n))
     # every element entry on two free DOFs lands on its upper key, the
     # others in the dropped bin
-    i, j = (model.elem_free[:, k] for k in assembly._UPPER)
+    i, j = (elem_free[:, k] for k in assembly._UPPER)
     kept = (i >= 0) & (j >= 0)
     uidx = model._uidx.reshape(kept.shape)
     assert np.array_equal(uidx[kept], np.searchsorted(
@@ -143,7 +144,7 @@ def assert_pattern_matches_full_keys(model):
     ke[:, assembly._UPPER[0], assembly._UPPER[1]] = \
         ke[:, assembly._UPPER[1], assembly._UPPER[0]] = \
         0.5 ** 3 * model.upper_element_tangents(np.zeros(n))
-    at = np.where(model.elem_free >= 0, model.elem_free, n)
+    at = np.where(elem_free >= 0, elem_free, n)
     dense = np.zeros((n + 1, n + 1))
     np.add.at(dense, (at[:, :, None], at[:, None, :]), ke)
     dense = dense[:n, :n] + np.diag(model.spring_free)
@@ -161,6 +162,36 @@ def test_pattern_matches_full_keys_on_any_supports(nx, ny, bits):
     fixed = np.array([(bits >> k) & 1 for k in range(mesh.n_dof)], dtype=bool)
     mesh = replace(mesh, fixed=fixed)
     assert_pattern_matches_full_keys(FeModel(mesh, LoadCase(), MAT))
+
+
+@settings(max_examples=40, deadline=None)
+@example(nx=1, ny=1, bits=2 ** 98 - 1)           # every DOF fixed
+@example(nx=6, ny=6, bits=0)                     # every DOF free
+# both node columns of the first element column clamped: its elements
+# read the zero slot alone
+@example(nx=5, ny=3, bits=sum(3 << 2 * (6 * iy + ix)
+                              for iy in range(4) for ix in range(2)))
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6),
+       bits=st.integers(0, 2 ** 98 - 1))
+def test_element_values_match_scatter_on_any_supports(nx, ny, bits):
+    # bit k of ``bits`` fixes DOF k, as in the pattern test above
+    mesh = build_grid(nx, ny, 2.0 * nx, 1.0 * ny, 1.0)
+    fixed = np.array([(bits >> k) & 1 for k in range(mesh.n_dof)], dtype=bool)
+    mesh = replace(mesh, fixed=fixed)
+    model = FeModel(mesh, LoadCase(), MAT)
+    v = np.random.default_rng(bits).standard_normal(mesh.n_free)
+    assert np.array_equal(model.element_values(v),
+                          mesh.scatter(v)[mesh.elem_dofs])
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_element_values_reject_a_vector_of_another_length(extra):
+    # one entry too many would otherwise be read as the fixed-DOF slot
+    model = make_cantilever_model()
+    with pytest.raises(ValueError, match="expected length"):
+        model.element_values(np.ones(model.mesh.n_free + extra))
+    with pytest.raises(ValueError, match="expected length"):
+        model.state(np.ones(model.mesh.n_free + extra))
 
 
 def test_model_build_peaks_small():
@@ -204,7 +235,7 @@ class TestGlobalAssembly:
         model = cantilever_model
         rng = np.random.default_rng(12)
         u = 1e-9 * model.mesh.elem_w * rng.standard_normal(model.mesh.n_free)
-        u_e = model.mesh.scatter(u)[model.elem_dofs]
+        u_e = model.mesh.scatter(u)[model.mesh.elem_dofs]
         linear = u_e @ small_strain_stiffness(model)
         q = model.element_internal_forces(u)
         assert np.abs(q - linear).max() <= 1e-8 * np.abs(linear).max()
@@ -427,7 +458,7 @@ def density_derivative(model, e, rho, p, u):
     """d(residual)/d(rho_e) from the element force kernel the objective
     gradient uses: p rho_e^(p-1) q_e on the element's free DOFs."""
     q = model.element_internal_forces(u)[e]
-    free = model.elem_free[e]
+    free = model.mesh.full_to_free[model.mesh.elem_dofs[e]]
     keep = free >= 0
     return free[keep], (p * rho[e] ** (p - 1.0) * q)[keep]
 

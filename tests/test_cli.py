@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from icatop import bench, nonlinear, optimizer, reanalysis
+from icatop import bench, cli, nonlinear, optimizer, reanalysis
 from icatop.cli import build_parser, main, write_history_csv
 from icatop.errors import NewtonConvergenceError, SingularMatrixError
 from icatop.reanalysis import IcaReport
@@ -577,6 +577,8 @@ class TestCompare:
         ("strategy", 3, "strategy must be a string, got 3"),
         ("linear", "yes", 'linear must be true or false, got "yes"'),
         ("rejected_steps", None, "rejected_steps must be a number, got null"),
+        ("max_rel_objective_error", "x",
+         'max_rel_objective_error must be a number or null, got "x"'),
     ])
     def test_wrong_typed_report_rejected(self, report, tmp_path, capsys,
                                          key, value, flaw):
@@ -599,45 +601,18 @@ class TestCompare:
         assert "error: reports mix" in capsys.readouterr().err
         assert main(["compare", str(linear), str(linear)]) == 0
         assert "cantilever 12x4 (linear)" in capsys.readouterr().out
-        # a report from before linear mode reads as nonlinear
-        older = tmp_path / "older.json"
-        older.write_text(json.dumps({
-            key: value for key, value in json.loads(report.read_text()).items()
-            if key != "linear"}))
-        assert main(["compare", str(report), str(older)]) == 0
-        assert main(["compare", str(linear), str(older)]) == 2
 
-    def test_report_without_rejected_steps_compares(self, report, tmp_path,
-                                                    capsys):
-        # a report from before the acceptance rule shows "-"
+    @pytest.mark.parametrize("key", list(cli.REPORT_KEYS))
+    def test_report_without_a_key_rejected(self, report, tmp_path, capsys,
+                                           key):
+        # every key the table reads is required
         older = tmp_path / "older.json"
         older.write_text(json.dumps({
-            key: value for key, value in json.loads(report.read_text()).items()
-            if key != "rejected_steps"}))
-        assert main(["compare", str(report), str(older)]) == 0
-        line, = (line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("Rejected steps"))
-        assert line.split()[2:] == ["0", "-"]
-
-    def test_report_without_objective_error_compares(self, report, tmp_path,
-                                                     capsys):
-        # a report from before the objective error shows "-"
-        fields = json.loads(report.read_text())
-        assert fields["max_rel_objective_error"] < 1e-5
-        older = tmp_path / "older.json"
-        older.write_text(json.dumps({
-            key: value for key, value in fields.items()
-            if key != "max_rel_objective_error"}))
-        assert main(["compare", str(report), str(older)]) == 0
-        line, = (line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("Max rel objective error"))
-        assert line.split()[4:] == [
-            f"{fields['max_rel_objective_error']:.6g}", "-"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**fields, "max_rel_objective_error": "x"}))
-        assert main(["compare", str(report), str(bad)]) == 2
-        assert "max_rel_objective_error must be a number or null, got " \
-            '"x"' in capsys.readouterr().err
+            k: value for k, value in json.loads(report.read_text()).items()
+            if k != key}))
+        assert main(["compare", str(report), str(older)]) == 2
+        assert f"error: {older}: not a run report: no {key}" \
+            in capsys.readouterr().err
 
     def test_aborted_report_compares(self, report, tmp_path, capsys):
         # an aborted run's report holds a null final objective

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,31 @@ def test_indefinite_random():
     b = rng.standard_normal(40)
     x = ldlt_factor(SparseSym.from_dense(A)).solve(b)
     assert np.abs(A @ x - b).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_failed_cholesky_band_dropped_before_lu_band(monkeypatch):
+    # the LU band is three times the Cholesky band's size; the failed
+    # Cholesky band must be freed before it is built
+    bands, lu_built = [], []
+    cholesky_band, lu_band = BandPlan.cholesky_band, BandPlan.lu_band
+
+    def keep_weakref(plan, vals):
+        band = cholesky_band(plan, vals)
+        bands.append(weakref.ref(band))
+        return band
+
+    def check_dropped(plan, vals):
+        assert len(bands) == 1 and bands[0]() is None
+        lu_built.append(True)
+        return lu_band(plan, vals)
+
+    monkeypatch.setattr(BandPlan, "cholesky_band", keep_weakref)
+    monkeypatch.setattr(BandPlan, "lu_band", check_dropped)
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    x = ldlt_factor(SparseSym.from_dense(A)).solve(b)
+    assert lu_built
+    assert np.abs(A @ x - b).max() <= 1e-14 * np.abs(b).max()
 
 
 def test_zero_rhs():
