@@ -47,4 +47,4 @@ print(f"\nupK03K100g policy alone would factor {policy} times; the measured "
       f"{history.total('factorizations')} adds one safeguard refactorization "
       f"per fallback ({history.total('fallbacks')}), triggered when the held "
       f"reference drifted too far; the {history.total('guard_refreshes')} "
-      f"guard refreshes only renewed the drift values")
+      f"guard refreshes only renewed the current matrix")

@@ -47,11 +47,14 @@ k_e, give the forces u_e k_e.
 
 Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
 to the free DOFs of the 3x3 node block around its node, an ascending
-18-slot stencil on the grid of free ids padded with -1; the CSR rows, the
-element entries' positions in them and the band order all follow from it
-without a sort.  Only the upper triangle is stored, as CSR rows with the
-diagonal first; assembly sums element entries in element order into it,
-so the tangent is exactly symmetric by construction.
+18-slot stencil on the grid of free ids padded with -1.  An element's DOFs
+sit at fixed slots, _STEP, of its lower-left node's stencil, the one place
+the counter-clockwise node order is stated here; the element-to-free-DOF
+map, the CSR rows, the element entries' positions in them and the band
+order all follow from the stencil without a sort.  Only the upper
+triangle is stored, as CSR rows with the diagonal first; assembly sums
+element entries in element order into it, so the tangent is exactly
+symmetric by construction.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class FeModel:
     ``_fidx`` (n_el, 8) maps each element DOF to its free index and every
     fixed DOF to slot n_free: ``element_values`` gathers through it and
     the residual sums back through it, so no vector is made full length.
+    It is read off the pattern's node stencil (see the module doc).
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, material: MaterialParams):
@@ -135,9 +139,6 @@ class FeModel:
         # integration weight per Gauss point (unit weights, constant Jacobian)
         self.quad_w = 0.25 * mesh.elem_w * mesh.elem_h * mesh.thickness
         self.element_volumes = np.full(mesh.n_el, mesh.elem_volume)
-
-        elem_free = mesh.full_to_free[mesh.elem_dofs]
-        self._fidx = np.where(elem_free >= 0, elem_free, mesh.n_free)
 
         self.f_free = mesh.gather(loads.force_vector(mesh))
         self.spring_free = mesh.gather(loads.spring_vector(mesh))
@@ -171,10 +172,18 @@ class FeModel:
         # free DOF ids on the node grid; -1 on fixed DOFs and on the border
         ids = np.full((mesh.ny + 3, mesh.nx + 3, 2), -1, dtype=np.int32)
         ids[1:-1, 1:-1] = mesh.full_to_free.reshape(mesh.ny + 1, mesh.nx + 1, 2)
-        # row r's stencil, ascending, with r itself in slot 8 + comp; its
-        # upper entries are the slots from there on, the diagonal first
-        nbr = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18).take(
-            mesh.free // 2, axis=0)
+        # each node's stencil: the ids of its 3x3 node block, ascending,
+        # its own DOFs in slots 8 and 9
+        stencil = sliding_window_view(ids, (3, 3, 2)).reshape(-1, 18)
+        # element e's DOFs sit at slots 8 + _STEP of its lower-left node
+        # e + e // nx; C order keeps objective_gradient's einsum bitwise
+        e = np.arange(mesh.n_el)
+        elem_free = stencil[(e + e // mesh.nx)[:, None], 8 + _STEP]
+        self._fidx = np.ascontiguousarray(
+            np.where(elem_free >= 0, elem_free, n), dtype=np.intp)
+        # row r's stencil, with r itself in slot 8 + comp; its upper
+        # entries are the slots from there on, the diagonal first
+        nbr = stencil.take(mesh.free // 2, axis=0)
         comp = (mesh.free % 2)[:, None]
         upper = (nbr >= 0) & (np.arange(18) >= 8 + comp)
         # position of entry (r, nbr[r, k]) at flat index 18 r + k; the

@@ -254,6 +254,9 @@ def _report_flaw(report) -> str:
     for key, (check, expected, _) in REPORT_KEYS.items():
         if not check(report[key]):
             return f"{key} must be {expected}, got {json.dumps(report[key])}"
+    missing = [name for name in CATEGORIES if name not in report["timings"]]
+    if missing:
+        return f"timings has no {', '.join(missing)}"
     return ""
 
 
@@ -286,9 +289,9 @@ def format_comparison(reports) -> str:
                              base_value=base[key]))
     lines.append("Wall time (s)")
     for name in CATEGORIES:
-        values = [r["timings"].get(name) for r in reports]
+        values = [r["timings"][name] for r in reports]
         lines.append(row("  " + name, values, fmt="{:.3f}",
-                         base_value=base["timings"].get(name)))
+                         base_value=base["timings"][name]))
     return "\n".join(lines)
 
 

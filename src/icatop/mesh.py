@@ -1,8 +1,10 @@
 """Regular Q4 grid meshes: node/element numbering, supports, loads, port springs.
 
-Nodes and elements are numbered row-major from the bottom-left corner, so a
-grid built twice with the same arguments is bitwise identical.  Element
-connectivity is counter-clockwise starting at the lower-left node.
+A mesh stores its grid alone: the element counts, the extent, the
+thickness and the fixed DOFs.  Nodes and elements are numbered row-major
+from the bottom-left corner, so a grid built twice with the same arguments
+is bitwise identical.  Element connectivity is counter-clockwise starting
+at the lower-left node.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable regular grid of bilinear quadrilaterals."""
+    """Immutable regular grid of bilinear quadrilaterals; coordinates,
+    connectivity and DOF maps are computed on every read."""
 
     nx: int
     ny: int
     width: float
     height: float
     thickness: float
-    nodes: np.ndarray  # (n_nd, 2) coordinates
-    elems: np.ndarray  # (n_el, 4) node ids, counter-clockwise
     fixed: np.ndarray  # (2*n_nd,) bool, True on constrained DOFs
 
     @property
@@ -51,13 +52,24 @@ class Mesh:
     def elem_volume(self) -> float:
         return self.elem_w * self.elem_h * self.thickness
 
-    @cached_property
+    @property
+    def nodes(self) -> np.ndarray:
+        """(n_nd, 2) node coordinates."""
+        gx, gy = np.meshgrid(np.linspace(0.0, self.width, self.nx + 1),
+                             np.linspace(0.0, self.height, self.ny + 1))
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @property
+    def elems(self) -> np.ndarray:
+        """(n_el, 4) node ids, counter-clockwise from the lower-left node."""
+        n0 = (np.arange(self.ny)[:, None] * (self.nx + 1)
+              + np.arange(self.nx)).ravel()
+        return np.column_stack([n0, n0 + 1, n0 + self.nx + 2, n0 + self.nx + 1])
+
+    @property
     def elem_dofs(self) -> np.ndarray:
         """(n_el, 8) global DOF ids in [ux0, uy0, ux1, uy1, ...] order."""
-        out = np.empty((self.n_el, 8), dtype=np.int64)
-        out[:, 0::2] = 2 * self.elems
-        out[:, 1::2] = 2 * self.elems + 1
-        return out
+        return (2 * self.elems[:, :, None] + np.arange(2)).reshape(-1, 8)
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -68,7 +80,7 @@ class Mesh:
     def n_free(self) -> int:
         return int(self.free.size)
 
-    @cached_property
+    @property
     def full_to_free(self) -> np.ndarray:
         """Map full DOF id -> free index, -1 on fixed DOFs."""
         m = np.full(self.n_dof, -1, dtype=np.int64)
@@ -102,18 +114,8 @@ def build_grid(nx: int, ny: int, width: float, height: float,
         raise ValueError(f"element counts must be >= 1, got {nx}x{ny}")
     if width <= 0 or height <= 0 or thickness <= 0:
         raise ValueError("width, height and thickness must be positive")
-
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
-    gx, gy = np.meshgrid(xs, ys)            # row-major from bottom-left
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    ex, ey = np.meshgrid(np.arange(nx), np.arange(ny))
-    n0 = (ey * (nx + 1) + ex).ravel()
-    elems = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
-
-    fixed = np.zeros(2 * nodes.shape[0], dtype=bool)
-    return Mesh(nx, ny, width, height, thickness, nodes, elems, fixed)
+    return Mesh(nx, ny, width, height, thickness,
+                np.zeros(2 * (nx + 1) * (ny + 1), dtype=bool))
 
 
 def fix_region(mesh: Mesh, predicate, axes: str = "both") -> Mesh:
@@ -125,7 +127,7 @@ def fix_region(mesh: Mesh, predicate, axes: str = "both") -> Mesh:
     """
     if axes not in ("x", "y", "both"):
         raise ValueError(f"axes must be 'x', 'y' or 'both', got {axes!r}")
-    sel = np.asarray(predicate(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=bool)
+    sel = np.asarray(predicate(*mesh.nodes.T), dtype=bool)
     if sel.shape != (mesh.n_nd,):
         raise ValueError("predicate must return one flag per node")
     picked = np.flatnonzero(sel)

@@ -45,8 +45,16 @@ class OptimizerConfig:
     monitor_normB: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, "
+                             f"got {self.strategy!r}")
         if type(self.budget) is not int or self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
+        # bool is an int subclass; True is not a limit or tolerance of 1
+        for name in ("move_limit", "converge_tol"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.move_limit < np.inf:
             raise ValueError(f"move_limit must be finite and > 0, "
                              f"got {self.move_limit}")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from icatop import assembly, bench
 from icatop.assembly import FeModel
 from icatop.errors import NonPositiveJacobianError
 from icatop.material import MaterialParams, gauss_shape_gradients
-from icatop.mesh import LoadCase, build_grid, fix_region
+from icatop.mesh import LoadCase, Mesh, build_grid, fix_region
 from icatop.sparse import BandPlan
 from reference import (deformation_gradient, element_internal_force,
                        element_tangent, energy_many, potential_energy,
@@ -112,6 +113,10 @@ def assert_pattern_matches_full_keys(model):
     one np.unique over all 64 keys of every element."""
     mesh, n = model.mesh, model.mesh.n_free
     elem_free = mesh.full_to_free[mesh.elem_dofs]            # -1 fixed
+    at = np.where(elem_free >= 0, elem_free, n)
+    # the element map the model reads off its stencil, in C order
+    assert np.array_equal(model._fidx, at)
+    assert model._fidx.flags.c_contiguous
     rows = np.repeat(elem_free, 8, axis=1).ravel()
     cols = np.tile(elem_free, (1, 8)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -144,7 +149,6 @@ def assert_pattern_matches_full_keys(model):
     ke[:, assembly._UPPER[0], assembly._UPPER[1]] = \
         ke[:, assembly._UPPER[1], assembly._UPPER[0]] = \
         0.5 ** 3 * model.upper_element_tangents(np.zeros(n))
-    at = np.where(elem_free >= 0, elem_free, n)
     dense = np.zeros((n + 1, n + 1))
     np.add.at(dense, (at[:, :, None], at[:, None, :]), ke)
     dense = dense[:n, :n] + np.diag(model.spring_free)
@@ -208,6 +212,15 @@ def test_model_build_peaks_small():
     finally:
         tracemalloc.stop()
     assert peak - base < 16 * 2 ** 20
+
+
+def test_model_build_leaves_the_mesh_its_grid():
+    # the model reads its element map off the pattern's stencil, so no
+    # connectivity or DOF map of the mesh stays cached on it
+    problem = bench.build("cantilever", mesh=(200, 50))
+    FeModel(problem.mesh, problem.loads, problem.material)
+    assert set(vars(problem.mesh)) \
+        == {f.name for f in dataclasses.fields(Mesh)} | {"free"}
 
 
 def test_every_tangent_carries_the_models_plan(cantilever_model):

@@ -614,6 +614,18 @@ class TestCompare:
         assert f"error: {older}: not a run report: no {key}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", CATEGORIES)
+    def test_report_without_a_timing_rejected(self, report, tmp_path, capsys,
+                                              name):
+        # every timing row of the table is required too
+        data = json.loads(report.read_text())
+        del data["timings"][name]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(data))
+        assert main(["compare", str(report), str(older)]) == 2
+        assert f"error: {older}: not a run report: timings has no {name}" \
+            in capsys.readouterr().err
+
     def test_aborted_report_compares(self, report, tmp_path, capsys):
         # an aborted run's report holds a null final objective
         aborted = tmp_path / "aborted.json"

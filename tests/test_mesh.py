@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icatop.mesh import LoadCase, build_grid, fix_region
+from icatop.mesh import LoadCase, Mesh, build_grid, fix_region
 
 
 def test_canonical_cantilever_mesh_size():
@@ -17,6 +19,12 @@ def test_minimal_grid():
     assert mesh.n_el == 1
     assert mesh.n_nd == 4
     assert mesh.n_dof == 8
+
+
+def test_mesh_stores_its_grid_alone():
+    # coordinates, connectivity and DOF maps are computed on each read
+    assert [f.name for f in dataclasses.fields(Mesh)] == [
+        "nx", "ny", "width", "height", "thickness", "fixed"]
 
 
 def test_connectivity_3x2_by_hand():

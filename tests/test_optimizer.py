@@ -218,6 +218,14 @@ class TestOptimizeLoop:
             with pytest.raises(ValueError, match="budget"):
                 OptimizerConfig(budget=budget)
 
+    @pytest.mark.parametrize("name, value", [
+        ("strategy", "upK1"), ("move_limit", True), ("converge_tol", True)])
+    def test_mistyped_settings_rejected(self, name, value):
+        # a strategy's name is not a Strategy, and True is not a number 1;
+        # both are refused before a model is built
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})
+
     def test_convergence_mode_keeps_the_default_budget(self):
         assert OptimizerConfig(converge_tol=1e-3).budget == 100
 
