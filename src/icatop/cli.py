@@ -139,7 +139,10 @@ def run_command(args) -> int:
                       problem.mesh.nx, problem.mesh.ny, RHO_MIN)
 
     if history.aborted:
-        print("solver aborted; partial artifacts written", file=sys.stderr)
+        abort = history.abort
+        print(f"solver aborted at row {abort['row']}: {abort['error']}: "
+              f"{abort['message']}; partial artifacts written",
+              file=sys.stderr)
         return 1
     print(f"{problem.name} {config.strategy.value}: "
           f"F = {history.final_objective:.6g} "
@@ -177,6 +180,7 @@ def write_report(path: Path, problem, config: OptimizerConfig,
         "final_penalty": final("penalty"),
         "converged": history.converged,
         "aborted": history.aborted,
+        "abort": history.abort,
         "timings": {name: history.timing_table.get(name, 0.0)
                     for name in CATEGORIES},
     }

@@ -23,7 +23,7 @@ import numpy as np
 from .assembly import FeModel
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
-from .filtering import build_filter
+from .filtering import KERNELS, build_filter
 from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
 from .reanalysis import COUNTS, FALLBACKS, ReanalysisContext
 from .sensitivity import objective_gradient, solve_adjoint
@@ -48,6 +48,12 @@ class OptimizerConfig:
         if not isinstance(self.strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, "
                              f"got {self.strategy!r}")
+        if self.filter_kernel not in KERNELS:
+            raise ValueError(f"filter_kernel must be one of {KERNELS}, "
+                             f"got {self.filter_kernel!r}")
+        if not isinstance(self.monitor_normB, bool):
+            raise ValueError(f"monitor_normB must be a bool, "
+                             f"got {self.monitor_normB!r}")
         if type(self.budget) is not int or self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         # bool is an int subclass; True is not a limit or tolerance of 1
@@ -162,6 +168,7 @@ class RunHistory:
     rho_phys: np.ndarray = None
     converged: bool = False
     aborted: bool = False
+    abort: dict = None    # what ended it: {"error", "message", "row"}
     timing_table: dict = field(default_factory=dict)
 
     @property
@@ -196,10 +203,14 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     budget of B, the loop makes at most B+1 rows, rejected ones included;
     with a convergence tolerance it stops early, once an accepted row's
     projected-gradient norm falls below it.  The run returns the last accepted
-    design.  A failed equilibrium aborts the run on the first row or at a
-    move limit <= MOVE_FLOOR, as does a singular factorization or a
-    non-finite gradient.  Raises ValueError up front when the mesh leaves
-    no free DOF.
+    design, aborted or not.  Three errors abort it: SingularMatrixError (a
+    singular factorization, in the equilibrium or the adjoint),
+    NewtonConvergenceError (a failed equilibrium on the first row or at a
+    move limit <= MOVE_FLOOR; elsewhere it rejects the row) and
+    FloatingPointError (a non-finite design gradient).  The history then
+    has ``aborted`` set, and ``abort`` holds the error's class name, its
+    message and the row that raised it.  Every other error propagates.
+    Raises ValueError up front when the mesh leaves no free DOF.
     """
     problem.require_free_dofs()
     mesh = problem.mesh
@@ -214,7 +225,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
 
     rho_design = np.full(mesh.n_el, problem.volume_fraction)
     state = model.state(np.zeros(mesh.n_free))
-    ctx = ReanalysisContext(single_sweeps=True)   # sweeps refine in float32
+    ctx = ReanalysisContext()
     timers = ctx.timers
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
 
@@ -224,94 +235,87 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     move = config.move_limit    # of the LP step that made rho_design
     pred = 0.0                  # -g.d of the last accepted row's LP step
 
-    for t in range(1, config.budget + 2):
-        p = config.penalty_at(t)
-        before, booked = timers.table(), ctx.counts.copy()
+    try:
+        for t in range(1, config.budget + 2):
+            p = config.penalty_at(t)
+            before, booked = timers.table(), ctx.counts.copy()
 
-        with timers.scope("Filtering"):
-            rho_phys = filt.apply(rho_design)
+            with timers.scope("Filtering"):
+                rho_phys = filt.apply(rho_design)
 
-        try:
-            if problem.linear:
-                new, nstats = linear_equilibrium(model, rho_phys, p, ctx)
-            else:
-                new, nstats = newton_solve(
-                    model, rho_phys, p, state, config.strategy, ctx, t,
-                    monitor_normB=config.monitor_normB)
-            F = float(l_free @ new.u)
-        except SingularMatrixError:
-            return _aborted(history, rho_acc, filt, timers)
-        except NewtonConvergenceError:
-            if grad_acc is None or move <= MOVE_FLOOR:
-                return _aborted(history, rho_acc, filt, timers)
-            new, nstats, F = None, NewtonStats(residual_inf=np.nan), np.nan
+            try:
+                if problem.linear:
+                    new, nstats = linear_equilibrium(model, rho_phys, p, ctx)
+                else:
+                    new, nstats = newton_solve(
+                        model, rho_phys, p, state, config.strategy, ctx, t,
+                        monitor_normB=config.monitor_normB)
+                F = float(l_free @ new.u)
+            except NewtonConvergenceError:
+                if grad_acc is None or move <= MOVE_FLOOR:
+                    raise
+                new, nstats, F = None, NewtonStats(residual_inf=np.nan), np.nan
 
-        restart = grad_acc is None or p != p_acc
-        accepted = new is not None and (
-            restart or move <= MOVE_FLOOR or F_acc - F >= ETA * pred)
-        if accepted:
-            grow = restart or F_acc - F >= ETA_GROW * pred
-            if problem.linear:
-                # the equilibrium factorization serves the adjoint as well
-                with timers.scope("Linear systems"):
-                    lam = ctx.factorization.solve(-l_free)
-            else:
-                try:
+            restart = grad_acc is None or p != p_acc
+            accepted = new is not None and (
+                restart or move <= MOVE_FLOOR or F_acc - F >= ETA * pred)
+            if accepted:
+                grow = restart or F_acc - F >= ETA_GROW * pred
+                if problem.linear:
+                    # the equilibrium factorization serves the adjoint too
+                    with timers.scope("Linear systems"):
+                        lam = ctx.factorization.solve(-l_free)
+                else:
                     lam = solve_adjoint(model, rho_phys, p, new, l_free,
                                         config.strategy, ctx)
-                except SingularMatrixError:
-                    return _aborted(history, rho_acc, filt, timers)
-            with timers.scope("grad F(rho)"):
-                grad_phys = objective_gradient(model, rho_phys, p, new, lam)
-                grad_design = filt.backpropagate(grad_phys)
-            if not np.isfinite(grad_design).all():
-                return _aborted(history, rho_acc, filt, timers)
-            error = float(lam @ nstats.residual)
-            rho_acc, grad_acc, F_acc, p_acc = rho_design, grad_design, F, p
-            state = new     # its forces and tangents start the next row
-            step = min(config.move_limit, 2.0 * move) if grow else move
-        else:
-            step, error = 0.5 * move, None
+                with timers.scope("grad F(rho)"):
+                    grad_phys = objective_gradient(model, rho_phys, p, new,
+                                                   lam)
+                    grad_design = filt.backpropagate(grad_phys)
+                if not np.isfinite(grad_design).all():
+                    raise FloatingPointError("non-finite design gradient")
+                error = float(lam @ nstats.residual)
+                rho_acc, grad_acc, F_acc, p_acc = rho_design, grad_design, F, p
+                state = new     # its forces and tangents start the next row
+                step = min(config.move_limit, 2.0 * move) if grow else move
+            else:
+                step, error = 0.5 * move, None
 
-        with timers.scope("Subproblem solving"):
-            sub = slp_subproblem(grad_acc, rho_acc, step, bounds, v_eff, Vstar)
-        gp = projected_gradient_norm(rho_acc, grad_acc, sub.theta, bounds,
-                                     v_eff) if accepted else None
+            with timers.scope("Subproblem solving"):
+                sub = slp_subproblem(grad_acc, rho_acc, step, bounds, v_eff,
+                                     Vstar)
+            gp = projected_gradient_norm(rho_acc, grad_acc, sub.theta, bounds,
+                                         v_eff) if accepted else None
 
-        row = ctx.counts - booked
-        history.objective.append(F)
-        for name in COUNTS:
-            getattr(history, name).append(row[name])
-        history.fallbacks.append(sum(row[name] for name in FALLBACKS))
-        history.residual_inf.append(nstats.residual_inf)
-        history.objective_error.append(error)
-        history.gp_norm.append(gp)
-        history.accepted.append(accepted)
-        history.move_limit.append(move)
-        history.penalty.append(p)
-        history.volume.append(float(v @ rho_phys))
-        history.max_normB.append(nstats.max_normB)
-        history.times.append(Timers.delta(timers.table(), before))
+            row = ctx.counts - booked
+            history.objective.append(F)
+            for name in COUNTS:
+                getattr(history, name).append(row[name])
+            history.fallbacks.append(sum(row[name] for name in FALLBACKS))
+            history.residual_inf.append(nstats.residual_inf)
+            history.objective_error.append(error)
+            history.gp_norm.append(gp)
+            history.accepted.append(accepted)
+            history.move_limit.append(move)
+            history.penalty.append(p)
+            history.volume.append(float(v @ rho_phys))
+            history.max_normB.append(nstats.max_normB)
+            history.times.append(Timers.delta(timers.table(), before))
 
-        if accepted and config.converge_tol is not None \
-                and gp < config.converge_tol:
-            history.converged = True
-            break
-        rho_design, move = sub.rho_new, step
-        if accepted:
-            pred = -float(grad_acc @ (rho_design - rho_acc))
+            if accepted and config.converge_tol is not None \
+                    and gp < config.converge_tol:
+                history.converged = True
+                break
+            rho_design, move = sub.rho_new, step
+            if accepted:
+                pred = -float(grad_acc @ (rho_design - rho_acc))
+    except (SingularMatrixError, NewtonConvergenceError,
+            FloatingPointError) as exc:
+        history.aborted = True
+        history.abort = {"error": type(exc).__name__, "message": str(exc),
+                         "row": t}
 
-    return _finished(history, rho_acc, filt, timers)
-
-
-def _finished(history: RunHistory, rho_design, filt, timers) -> RunHistory:
-    history.rho_design = rho_design
-    history.rho_phys = filt.apply(rho_design)
+    history.rho_design = rho_acc
+    history.rho_phys = filt.apply(rho_acc)
     history.timing_table = timers.table()
     return history
-
-
-def _aborted(history: RunHistory, rho_design, filt, timers) -> RunHistory:
-    """Typed abort: the history so far, flagged, and the accepted design."""
-    history.aborted = True
-    return _finished(history, rho_design, filt, timers)

@@ -14,16 +14,17 @@ one product with Kcur, the one that also judges the iterate, and one solve
 with the held factor; dK is never formed, and K0 is not kept.
 Acceptance is judged by the max-norm relative residual of Kcur in float64,
 so the held factor only has to contract the error, not be exact: a context
-made with ``single_sweeps=True`` demotes its held band to float32, in
-place, on the first sweep that solves with it, and the sweeps become
-mixed-precision iterative refinement.  Factors that are never swept (exact
-Newton steps, direct adjoints, adjoint fallbacks) stay float64.  Newton
-sweeps stop at the paper's forcing term eps_R = 1e-2, adjoint sweeps at
-EPS_T = 1e-8.  The ``ReanalysisContext`` is the run's ledger: it makes,
-times and counts every factorization, counts the Newton iterations and
-the sweeps its callers perform, and books each factorization off the
-strategy's schedule, and each guard-driven refresh of Kcur, under its
-reason from ``REASONS``.
+demotes its held band to float32, in place, on the first sweep that solves
+with it, and the sweeps become mixed-precision iterative refinement.  A
+context made with ``single_sweeps=False`` keeps sweeping in float64, the
+exact-factor reference of the combined-approximation iterates.  Factors
+that are never swept (exact Newton steps, direct adjoints, adjoint
+fallbacks) stay float64.  Newton sweeps stop at the paper's forcing term
+eps_R = 1e-2, adjoint sweeps at EPS_T = 1e-8.  The ``ReanalysisContext``
+is the run's ledger: it makes, times and counts every factorization,
+counts the Newton iterations and the sweeps its callers perform, and
+books each factorization off the strategy's schedule, and each
+guard-driven refresh of Kcur, under its reason from ``REASONS``.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class ReanalysisContext:
     ``counts`` books the work its callers report under the names in
     ``COUNTS``, and ``timers`` its seconds.  The given matrices are kept,
     not copied; nothing edits a tangent in place.  The Newton-iteration
-    count paces the refresh of ``Kcur``.  With ``single_sweeps`` the held
-    factor is demoted to float32 on its first sweep solve (``solve_held``).
+    count paces the refresh of ``Kcur``.  The held factor is demoted to
+    float32 on its first sweep solve (``solve_held``) unless
+    ``single_sweeps`` is False, which keeps the float64 reference sweep.
     """
 
-    def __init__(self, K: SparseSym = None, single_sweeps: bool = False):
+    def __init__(self, K: SparseSym = None, single_sweeps: bool = True):
         self.single_sweeps = single_sweeps
         self.counts = Counter()
         self.timers = Timers()

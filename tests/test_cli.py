@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 
 import numpy as np
@@ -38,14 +39,13 @@ def test_run_produces_artifacts(tmp_path):
 
 # the run artifacts' schema, as scripts that read them rely on it
 REPORT_KEYS = [
-    "aborted", "adjoint_fallbacks", "budget", "converge_tol", "converged",
-    "factorizations", "fallbacks", "filter_kernel", "filter_radius_elements",
-    "final_gp_norm", "final_objective", "final_penalty", "final_volume",
-    "guard_refreshes", "ica_iterations", "linear",
-    "linesearch_fallbacks", "max_rel_objective_error", "mesh", "mode",
-    "move_limit", "newton_iterations",
-    "outer_iterations", "problem", "rejected_steps", "step_fallbacks",
-    "strategy", "timings"]
+    "abort", "aborted", "adjoint_fallbacks", "budget", "converge_tol",
+    "converged", "factorizations", "fallbacks", "filter_kernel",
+    "filter_radius_elements", "final_gp_norm", "final_objective",
+    "final_penalty", "final_volume", "guard_refreshes", "ica_iterations",
+    "linear", "linesearch_fallbacks", "max_rel_objective_error", "mesh",
+    "mode", "move_limit", "newton_iterations", "outer_iterations",
+    "problem", "rejected_steps", "step_fallbacks", "strategy", "timings"]
 HISTORY_HEADER = (
     "iteration,accepted,move_limit,objective,objective_error,residual_inf,"
     "newton_iters,factorizations,ica_iters,fallbacks,step_fallbacks,"
@@ -268,7 +268,7 @@ def test_out_of_range_number_exits_before_writing(tmp_path, capsys, args,
     assert not out.exists()
 
 
-def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
+def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch, capsys):
     import icatop.cli as cli_mod
     from icatop.optimizer import RunHistory
 
@@ -276,6 +276,8 @@ def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
         h = RunHistory(problem.name, config.strategy.value,
                        (problem.mesh.nx, problem.mesh.ny))
         h.aborted = True
+        h.abort = {"error": "SingularMatrixError", "message": "zero pivot",
+                   "row": 1}
         h.rho_design = np.full(problem.mesh.n_el, 0.5)
         h.rho_phys = h.rho_design
         h.timing_table = {}
@@ -289,6 +291,8 @@ def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     assert (out / "report.json").exists()
     assert (out / "density.pgm").exists()
     assert json.loads((out / "report.json").read_text())["aborted"] is True
+    assert "solver aborted at row 1: SingularMatrixError: zero pivot; " \
+        "partial artifacts written" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("in_adjoint", [False, True],
@@ -325,8 +329,29 @@ def test_singular_factorization_aborts_with_artifacts(tmp_path, monkeypatch,
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["aborted"] is True
+    assert report["abort"] == {"error": "SingularMatrixError",
+                               "message": "injected zero pivot", "row": 3}
     assert report["outer_iterations"] == 2
     assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+    assert (out / "density.pgm").exists()
+
+
+def test_failed_first_equilibrium_aborts_with_artifacts(tmp_path,
+                                                        monkeypatch, capsys):
+    # an iteration cap the cold start cannot meet: no row to fall back on
+    monkeypatch.setattr(optimizer, "newton_solve",
+                        functools.partial(optimizer.newton_solve, max_iter=2))
+    code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
+                        "--strategy", "N", "--budget", "5")
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted"] is True and report["outer_iterations"] == 0
+    assert report["abort"]["error"] == "NewtonConvergenceError"
+    assert report["abort"]["row"] == 1
+    assert f"solver aborted at row 1: NewtonConvergenceError: " \
+        f"{report['abort']['message']}; partial artifacts written" \
+        in capsys.readouterr().err
+    assert len((out / "history.csv").read_text().splitlines()) == 1
     assert (out / "density.pgm").exists()
 
 
@@ -367,8 +392,13 @@ def test_non_finite_value_aborts_with_artifacts(tmp_path, monkeypatch, site):
         # row 3 is rejected, and row 4, stepped at MOVE_FLOOR, aborts
         assert report["outer_iterations"] == 3 and failed == [0, 0]
         assert report["rejected_steps"] == 1
+        assert report["abort"]["error"] == "NewtonConvergenceError"
+        assert report["abort"]["row"] == 4
     else:
         assert report["outer_iterations"] == 2 and not failed
+        assert report["abort"] == {"error": "FloatingPointError",
+                                   "message": "non-finite design gradient",
+                                   "row": 3}
     assert len((out / "history.csv").read_text().splitlines()) \
         == 1 + report["outer_iterations"]
     assert (out / "density.pgm").exists()

@@ -219,10 +219,12 @@ class TestOptimizeLoop:
                 OptimizerConfig(budget=budget)
 
     @pytest.mark.parametrize("name, value", [
-        ("strategy", "upK1"), ("move_limit", True), ("converge_tol", True)])
+        ("strategy", "upK1"), ("move_limit", True), ("converge_tol", True),
+        ("filter_kernel", "box"), ("monitor_normB", 1)])
     def test_mistyped_settings_rejected(self, name, value):
-        # a strategy's name is not a Strategy, and True is not a number 1;
-        # both are refused before a model is built
+        # a strategy's name is not a Strategy, True is not a number 1, a
+        # kernel must be known and 1 is not a flag; each is refused before
+        # a model is built
         with pytest.raises(ValueError, match=name):
             OptimizerConfig(**{name: value})
 

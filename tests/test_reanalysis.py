@@ -31,7 +31,7 @@ class TestIcaSolve:
     def test_zero_delta_exact_at_k0(self):
         rng = np.random.default_rng(0)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 3.0, 20)))
-        ctx = ReanalysisContext(K0)
+        ctx = ReanalysisContext(K0, single_sweeps=False)
         rhs = rng.standard_normal(20)
         s, rep = ica_solve(ctx, rhs)
         assert rep.converged and rep.iterations == 0

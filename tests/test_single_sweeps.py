@@ -145,7 +145,7 @@ class TestDemotion:
         count = CountDemotions(monkeypatch)
         rng = np.random.default_rng(26)
         K0, Kc, _, _ = make_pair(rng, 12, 0.3)
-        ctx = ReanalysisContext(K0)
+        ctx = ReanalysisContext(K0, single_sweeps=False)
         ctx.refresh(Kc)
         ica_solve(ctx, rng.standard_normal(12), eps=1e-10)
         assert count.calls == 0 and not ctx.factorization.single
@@ -204,7 +204,7 @@ def test_residual_form_matches_delta_form():
     rng = np.random.default_rng(27)
     for target in (0.1, 0.5, 0.9):
         K0, Kc, _, _ = make_pair(rng, 30, target)
-        ctx = ReanalysisContext(K0)
+        ctx = ReanalysisContext(K0, single_sweeps=False)
         ctx.refresh(Kc)
         rhs = rng.standard_normal(30)
         oracle = delta_form_iterates(ctx, K0, rhs, 10)
