@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CLI as a process: the python -m entry point and its exit codes; a
-# converge run without --budget keeps the default budget of 100; settings
-# from an @FILE; a finished run's report records no abort.
+# converge run without --budget keeps the default budget of 100; a
+# --linear run reports linear mode; settings from an @FILE; a finished
+# run's report records no abort.
 #
 #   bash .github/cli_smoke.sh
 #
@@ -25,6 +26,15 @@ report = json.load(open(sys.argv[1]))
 if report["aborted"] is not False or report["abort"] is not None:
     sys.exit(f"finished run: aborted {report['aborted']}, "
              f"abort {report['abort']}, expected false and null")
+EOF
+# a linear-mode run finishes and says so in its report
+python -m icatop.cli run --problem inverter --mesh 12x6 --budget 2 \
+  --linear --out "$out/linear"
+python - "$out/linear/report.json" <<'EOF'
+import json, sys
+linear = json.load(open(sys.argv[1]))["linear"]
+if linear is not True:
+    sys.exit(f"--linear run: linear {linear}, expected true")
 EOF
 python -m icatop.cli run --problem inverter --mesh 12x6 \
   --converge 1e-3 --out "$out/converge"

@@ -31,7 +31,8 @@ for target in (0.3, 0.7, 0.95):
         np.linalg.solve(K0_dense, perturbation), compute_uv=False)[0]
     K0 = SparseSym.from_dense(K0_dense)
     Kc = replace(K0, data=SparseSym.from_dense(K0_dense + dK).data)
-    ctx = ReanalysisContext(K0, single_sweeps=False)
+    ctx = ReanalysisContext(single_sweeps=False)
+    ctx.set_reference(K0)
     ctx.refresh(Kc)
 
     r = rng.standard_normal(n)
@@ -53,7 +54,8 @@ dK = perturbation * 1.5 / np.linalg.svd(
     np.linalg.solve(K0_dense, perturbation), compute_uv=False)[0]
 K0 = SparseSym.from_dense(K0_dense)
 Kc = replace(K0, data=SparseSym.from_dense(K0_dense + dK).data)
-ctx = ReanalysisContext(K0, single_sweeps=False)
+ctx = ReanalysisContext(single_sweeps=False)
+ctx.set_reference(K0)
 ctx.refresh(Kc)
 _, report = ica_solve(ctx, rng.standard_normal(n), eps=1e-2)
 print(f"||B|| = 1.5: converged = {report.converged}, residual "

@@ -22,11 +22,15 @@ model = FeModel(problem.mesh, problem.loads, problem.material)
 model.f_free = model.f_free * 1e-6
 rho = np.full(problem.mesh.n_el, 0.5)
 lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
-non, _ = newton_solve(model, rho, 3.0,
-                      model.state(np.zeros(problem.mesh.n_free)), Strategy.N,
-                      ReanalysisContext(), 1, tol=1e-12)
+non, stats = newton_solve(model, rho, 3.0,
+                          model.state(np.zeros(problem.mesh.n_free)),
+                          Strategy.N, ReanalysisContext(), 1)
 gap = np.abs(non.u - lin.u).max() / np.abs(lin.u).max()
-print(f"displacement gap at one-millionth of the load: {gap:.2e}")
+# from rest, Newton's first step is the linear solve itself
+print(f"at one-millionth of the load Newton meets the residual tolerance "
+      f"after {stats.iterations} iteration(s), residual "
+      f"{stats.residual_inf:.1e}; "
+      f"displacement gap {gap:.2e}")
 
 budget = 40
 cfg = OptimizerConfig(strategy=Strategy.UPK100G, budget=budget)

@@ -41,9 +41,9 @@ the same products times b_q / J_q^2, and a row of ones that carries
 mu Kbar.  The kernel writes them element-major, (n_el, 36).
 
 Small strain.  The small-displacement model reads the tangent kernel at
-u = 0: every element shares its 36 upper entries, ``rest_tangent``, which
-scale by rho_e^p into the density-only stiffness and, as an 8x8 matrix
-k_e, give the forces u_e k_e.
+u = 0: every element shares its 36 upper entries, ``rest_tangent``, the
+tangents of a small-displacement state, which ``tangent`` scales by rho_e^p
+into the density-only stiffness; as an 8x8 matrix k_e they give u_e k_e.
 
 Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
 to the free DOFs of the 3x3 node block around its node, an ascending
@@ -330,11 +330,8 @@ class FeModel:
         return self.upper_element_tangents(np.zeros(self.mesh.n_free))[0]
 
     def linear_state(self, u_free: np.ndarray) -> ElementState:
-        """State of the small-displacement model: forces u_e k_e."""
-        u_e = self.element_values(u_free)
-        return ElementState(u_free, u_e @ self.rest_tangent[_POS])
-
-    def linear_tangent(self, rho, p) -> SparseSym:
-        """Density-only stiffness of the small-displacement model."""
-        return self._assemble_upper(
-            (np.asarray(rho) ** p)[:, None] * self.rest_tangent)
+        """State of the small-displacement model: forces u_e k_e, tangents
+        a read-only view of k_e."""
+        k = self.rest_tangent
+        return ElementState(u_free, self.element_values(u_free) @ k[_POS],
+                            np.broadcast_to(k, (self.mesh.n_el, k.size)))

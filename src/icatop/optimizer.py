@@ -167,9 +167,12 @@ class RunHistory:
     rho_design: np.ndarray = None
     rho_phys: np.ndarray = None
     converged: bool = False
-    aborted: bool = False
     abort: dict = None    # what ended it: {"error", "message", "row"}
     timing_table: dict = field(default_factory=dict)
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort is not None
 
     @property
     def iterations(self) -> int:
@@ -207,10 +210,10 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     singular factorization, in the equilibrium or the adjoint),
     NewtonConvergenceError (a failed equilibrium on the first row or at a
     move limit <= MOVE_FLOOR; elsewhere it rejects the row) and
-    FloatingPointError (a non-finite design gradient).  The history then
-    has ``aborted`` set, and ``abort`` holds the error's class name, its
-    message and the row that raised it.  Every other error propagates.
-    Raises ValueError up front when the mesh leaves no free DOF.
+    FloatingPointError (a non-finite design gradient).  The history's
+    ``abort`` then holds the error's class name, message and row, and
+    ``aborted`` reads True.  Every other error propagates.  Raises
+    ValueError up front when the mesh leaves no free DOF.
     """
     problem.require_free_dofs()
     mesh = problem.mesh
@@ -311,7 +314,6 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 pred = -float(grad_acc @ (rho_design - rho_acc))
     except (SingularMatrixError, NewtonConvergenceError,
             FloatingPointError) as exc:
-        history.aborted = True
         history.abort = {"error": type(exc).__name__, "message": str(exc),
                          "row": t}
 

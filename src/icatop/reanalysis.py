@@ -44,6 +44,7 @@ REASONS = FALLBACKS + ("guard_refreshes",)
 # the ledger's keys, named as the history columns
 COUNTS = ("newton_iters", "factorizations", "ica_iters") + REASONS
 EPS_T = 1e-8    # relative residual an iterative adjoint solve must reach
+NORM_B_ITERATIONS, NORM_B_RTOL = 50, 1e-6   # estimate_norm_B's power steps
 
 
 @dataclass
@@ -75,15 +76,14 @@ class ReanalysisContext:
     count paces the refresh of ``Kcur``.  The held factor is demoted to
     float32 on its first sweep solve (``solve_held``) unless
     ``single_sweeps`` is False, which keeps the float64 reference sweep.
+    A context starts empty; only ``set_reference`` gives it a factor.
     """
 
-    def __init__(self, K: SparseSym = None, single_sweeps: bool = True):
+    def __init__(self, *, single_sweeps: bool = True):
         self.single_sweeps = single_sweeps
         self.counts = Counter()
         self.timers = Timers()
         self.release()
-        if K is not None:
-            self.set_reference(K)
 
     @property
     def initialized(self) -> bool:
@@ -205,10 +205,10 @@ def ica_adjoint_solve(ctx: ReanalysisContext, l: np.ndarray):
     return lam, IcaReport(rep.iterations, rep.residual, True, fallback=True)
 
 
-def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,
-                    rtol: float = 1e-6) -> float:
+def estimate_norm_B(ctx: ReanalysisContext) -> float:
     """Spectral norm of the sweep's iteration matrix M = I - F^{-1} Kcur by
-    two-sided power iteration.
+    two-sided power iteration: at most NORM_B_ITERATIONS steps, stopping
+    once the estimate moves by at most NORM_B_RTOL relative.
 
     For an exact float64 factor F of K0, M = -B with B = K0^{-1} dK, so this
     is the norm of B.  A factor demoted to float32 adds its rounding to M,
@@ -219,23 +219,19 @@ def estimate_norm_B(ctx: ReanalysisContext, iterations: int = 50,
     if not ctx.initialized:
         raise RuntimeError("context holds no factorization")
     K, solve = ctx.Kcur, ctx.factorization.solve
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(K.n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    v = np.random.default_rng(0).standard_normal(K.n)
+    if not v.any():
         return 0.0
-    v /= nv
+    v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(NORM_B_ITERATIONS):
         w = v - solve(K.matvec(v))                  # M v
         new_est = np.linalg.norm(w)
         z = w - K.matvec(solve(w))                  # M^T M v
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return float(new_est)
-        converged = abs(new_est - est) <= rtol * max(new_est, 1e-300)
-        est = new_est
-        if converged:
-            break
-        v = z / nz
+        if abs(new_est - est) <= NORM_B_RTOL * max(new_est, 1e-300):
+            return float(new_est)
+        est, v = new_est, z / nz
     return float(est)

@@ -41,6 +41,18 @@ def rest_state(model):
     return model.state(np.zeros(model.mesh.n_free))
 
 
+def linear_rest_state(model):
+    """The small-displacement state of ``model`` at u = 0."""
+    return model.linear_state(np.zeros(model.mesh.n_free))
+
+
+def factored_context(K, single_sweeps=True):
+    """A context holding the factor of ``K``, booked as one factorization."""
+    ctx = reanalysis.ReanalysisContext(single_sweeps=single_sweeps)
+    ctx.set_reference(K)
+    return ctx
+
+
 def sweep_iterates(ctx, rhs, k_max=10):
     """Iterates s_0 .. s_k_max of the sweep on ``rhs``: s_k is what a sweep
     stopped after k corrections returns."""

@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rest_state, sweep_iterates
-from icatop import bench
+from conftest import factored_context, rest_state, sweep_iterates
+from icatop import bench, nonlinear, reanalysis
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
 from icatop.nonlinear import (Strategy, linear_equilibrium, newton_solve,
@@ -135,7 +135,7 @@ def test_criterion_3_ica_contraction():
         Kcd = K0d + dK
         K0 = SparseSym.from_dense(K0d)
         Kc = replace(K0, data=SparseSym.from_dense(Kcd).data)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         normB = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
         assert normB < 1.0
@@ -151,7 +151,7 @@ def test_criterion_3_ica_contraction():
         s, rep = ica_solve(ctx, -r, eps=1e-2, k_max=10)
         assert rep.converged and rep.residual < 1e-2
         # zero delta: exact at k = 0
-        ctx0 = ReanalysisContext(K0)
+        ctx0 = factored_context(K0)
         _, rep0 = ica_solve(ctx0, -r, eps=1e-2)
         assert rep0.converged and rep0.iterations == 0
     elapsed = time.perf_counter() - t0
@@ -160,7 +160,7 @@ def test_criterion_3_ica_contraction():
                 f"{elapsed:.1f}s")
 
 
-def test_criterion_4_adjoint_gradient_fd():
+def test_criterion_4_adjoint_gradient_fd(monkeypatch):
     t0 = time.perf_counter()
     prob = bench.build("cantilever", mesh=(12, 4))
     model = FeModel(prob.mesh, prob.loads, prob.material)
@@ -169,20 +169,20 @@ def test_criterion_4_adjoint_gradient_fd():
     rho = rng.uniform(0.3, 1.0, mesh.n_el)
     p = 3.0
     l_free = model.f_free
+    monkeypatch.setattr(nonlinear, "RESIDUAL_TOL", 1e-10)
 
     # ramp the penalty so the heavily loaded coarse mesh converges from rest
     state = rest_state(model)
     for p_stage in (1.0, 2.0, p):
         ctx = ReanalysisContext()
         state, _ = newton_solve(model, rho, p_stage, state, Strategy.N, ctx,
-                                1, tol=1e-10)
+                                1)
     lam = solve_adjoint(model, rho, p, state, l_free, Strategy.N, ctx)
     grad = objective_gradient(model, rho, p, state, lam)
 
     def objective(r, warm):
         c = ReanalysisContext()
-        solved, _ = newton_solve(model, r, p, warm, Strategy.N, c, 1,
-                                 tol=1e-10)
+        solved, _ = newton_solve(model, r, p, warm, Strategy.N, c, 1)
         return float(l_free @ solved.u)
 
     h = 1e-6
@@ -316,15 +316,16 @@ def test_criterion_9_subproblem_oracle():
                 f"{elapsed:.1f}s")
 
 
-def test_criterion_10_linear_limit():
+def test_criterion_10_linear_limit(monkeypatch):
     prob = bench.build("cantilever", mesh=(12, 4))
     model = FeModel(prob.mesh, prob.loads, prob.material)
     model.f_free = model.f_free * 1e-6
     rho = np.full(prob.mesh.n_el, 0.5)
+    monkeypatch.setattr(nonlinear, "RESIDUAL_TOL", 1e-12)
     ctx = ReanalysisContext()
     nl, _ = newton_solve(model, rho, 3.0,
                          rest_state(model),
-                         Strategy.N, ctx, 1, tol=1e-12)
+                         Strategy.N, ctx, 1)
     lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
     rel = np.abs(nl.u - lin.u).max() / np.abs(lin.u).max()
     assert rel <= 1e-3, rel
@@ -345,10 +346,13 @@ def test_criterion_11_normB_diagnostic():
             np.linalg.solve(K0d, dK), compute_uv=False)[0]
         K0 = SparseSym.from_dense(K0d)
         Kc = replace(K0, data=SparseSym.from_dense(K0d + dK).data)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         truth = np.linalg.svd(np.linalg.solve(K0d, dK), compute_uv=False)[0]
-        est = estimate_norm_B(ctx, iterations=300, rtol=1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reanalysis, "NORM_B_ITERATIONS", 300)
+            mp.setattr(reanalysis, "NORM_B_RTOL", 1e-10)
+            est = estimate_norm_B(ctx)
         worst = max(worst, abs(est - truth) / truth)
         assert abs(est - truth) <= 1e-2 * truth
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (full_csr, make_cantilever_model, random_positive_state,
-                      rest_state)
+from conftest import (full_csr, linear_rest_state, make_cantilever_model,
+                      random_positive_state, rest_state)
 from icatop import assembly, bench
 from icatop.assembly import FeModel
 from icatop.errors import NonPositiveJacobianError
@@ -229,7 +229,7 @@ def test_every_tangent_carries_the_models_plan(cantilever_model):
     rho, u = random_positive_state(model)
     tangents = [model.tangent(rho, 3.0, rest_state(model)),
                 model.tangent(rho, 3.0, model.state(u)),
-                model.linear_tangent(rho, 1.0)]
+                model.tangent(rho, 1.0, linear_rest_state(model))]
     assert all(K.plan is model.plan for K in tangents)
     assert model.plan.n == model.mesh.n_free
 
@@ -255,13 +255,17 @@ class TestGlobalAssembly:
 
     @pytest.mark.parametrize("name", ["cantilever", "inverter"])
     def test_small_strain_stiffness_is_the_tangent_at_rest(self, name):
-        # linear mode reads the tangent kernel at u = 0, bit for bit
+        # linear mode reads the tangent kernel at u = 0, bit for bit; its
+        # states carry that one element tangent as a read-only view
         problem = bench.desk(name)
         model = FeModel(problem.mesh, problem.loads, problem.material)
         rho = np.random.default_rng(4).uniform(1e-3, 1.0, problem.mesh.n_el)
-        for p in (1.0, 3.0):
+        linear = linear_rest_state(model)
+        assert np.shares_memory(linear.tangents, model.rest_tangent)
+        assert not linear.tangents.flags.writeable
+        for p in (1.0, 1.1, 3.0):
             assert np.array_equal(
-                model.linear_tangent(rho, p).data,
+                model.tangent(rho, p, linear).data,
                 model.tangent(rho, p, rest_state(model)).data)
 
     def test_single_element_tangent_matches_global(self, monkeypatch):
@@ -288,7 +292,7 @@ class TestGlobalAssembly:
                 linear[at] += scale[e] * ke[local]
             K = full_csr(model.tangent(rho, 3.0, model.state(u))).toarray()
             assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
-            KL = full_csr(model.linear_tangent(rho, 3.0))
+            KL = full_csr(model.tangent(rho, 3.0, linear_rest_state(model)))
             assert abs(KL - KL.T).max() == 0.0
             assert np.array_equal(KL.toarray(), linear)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rest_state
-from icatop import bench
+from icatop import bench, nonlinear
 from icatop.nonlinear import Strategy, linear_equilibrium, newton_solve
 from icatop.optimizer import OptimizerConfig, optimize
 from icatop.reanalysis import ReanalysisContext
@@ -142,16 +142,17 @@ class TestLinearMode:
         prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
         assert prob.linear
 
-    def test_tiny_load_limit_matches_linear_solve(self):
+    def test_tiny_load_limit_matches_linear_solve(self, monkeypatch):
         prob = bench.build("cantilever", mesh=(12, 4))
         model = FeModel(prob.mesh, prob.loads, prob.material)
         scale = 1e-6
         model.f_free = model.f_free * scale
         rho = np.full(prob.mesh.n_el, 0.5)
+        monkeypatch.setattr(nonlinear, "RESIDUAL_TOL", 1e-12)
         ctx = ReanalysisContext()
         nl, _ = newton_solve(model, rho, 3.0,
                              rest_state(model),
-                             Strategy.N, ctx, 1, tol=1e-12)
+                             Strategy.N, ctx, 1)
         lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
         assert np.abs(nl.u - lin.u).max() <= 1e-3 * np.abs(lin.u).max()
 

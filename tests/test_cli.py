@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 
 import numpy as np
@@ -275,7 +274,6 @@ def test_solver_abort_keeps_partial_artifacts(tmp_path, monkeypatch, capsys):
     def fake_optimize(problem, config):
         h = RunHistory(problem.name, config.strategy.value,
                        (problem.mesh.nx, problem.mesh.ny))
-        h.aborted = True
         h.abort = {"error": "SingularMatrixError", "message": "zero pivot",
                    "row": 1}
         h.rho_design = np.full(problem.mesh.n_el, 0.5)
@@ -339,8 +337,7 @@ def test_singular_factorization_aborts_with_artifacts(tmp_path, monkeypatch,
 def test_failed_first_equilibrium_aborts_with_artifacts(tmp_path,
                                                         monkeypatch, capsys):
     # an iteration cap the cold start cannot meet: no row to fall back on
-    monkeypatch.setattr(optimizer, "newton_solve",
-                        functools.partial(optimizer.newton_solve, max_iter=2))
+    monkeypatch.setattr(nonlinear, "MAX_NEWTON_ITERS", 2)
     code, out = run_cli(tmp_path, "--problem", "cantilever", "--mesh", "12x4",
                         "--strategy", "N", "--budget", "5")
     assert code == 1

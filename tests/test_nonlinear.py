@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_cantilever_model, rest_state
+from conftest import (factored_context, linear_rest_state,
+                      make_cantilever_model, rest_state)
 from icatop import nonlinear
 from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
@@ -44,7 +45,7 @@ class TestStrategyFlags:
 
 
 def held_context(newton_iters: int) -> ReanalysisContext:
-    ctx = ReanalysisContext(SparseSym.from_dense(np.eye(2)))
+    ctx = factored_context(SparseSym.from_dense(np.eye(2)))
     ctx.counts["newton_iters"] = newton_iters
     return ctx
 
@@ -217,7 +218,7 @@ class TestNewtonSolve:
         mesh = model.mesh
         rho_a = np.full(mesh.n_el, 1e-3)
         rho_b = np.full(mesh.n_el, 1.0)
-        ctx = ReanalysisContext(model.tangent(rho_a, 3.0, rest_state(model)))
+        ctx = factored_context(model.tangent(rho_a, 3.0, rest_state(model)))
         u, st = newton_solve(model, rho_b, 3.0, rest_state(model),
                              Strategy.UPK100G, ctx, outer_iter=50)
         assert st.residual_inf <= 1e-5
@@ -294,16 +295,27 @@ class TestNewtonSolve:
                 ctx.counts["newton_iters"]) == (0, 0)
         assert np.isnan(stats.residual_inf)
 
-    def test_iteration_cap_raises_with_stats(self):
+    def test_iteration_cap_raises_with_stats(self, monkeypatch):
         model = make_cantilever_model(load=-120.0)
         rho = np.full(model.mesh.n_el, 0.5)
         ctx = ReanalysisContext()
+        monkeypatch.setattr(nonlinear, "MAX_NEWTON_ITERS", 3)
         with pytest.raises(NewtonConvergenceError) as err:
             newton_solve(model, rho, 3.0, rest_state(model),
-                         Strategy.N, ctx, outer_iter=1, max_iter=3)
+                         Strategy.N, ctx, outer_iter=1)
         assert err.value.stats.iterations == 3
 
-    def test_cap_tests_the_last_step(self):
+    def test_tolerance_and_cap_are_constants(self):
+        # RESIDUAL_TOL and MAX_NEWTON_ITERS are no arguments: no caller can
+        # loosen the accepted residual
+        model = make_cantilever_model()
+        rho = np.full(model.mesh.n_el, 0.5)
+        for kwargs in ({"tol": 1e-3}, {"max_iter": 2}):
+            with pytest.raises(TypeError):
+                newton_solve(model, rho, 3.0, rest_state(model), Strategy.N,
+                             ReanalysisContext(), 1, **kwargs)
+
+    def test_cap_tests_the_last_step(self, monkeypatch):
         # a solve given exactly the iterations it needs converges: the
         # residual after the cap's last step is checked before raising
         model = make_cantilever_model(load=-120.0)
@@ -312,15 +324,16 @@ class TestNewtonSolve:
         u, st = newton_solve(model, rho, 3.0, u0, Strategy.N,
                              ReanalysisContext(), outer_iter=1)
         assert st.residual_inf <= 1e-5 and st.iterations > 3
+        monkeypatch.setattr(nonlinear, "MAX_NEWTON_ITERS", st.iterations)
         capped, st_capped = newton_solve(model, rho, 3.0, u0, Strategy.N,
-                                         ReanalysisContext(), outer_iter=1,
-                                         max_iter=st.iterations)
+                                         ReanalysisContext(), outer_iter=1)
         assert st_capped.residual_inf <= 1e-5
         assert st_capped.iterations == st.iterations
         assert np.array_equal(capped.u, u.u)
+        monkeypatch.setattr(nonlinear, "MAX_NEWTON_ITERS", st.iterations - 1)
         with pytest.raises(NewtonConvergenceError) as err:
             newton_solve(model, rho, 3.0, u0, Strategy.N, ReanalysisContext(),
-                         outer_iter=1, max_iter=st.iterations - 1)
+                         outer_iter=1)
         assert err.value.stats.iterations == st.iterations - 1
 
     def test_inexact_steps_reuse_the_sweep_product(self, monkeypatch):
@@ -413,7 +426,7 @@ def test_linear_equilibrium_solves_density_only_system():
     ctx = ReanalysisContext()
     state, st = linear_equilibrium(model, rho, 3.0, ctx)
     u = state.u
-    K = model.linear_tangent(rho, 3.0)
+    K = model.tangent(rho, 3.0, linear_rest_state(model))
     assert np.abs(K.matvec(u) - model.f_free).max() <= 1e-10 * np.abs(model.f_free).max()
     assert ctx.counts["factorizations"] == 1 and ctx.initialized
     # the state's forces are the small-strain ones: its residual is K u - f

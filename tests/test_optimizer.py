@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icatop import bench
+from icatop import bench, nonlinear
 from icatop.errors import InfeasibleSubproblemError
 from icatop.nonlinear import Strategy, predicted_factorizations
 from icatop.optimizer import (ETA, ETA_GROW, OptimizerConfig, optimize,
@@ -272,9 +271,7 @@ class TestOptimizeLoop:
 
     def test_first_iteration_failure_aborts(self, monkeypatch):
         # an iteration cap the cold start cannot meet: no accepted row yet
-        import icatop.optimizer as opt
-        monkeypatch.setattr(opt, "newton_solve",
-                            functools.partial(opt.newton_solve, max_iter=2))
+        monkeypatch.setattr(nonlinear, "MAX_NEWTON_ITERS", 2)
         prob = bench.build("cantilever", mesh=(12, 4))
         h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5))
         assert h.aborted

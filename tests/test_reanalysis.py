@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import icatop
-from conftest import sweep_iterates
+from conftest import factored_context, sweep_iterates
+from icatop import reanalysis
 from icatop.reanalysis import (ReanalysisContext, estimate_norm_B,
                                ica_adjoint_solve, ica_solve)
 from icatop.errors import SingularMatrixError
@@ -31,7 +32,7 @@ class TestIcaSolve:
     def test_zero_delta_exact_at_k0(self):
         rng = np.random.default_rng(0)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 3.0, 20)))
-        ctx = ReanalysisContext(K0, single_sweeps=False)
+        ctx = factored_context(K0, single_sweeps=False)
         rhs = rng.standard_normal(20)
         s, rep = ica_solve(ctx, rhs)
         assert rep.converged and rep.iterations == 0
@@ -39,7 +40,7 @@ class TestIcaSolve:
         assert np.allclose(s, rhs / K0.to_csr().diagonal(), rtol=1e-13)
 
     def test_zero_rhs_convention(self):
-        ctx = ReanalysisContext(SparseSym.from_dense(np.eye(4)))
+        ctx = factored_context(SparseSym.from_dense(np.eye(4)))
         s, rep = ica_solve(ctx, np.zeros(4))
         assert rep.converged and rep.residual == 0.0
         assert np.all(s == 0.0)
@@ -49,7 +50,7 @@ class TestIcaSolve:
         # converged or not
         rng = np.random.default_rng(5)
         K0, Kc, _, _ = make_pair(rng, 25, 0.6)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         b = rng.standard_normal(25)
         for eps, k_max in ((1e-2, 10), (1e-14, 3)):
@@ -64,7 +65,7 @@ class TestIcaSolve:
         rng = np.random.default_rng(1)
         for target in (0.2, 0.5, 0.8):
             K0, Kc, K0d, Kcd = make_pair(rng, 30, target)
-            ctx = ReanalysisContext(K0)
+            ctx = factored_context(K0)
             ctx.refresh(Kc)
             r = rng.standard_normal(30)
             s, rep = ica_solve(ctx, -r, eps=1e-10, k_max=100)
@@ -78,7 +79,7 @@ class TestIcaSolve:
         for _ in range(10):
             target = rng.uniform(0.1, 0.9)
             K0, Kc, K0d, Kcd = make_pair(rng, 30, target)
-            ctx = ReanalysisContext(K0)
+            ctx = factored_context(K0)
             ctx.refresh(Kc)
             Bd = np.linalg.solve(K0d, Kcd - K0d)
             normB = np.linalg.svd(Bd, compute_uv=False)[0]
@@ -92,7 +93,7 @@ class TestIcaSolve:
     def test_fixed_point_is_stationary(self):
         rng = np.random.default_rng(3)
         K0, Kc, K0d, Kcd = make_pair(rng, 20, 0.5)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         r = rng.standard_normal(20)
         s_star = np.linalg.solve(Kcd, -r)
@@ -104,7 +105,7 @@ class TestIcaSolve:
         rng = np.random.default_rng(4)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 2.0, 15)))
         Kc = replace(K0, data=2.5 * K0.data)  # B = 1.5 I
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         s, rep = ica_solve(ctx, rng.standard_normal(15), eps=1e-2)
         assert not rep.converged
@@ -119,7 +120,7 @@ class TestIcaSolve:
     def test_give_up_stops_only_sweeps_off_course(self, target, eps, judged):
         rng = np.random.default_rng(11)
         K0, Kc, _, _ = make_pair(rng, 30, target)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         b = rng.standard_normal(30)
         full_s, full = ica_solve(ctx, b, eps=eps)
@@ -146,7 +147,7 @@ class TestIcaSolve:
             Kc = replace(K0, data=2.5 * K0.data)
         else:
             K0, Kc, _, _ = make_pair(rng, 30, 0.9)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         b = rng.standard_normal(30)
         s, rep = ica_solve(ctx, b, eps=1e-8, give_up=give_up)
@@ -161,7 +162,7 @@ class TestAdjointSolve:
     def test_zero_delta_exact(self):
         rng = np.random.default_rng(5)
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 3.0, 12)))
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         l = rng.standard_normal(12)
         lam, rep = ica_adjoint_solve(ctx, l)
         assert rep.converged and not rep.fallback
@@ -170,7 +171,7 @@ class TestAdjointSolve:
     def test_matches_dense_solution(self):
         rng = np.random.default_rng(6)
         K0, Kc, K0d, Kcd = make_pair(rng, 25, 0.12)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         l = rng.standard_normal(25)
         lam, rep = ica_adjoint_solve(ctx, l)
@@ -181,7 +182,7 @@ class TestAdjointSolve:
         # same context: the 1e-8 target takes at least as many sweeps as 1e-2
         rng = np.random.default_rng(7)
         K0, Kc, K0d, Kcd = make_pair(rng, 25, 0.15)
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         b = rng.standard_normal(25)
         _, loose = ica_solve(ctx, -b, eps=1e-2)
@@ -192,7 +193,7 @@ class TestAdjointSolve:
     def test_fallback_factors_and_solves_exactly(self, factor_scopes):
         rng = np.random.default_rng(8)
         K0, Kc, K0d, Kcd = make_pair(rng, 20, 0.9)   # too slow for 1e-8 in 10
-        ctx = ReanalysisContext(K0)
+        ctx = factored_context(K0)
         ctx.refresh(Kc)
         l = rng.standard_normal(20)
         lam, rep = ica_adjoint_solve(ctx, l)
@@ -212,14 +213,14 @@ class TestAdjointSolve:
             <= 1e-10 * np.abs(b).max()
 
     def test_zero_output_vector(self):
-        ctx = ReanalysisContext(SparseSym.from_dense(np.eye(3)))
+        ctx = factored_context(SparseSym.from_dense(np.eye(3)))
         lam, rep = ica_adjoint_solve(ctx, np.zeros(3))
         assert np.all(lam == 0.0) and rep.converged
 
 
 class TestNormB:
     def test_zero_delta(self):
-        ctx = ReanalysisContext(SparseSym.from_dense(np.eye(8)))
+        ctx = factored_context(SparseSym.from_dense(np.eye(8)))
         assert estimate_norm_B(ctx) == 0.0
 
     def test_scalar_multiple_exact(self):
@@ -227,26 +228,28 @@ class TestNormB:
         K0 = SparseSym.from_dense(np.diag(rng.uniform(1.0, 4.0, 16)))
         for alpha in (0.37, 1.8):
             Kc = replace(K0, data=(1.0 + alpha) * K0.data)
-            ctx = ReanalysisContext(K0)
+            ctx = factored_context(K0)
             ctx.refresh(Kc)
             assert estimate_norm_B(ctx) == pytest.approx(alpha, rel=1e-12)
 
-    def test_matches_dense_svd_within_one_percent(self):
+    def test_matches_dense_svd_within_one_percent(self, monkeypatch):
+        monkeypatch.setattr(reanalysis, "NORM_B_ITERATIONS", 200)
+        monkeypatch.setattr(reanalysis, "NORM_B_RTOL", 1e-9)
         rng = np.random.default_rng(13)
         for _ in range(10):
             K0, Kc, K0d, Kcd = make_pair(rng, 30, rng.uniform(0.2, 1.5))
-            ctx = ReanalysisContext(K0)
+            ctx = factored_context(K0)
             ctx.refresh(Kc)
             B = np.linalg.solve(K0d, Kcd - K0d)
             truth = np.linalg.svd(B, compute_uv=False)[0]
-            assert estimate_norm_B(ctx, iterations=200, rtol=1e-9) == \
+            assert estimate_norm_B(ctx) == \
                 pytest.approx(truth, rel=1e-2)
 
 
 def test_counters_and_reset():
     rng = np.random.default_rng(14)
     K0, Kc, _, _ = make_pair(rng, 10, 0.3)
-    ctx = ReanalysisContext(K0)
+    ctx = factored_context(K0)
     ctx.counts["newton_iters"] = 3
     ctx.refresh(Kc)
     ctx.set_reference(Kc)
@@ -258,7 +261,7 @@ def test_counters_and_reset():
 def test_failed_reference_leaves_the_context_empty():
     rng = np.random.default_rng(15)
     K0, Kc, _, _ = make_pair(rng, 10, 0.3)
-    ctx = ReanalysisContext(K0)
+    ctx = factored_context(K0)
     ctx.counts["newton_iters"] = 4
     bad = replace(K0, data=np.full_like(K0.data, np.nan))
     with pytest.raises(SingularMatrixError):
@@ -279,8 +282,22 @@ def test_only_the_context_factors():
     assert "ldlt_factor" not in vars(icatop)
 
 
+def test_removed_settings_are_rejected():
+    # a context starts empty, and the estimator's settings are the module
+    # constants NORM_B_ITERATIONS and NORM_B_RTOL
+    K = SparseSym.from_dense(np.eye(3))
+    for args, kwargs in (((K,), {}), ((), {"K": K})):
+        with pytest.raises(TypeError):
+            ReanalysisContext(*args, **kwargs)
+    assert not ReanalysisContext().initialized
+    ctx = factored_context(K)
+    for kwargs in ({"iterations": 5}, {"rtol": 1e-3}):
+        with pytest.raises(TypeError):
+            estimate_norm_B(ctx, **kwargs)
+
+
 def test_pattern_mismatch_rejected():
-    ctx = ReanalysisContext(SparseSym.from_dense(np.eye(4)))
+    ctx = factored_context(SparseSym.from_dense(np.eye(4)))
     other = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]) + np.ones((4, 4)))
     with pytest.raises(ValueError):
         ctx.refresh(other)

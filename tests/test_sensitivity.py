@@ -3,6 +3,7 @@ import pytest
 
 from conftest import full_csr, make_cantilever_model, rest_state
 from icatop.assembly import FeModel
+from icatop import nonlinear
 from icatop.material import MaterialParams
 from icatop.mesh import LoadCase, build_grid, fix_region
 from icatop.nonlinear import Strategy, newton_solve
@@ -11,10 +12,12 @@ from icatop.sensitivity import objective_gradient, solve_adjoint
 
 
 def converge(model, rho, p, outer=1, tol=1e-10):
+    """Exact Newton to max-norm residual ``tol``, past the package's."""
     ctx = ReanalysisContext()
-    state, _ = newton_solve(model, rho, p,
-                            rest_state(model),
-                            Strategy.N, ctx, outer, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonlinear, "RESIDUAL_TOL", tol)
+        state, _ = newton_solve(model, rho, p, rest_state(model),
+                                Strategy.N, ctx, outer)
     return state, ctx
 
 

@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import rest_state, sweep_iterates
-from icatop import bench, sparse
+from conftest import factored_context, rest_state, sweep_iterates
+from icatop import bench, reanalysis, sparse
 from icatop.assembly import FeModel
 from icatop.nonlinear import Strategy, newton_solve
 from icatop.optimizer import RHO_MIN, OptimizerConfig, optimize
@@ -56,7 +56,7 @@ class TestSingleSweeps:
         rng = np.random.default_rng(21)
         for target in (0.2, 0.5, 0.8):
             K0, Kc, _, Kcd = make_pair(rng, 30, target)
-            ctx = ReanalysisContext(K0, single_sweeps=True)
+            ctx = factored_context(K0, single_sweeps=True)
             ctx.refresh(Kc)
             r = rng.standard_normal(30)
             s, rep = ica_solve(ctx, -r, eps=1e-10, k_max=100)
@@ -70,7 +70,7 @@ class TestSingleSweeps:
     def test_void_tangent_reaches_adjoint_tolerance(self, holed_cantilever,
                                                     second_u):
         model, rho, u1, K0 = holed_cantilever
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         if second_u:
             ctx.refresh(model.tangent(rho, 3.0, model.state(0.98 * u1)))
         s, rep = ica_solve(ctx, -model.f_free, eps=1e-8, k_max=10)
@@ -85,7 +85,7 @@ class TestSingleSweeps:
         A = rng.standard_normal((n, n))
         Kd = A + A.T + np.diag(np.linspace(-12.0, 12.0, n))
         K0 = SparseSym.from_dense(Kd)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         assert ctx.factorization._lu.piv is not None     # banded LU
         b = rng.standard_normal(n)
         s, rep = ica_solve(ctx, b, eps=1e-12, k_max=10)
@@ -98,7 +98,7 @@ class TestSingleSweeps:
     def test_returns_float64(self):
         rng = np.random.default_rng(23)
         K0, Kc, _, _ = make_pair(rng, 25, 0.5)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         ctx.refresh(Kc)
         for eps, k_max in ((1e-2, 10), (1e-14, 2)):
             s, rep = ica_solve(ctx, rng.standard_normal(25), eps=eps,
@@ -113,7 +113,7 @@ class TestDemotion:
         count = CountDemotions(monkeypatch)
         rng = np.random.default_rng(24)
         K0, Kc, _, _ = make_pair(rng, 25, 0.4)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         factored = ctx.factorization
         band = factored._lu.ab
         assert not factored.single and count.calls == 0
@@ -137,7 +137,7 @@ class TestDemotion:
         count = CountDemotions(monkeypatch)
         rng = np.random.default_rng(25)
         K0, _, _, _ = make_pair(rng, 12, 0.3)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         ctx.solve_exact(K0, np.ones(12))
         assert count.calls == 0 and not ctx.factorization.single
 
@@ -145,7 +145,7 @@ class TestDemotion:
         count = CountDemotions(monkeypatch)
         rng = np.random.default_rng(26)
         K0, Kc, _, _ = make_pair(rng, 12, 0.3)
-        ctx = ReanalysisContext(K0, single_sweeps=False)
+        ctx = factored_context(K0, single_sweeps=False)
         ctx.refresh(Kc)
         ica_solve(ctx, rng.standard_normal(12), eps=1e-10)
         assert count.calls == 0 and not ctx.factorization.single
@@ -171,16 +171,18 @@ class TestNormEstimate:
         count = CountDemotions(monkeypatch)
         rng = np.random.default_rng(28)
         K0, Kc, K0d, Kcd = make_pair(rng, 30, 0.5)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         ctx.refresh(Kc)
         normB = np.linalg.norm(np.linalg.solve(K0d, Kcd - K0d), 2)
-        assert estimate_norm_B(ctx, iterations=300, rtol=1e-10) == \
+        monkeypatch.setattr(reanalysis, "NORM_B_ITERATIONS", 300)
+        monkeypatch.setattr(reanalysis, "NORM_B_RTOL", 1e-10)
+        assert estimate_norm_B(ctx) == \
             pytest.approx(normB, rel=1e-2)
         assert count.calls == 0 and not ctx.factorization.single
         ica_solve(ctx, rng.standard_normal(30))
         held = ctx.factorization
         assert count.calls == 1 and held.single
-        est = estimate_norm_B(ctx, iterations=300, rtol=1e-10)
+        est = estimate_norm_B(ctx)
         assert ctx.factorization is held and count.calls == 1
         F_inv = np.column_stack([held.solve(e) for e in np.eye(30)])
         dense = np.linalg.norm(np.eye(30) - F_inv @ Kcd, 2)
@@ -191,7 +193,7 @@ class TestNormEstimate:
         # rounding shows
         rng = np.random.default_rng(29)
         K0, _, _, _ = make_pair(rng, 30, 0.5)
-        ctx = ReanalysisContext(K0, single_sweeps=True)
+        ctx = factored_context(K0, single_sweeps=True)
         exact = estimate_norm_B(ctx)
         ica_solve(ctx, rng.standard_normal(30))
         rounded = estimate_norm_B(ctx)
@@ -204,7 +206,7 @@ def test_residual_form_matches_delta_form():
     rng = np.random.default_rng(27)
     for target in (0.1, 0.5, 0.9):
         K0, Kc, _, _ = make_pair(rng, 30, target)
-        ctx = ReanalysisContext(K0, single_sweeps=False)
+        ctx = factored_context(K0, single_sweeps=False)
         ctx.refresh(Kc)
         rhs = rng.standard_normal(30)
         oracle = delta_form_iterates(ctx, K0, rhs, 10)
@@ -219,7 +221,7 @@ def test_demotion_allocates_no_second_band():
     model = FeModel(problem.mesh, problem.loads, problem.material)
     K = model.tangent(np.full(problem.mesh.n_el, 0.5), 3.0,
                       rest_state(model))
-    ctx = ReanalysisContext(K, single_sweeps=True)
+    ctx = factored_context(K, single_sweeps=True)
     fact = ctx.factorization
     assert fact._lu.ab.nbytes > 16 * 2 ** 20
     tracemalloc.start()
