@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CLI as a process: the python -m entry point and its exit codes; a
 # converge run without --budget keeps the default budget of 100; a
-# --linear run reports linear mode; settings from an @FILE; a finished
+# --linear run under a reuse strategy reports linear mode and still
+# factors once per row with no sweep; settings from an @FILE; a finished
 # run's report records no abort.
 #
 #   bash .github/cli_smoke.sh
@@ -27,14 +28,22 @@ if report["aborted"] is not False or report["abort"] is not None:
     sys.exit(f"finished run: aborted {report['aborted']}, "
              f"abort {report['abort']}, expected false and null")
 EOF
-# a linear-mode run finishes and says so in its report
-python -m icatop.cli run --problem inverter --mesh 12x6 --budget 2 \
-  --linear --out "$out/linear"
+# a linear-mode run finishes and says so in its report; under a reuse
+# strategy every row, rows 7 and 8 off its refactor schedule too, is
+# still one exact step: one factorization per row and no sweep
+python -m icatop.cli run --problem inverter --mesh 12x6 \
+  --strategy upK03K100g --budget 8 --linear --out "$out/linear"
 python - "$out/linear/report.json" <<'EOF'
 import json, sys
-linear = json.load(open(sys.argv[1]))["linear"]
-if linear is not True:
-    sys.exit(f"--linear run: linear {linear}, expected true")
+report = json.load(open(sys.argv[1]))
+if report["linear"] is not True:
+    sys.exit(f"--linear run: linear {report['linear']}, expected true")
+if report["factorizations"] != report["outer_iterations"] \
+        or report["ica_iterations"] != 0:
+    sys.exit(f"--linear run: {report['factorizations']} factorizations "
+             f"in {report['outer_iterations']} rows and "
+             f"{report['ica_iterations']} sweeps, expected one per row "
+             f"and none")
 EOF
 python -m icatop.cli run --problem inverter --mesh 12x6 \
   --converge 1e-3 --out "$out/converge"

@@ -2,8 +2,7 @@
 compliant mechanisms, with factorization-reusing inexact Newton solvers."""
 
 from .assembly import FeModel
-from .bench import (Problem, cantilever, desk, gripper, inverter,
-                    linear_mode, slender)
+from .bench import Problem, cantilever, desk, gripper, inverter, slender
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      NonPositiveJacobianError, SingularMatrixError)
 from .filtering import FilterOperator, build_filter

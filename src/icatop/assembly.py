@@ -40,10 +40,10 @@ times 81 rows: the ten products F_i F_j (i <= j) at each Gauss point,
 the same products times b_q / J_q^2, and a row of ones that carries
 mu Kbar.  The kernel writes them element-major, (n_el, 36).
 
-Small strain.  The small-displacement model reads the tangent kernel at
-u = 0: every element shares its 36 upper entries, ``rest_tangent``, the
-tangents of a small-displacement state, which ``tangent`` scales by rho_e^p
-into the density-only stiffness; as an 8x8 matrix k_e they give u_e k_e.
+Small strain.  A ``linear`` model's states all carry as their tangents
+the 36 upper entries of the kernel at u = 0, ``rest_tangent``, which
+``tangent`` scales by rho_e^p into the density-only stiffness; as an 8x8
+matrix k_e they give the forces u_e k_e.  Newton solves either law.
 
 Pattern.  The mesh is always build_grid's full grid, so a free DOF couples
 to the free DOFs of the 3x3 node block around its node, an ascending
@@ -130,10 +130,12 @@ class FeModel:
     It is read off the pattern's node stencil (see the module doc).
     """
 
-    def __init__(self, mesh: Mesh, loads: LoadCase, material: MaterialParams):
+    def __init__(self, mesh: Mesh, loads: LoadCase, material: MaterialParams,
+                 linear: bool = False):
         self.mesh = mesh
         self.loads = loads
         self.material = material
+        self.linear = linear    # small-strain law (see the module doc)
 
         self.G = gauss_shape_gradients(mesh.elem_w, mesh.elem_h)  # (4, 4, 8)
         # integration weight per Gauss point (unit weights, constant Jacobian)
@@ -298,7 +300,10 @@ class FeModel:
 
     # -- global quantities -------------------------------------------------
     def state(self, u_free: np.ndarray) -> ElementState:
-        """The element state at ``u_free``; its forces are formed here."""
+        """The element state at ``u_free`` under the model's law; its forces
+        are formed here."""
+        if self.linear:
+            return self.linear_state(u_free)
         return ElementState(u_free, self.element_internal_forces(u_free))
 
     def residual(self, rho, p, state: ElementState) -> np.ndarray:
@@ -308,9 +313,11 @@ class FeModel:
         return f_int + self.spring_free * state.u - self.f_free
 
     def tangent(self, rho, p, state: ElementState) -> SparseSym:
-        """Tangent at ``state``, forming its element tangents on first use."""
+        """Tangent at ``state``, forming its element tangents under the
+        model's law on first use."""
         if state.tangents is None:
-            state.tangents = self.upper_element_tangents(state.u)
+            state.tangents = self._rest_tangents() if self.linear \
+                else self.upper_element_tangents(state.u)
         return self._assemble_upper(
             (np.asarray(rho) ** p)[:, None] * state.tangents)
 
@@ -329,9 +336,13 @@ class FeModel:
         the small-strain stiffness shared by the congruent elements."""
         return self.upper_element_tangents(np.zeros(self.mesh.n_free))[0]
 
+    def _rest_tangents(self) -> np.ndarray:
+        """``rest_tangent`` as every element's, a read-only view."""
+        k = self.rest_tangent
+        return np.broadcast_to(k, (self.mesh.n_el, k.size))
+
     def linear_state(self, u_free: np.ndarray) -> ElementState:
         """State of the small-displacement model: forces u_e k_e, tangents
         a read-only view of k_e."""
-        k = self.rest_tangent
-        return ElementState(u_free, self.element_values(u_free) @ k[_POS],
-                            np.broadcast_to(k, (self.mesh.n_el, k.size)))
+        return ElementState(u_free, self.element_values(u_free)
+                            @ self.rest_tangent[_POS], self._rest_tangents())

@@ -13,7 +13,7 @@ the neighborhood nontrivial on coarse desk meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,8 +194,3 @@ def build(name: str, mesh=None, filter_radius=None) -> Problem:
 def desk(name: str) -> Problem:
     """Desk-scale variant that runs in seconds rather than hours."""
     return build(name, mesh=DESK_MESH[name])
-
-
-def linear_mode(problem: Problem) -> Problem:
-    """Replace the equilibrium model by the small-displacement one."""
-    return replace(problem, linear=True)

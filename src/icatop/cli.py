@@ -20,6 +20,7 @@ import functools
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,7 @@ def run_command(args) -> int:
             else bench.DESK_MESH[opts["problem"]]
         problem = bench.build(opts["problem"], mesh=mesh,
                               filter_radius=opts.get("filter_radius"))
-        if opts["linear"]:
-            problem = bench.linear_mode(problem)
+        problem = replace(problem, linear=opts["linear"])
         config = OptimizerConfig(
             strategy=Strategy.from_name(opts.get("strategy", "N")),
             converge_tol=opts.get("converge"),

@@ -1,21 +1,22 @@
 """Newton's method with Armijo line search under factorization policies.
 
-The paper's seven strategies are the rows of ``Strategy``; each row says how
-often the tangent is factored, how often the current matrix the sweeps
+The paper's seven strategies are the rows of ``Strategy``; each row says
+how often the tangent is factored, how often the current matrix the sweeps
 solve against is refreshed to the tangent at the current state, and whether
 the adjoint system is solved iteratively.  One ``ReusePolicy`` per
 equilibrium solve turns a row into the action of each Newton iteration;
-``newton_solve`` carries out the numerics, taking every exact step down
-one path, and tests the residual after its last allowed step before it
-gives up.  Its iterates are element states, so each trial's element
-quantities are formed once.  Every factorization goes through the
-``ReanalysisContext``, the run's ledger, which times and counts it, books
-the reason of each one off the schedule, and holds at most one; each
-Newton iteration is booked there too.  A held factor that has gone stale
-is refactored down one path, the step and line-search fallbacks of
+``newton_solve`` carries out the numerics, taking every exact step down one
+path, and tests the residual after its last allowed step before it gives
+up.  Its iterates are element states, made by the model under its own law,
+so each trial's element quantities are formed once and one solver serves
+the large- and the small-displacement model alike.  Every factorization goes
+through the ``ReanalysisContext``, the run's ledger, which times and counts
+it, books the reason of each one off the schedule, and holds at most one;
+each Newton iteration is booked there too.  A held factor that has gone
+stale is refactored down one path, the step and line-search fallbacks of
 ``newton_solve``; the policy's slow-progress guard only refreshes the
-current matrix.  Whatever the strategy, the first five outer iterations
-run exact Newton and every accepted solution satisfies the same max-norm
+current matrix.  Whatever the strategy, the first five outer iterations run
+exact Newton and every accepted solution satisfies the same max-norm
 residual tolerance; the policies trade cost, never accuracy.
 """
 
@@ -287,22 +288,3 @@ def _line_search(model, rho, p, state, r, s, slope, ctx):
 
     return armijo_linesearch(merit, float(r @ r), slope)[1]
 
-
-def linear_equilibrium(model, rho, p, ctx: ReanalysisContext):
-    """Small-displacement solve: density-only stiffness, one factorization.
-
-    The stiffness, the tangent of a small-displacement state at rest, is
-    factored into ``ctx``, where the adjoint reuses it, and the solve
-    booked there as one Newton iteration.  Returns (state, NewtonStats)
-    mirroring the nonlinear path.
-    """
-    with ctx.timers.scope("K_T"):
-        rest = model.linear_state(np.zeros(model.mesh.n_free))
-        K = model.tangent(rho, p, rest)
-    u = ctx.solve_exact(K, model.f_free)
-    ctx.counts["newton_iters"] += 1
-    state = model.linear_state(u)
-    with ctx.timers.scope("RHS"):
-        r = model.residual(rho, p, state)
-    return state, NewtonStats(iterations=1,
-                              residual_inf=float(np.abs(r).max()), residual=r)

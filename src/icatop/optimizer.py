@@ -1,17 +1,19 @@
 """Outer optimization loop: linearize, solve a box+volume LP, continue SIMP.
 
 Each outer iteration (a row) filters the design densities and solves the
-equilibrium problem from the last accepted row's state.  The row is
-accepted when that equilibrium converged and F fell by at least ETA times
--g.d, the reduction the last accepted row's LP step d predicted; the first
-row, a new penalty and a step at a move limit <= MOVE_FLOOR need no fall.
-An accepted row forms the adjoint gradient and solves its LP.  It doubles
-the move limit up to ``move_limit`` when it is the first row, when its
-penalty is new, or when F fell by at least ETA_GROW times -g.d, and keeps
-it otherwise.  A rejected row halves the move limit and solves the last
-accepted row's LP again.  The LP, a continuous knapsack with move limits,
-is solved exactly by one sort; its multiplier feeds the projected-gradient
-stationarity test, which stops a run early, within its budget of rows.
+equilibrium problem with ``newton_solve`` from the last accepted row's
+state, or, under the small-displacement model, by one exact Newton step
+from rest.  The row is accepted when that equilibrium converged and F fell
+by at least ETA times -g.d, the reduction the last accepted row's LP step d
+predicted; the first row, a new penalty and a step at a move limit <=
+MOVE_FLOOR need no fall.  An accepted row forms the adjoint gradient and
+solves its LP.  It doubles the move limit up to ``move_limit`` when it is
+the first row, when its penalty is new, or when F fell by at least ETA_GROW
+times -g.d, and keeps it otherwise.  A rejected row halves the move limit
+and solves the last accepted row's LP again.  The LP, a continuous knapsack
+with move limits, is solved exactly by one sort; its multiplier feeds the
+projected-gradient stationarity test, which stops a run early, within its
+budget of rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .assembly import FeModel
 from .errors import (InfeasibleSubproblemError, NewtonConvergenceError,
                      SingularMatrixError)
 from .filtering import KERNELS, build_filter
-from .nonlinear import NewtonStats, Strategy, linear_equilibrium, newton_solve
+from .nonlinear import NewtonStats, Strategy, newton_solve
 from .reanalysis import COUNTS, FALLBACKS, ReanalysisContext
 from .sensitivity import objective_gradient, solve_adjoint
 from .timing import Timers
@@ -217,7 +219,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     """
     problem.require_free_dofs()
     mesh = problem.mesh
-    model = FeModel(mesh, problem.loads, problem.material)
+    model = FeModel(mesh, problem.loads, problem.material, problem.linear)
     filt = build_filter(mesh, problem.filter_radius_elements, config.filter_kernel)
     l_free = mesh.gather(problem.output_selector())
 
@@ -230,6 +232,20 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
     state = model.state(np.zeros(mesh.n_free))
     ctx = ReanalysisContext()
     timers = ctx.timers
+    # A small-strain row is exact Newton from rest whatever the strategy:
+    # one exact step, whose float64 factor of the u-independent tangent
+    # then solves the adjoint exactly too.  Under a reuse strategy a row
+    # off the refactor schedule would hold a stale factor, already demoted
+    # to float32.
+    strategy = Strategy.N if problem.linear else config.strategy
+
+    def adjoint(rho_phys, p, new):
+        if not problem.linear:
+            return solve_adjoint(model, rho_phys, p, new, l_free, strategy,
+                                 ctx)
+        with timers.scope("Linear systems"):
+            return ctx.factorization.solve(-l_free)
+
     history = RunHistory(problem.name, config.strategy.value, (mesh.nx, mesh.ny))
 
     # the last accepted row: its design, design gradient, objective and
@@ -247,12 +263,11 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 rho_phys = filt.apply(rho_design)
 
             try:
-                if problem.linear:
-                    new, nstats = linear_equilibrium(model, rho_phys, p, ctx)
-                else:
-                    new, nstats = newton_solve(
-                        model, rho_phys, p, state, config.strategy, ctx, t,
-                        monitor_normB=config.monitor_normB)
+                start = model.state(np.zeros(mesh.n_free)) \
+                    if problem.linear else state
+                new, nstats = newton_solve(
+                    model, rho_phys, p, start, strategy, ctx, t,
+                    monitor_normB=config.monitor_normB)
                 F = float(l_free @ new.u)
             except NewtonConvergenceError:
                 if grad_acc is None or move <= MOVE_FLOOR:
@@ -264,13 +279,7 @@ def optimize(problem, config: OptimizerConfig) -> RunHistory:
                 restart or move <= MOVE_FLOOR or F_acc - F >= ETA * pred)
             if accepted:
                 grow = restart or F_acc - F >= ETA_GROW * pred
-                if problem.linear:
-                    # the equilibrium factorization serves the adjoint too
-                    with timers.scope("Linear systems"):
-                        lam = ctx.factorization.solve(-l_free)
-                else:
-                    lam = solve_adjoint(model, rho_phys, p, new, l_free,
-                                        config.strategy, ctx)
+                lam = adjoint(rho_phys, p, new)
                 with timers.scope("grad F(rho)"):
                     grad_phys = objective_gradient(model, rho_phys, p, new,
                                                    lam)

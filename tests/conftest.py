@@ -14,8 +14,10 @@ from icatop.mesh import LoadCase, build_grid, fix_region
 from icatop.timing import Timers
 
 
-def make_cantilever_model(nx=12, ny=4, load=-30.0, spring=0.0):
-    """Small clamped beam used across the consistency tests.
+def make_cantilever_model(nx=12, ny=4, load=-30.0, spring=0.0,
+                          linear=False):
+    """Small clamped beam used across the consistency tests, under the
+    small-displacement law if ``linear``.
 
     The 30 N tip load keeps the response visibly nonlinear while leaving
     Newton comfortable from cold starts.
@@ -26,7 +28,7 @@ def make_cantilever_model(nx=12, ny=4, load=-30.0, spring=0.0):
     loads = LoadCase().add_load(tip, 1, load)
     if spring:
         loads.add_spring(tip, 1, spring)
-    return FeModel(mesh, loads, MaterialParams(3000.0, 0.4))
+    return FeModel(mesh, loads, MaterialParams(3000.0, 0.4), linear)
 
 
 def full_csr(K):

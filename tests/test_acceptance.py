@@ -18,8 +18,7 @@ from conftest import factored_context, rest_state, sweep_iterates
 from icatop import bench, nonlinear, reanalysis
 from icatop.assembly import FeModel
 from icatop.material import MaterialParams
-from icatop.nonlinear import (Strategy, linear_equilibrium, newton_solve,
-                              predicted_factorizations)
+from icatop.nonlinear import Strategy, newton_solve, predicted_factorizations
 from icatop.optimizer import OptimizerConfig, optimize, slp_subproblem
 from icatop.reanalysis import ReanalysisContext, estimate_norm_B, ica_solve
 from icatop.sensitivity import objective_gradient, solve_adjoint
@@ -326,7 +325,10 @@ def test_criterion_10_linear_limit(monkeypatch):
     nl, _ = newton_solve(model, rho, 3.0,
                          rest_state(model),
                          Strategy.N, ctx, 1)
-    lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
+    linear = FeModel(prob.mesh, prob.loads, prob.material, linear=True)
+    linear.f_free = model.f_free
+    lin, _ = newton_solve(linear, rho, 3.0, rest_state(linear), Strategy.N,
+                          ReanalysisContext(), 1)
     rel = np.abs(nl.u - lin.u).max() / np.abs(lin.u).max()
     assert rel <= 1e-3, rel
     announce(10, f"scaled-load displacements agree to rel {rel:.2e}")

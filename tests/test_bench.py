@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import rest_state
 from icatop import bench, nonlinear
-from icatop.nonlinear import Strategy, linear_equilibrium, newton_solve
+from icatop.nonlinear import Strategy, newton_solve
 from icatop.optimizer import OptimizerConfig, optimize
 from icatop.reanalysis import ReanalysisContext
 from icatop.assembly import FeModel
@@ -132,16 +134,12 @@ def test_optimize_rejects_a_mesh_with_no_free_dof(linear):
     # what fails, up front and naming the problem and its mesh
     problem = bench.slender(mesh=(1, 1))
     if linear:
-        problem = bench.linear_mode(problem)
+        problem = replace(problem, linear=True)
     with pytest.raises(ValueError, match="mesh 1x1 leaves slender no free DOFs"):
         optimize(problem, OptimizerConfig(budget=2))
 
 
 class TestLinearMode:
-    def test_flag_set(self):
-        prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
-        assert prob.linear
-
     def test_tiny_load_limit_matches_linear_solve(self, monkeypatch):
         prob = bench.build("cantilever", mesh=(12, 4))
         model = FeModel(prob.mesh, prob.loads, prob.material)
@@ -153,23 +151,25 @@ class TestLinearMode:
         nl, _ = newton_solve(model, rho, 3.0,
                              rest_state(model),
                              Strategy.N, ctx, 1)
-        lin, _ = linear_equilibrium(model, rho, 3.0, ReanalysisContext())
+        linear = FeModel(prob.mesh, prob.loads, prob.material, linear=True)
+        linear.f_free = model.f_free
+        lin, _ = newton_solve(linear, rho, 3.0, rest_state(linear),
+                              Strategy.N, ReanalysisContext(), 1)
         assert np.abs(nl.u - lin.u).max() <= 1e-3 * np.abs(lin.u).max()
 
     def test_linear_compliance_quadratic_in_load(self):
-        prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
+        prob = replace(bench.build("cantilever", mesh=(12, 4)), linear=True)
         h1 = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=0))
         # doubling the load through a scaled problem quadruples compliance
-        import dataclasses
         from icatop.mesh import LoadCase
         doubled = LoadCase([(n, a, 2 * m) for n, a, m in prob.loads.point_loads],
                            list(prob.loads.springs), list(prob.loads.output_dofs))
-        prob2 = dataclasses.replace(prob, loads=doubled)
+        prob2 = replace(prob, loads=doubled)
         h2 = optimize(prob2, OptimizerConfig(strategy=Strategy.N, budget=0))
         assert h2.final_objective == pytest.approx(4.0 * h1.final_objective,
                                                    rel=1e-12)
 
     def test_linear_run_single_factorization_per_evaluation(self):
-        prob = bench.linear_mode(bench.build("cantilever", mesh=(12, 4)))
+        prob = replace(bench.build("cantilever", mesh=(12, 4)), linear=True)
         h = optimize(prob, OptimizerConfig(strategy=Strategy.N, budget=5))
         assert all(f == 1 for f in h.factorizations)

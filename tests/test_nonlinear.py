@@ -6,8 +6,8 @@ from conftest import (factored_context, linear_rest_state,
 from icatop import nonlinear
 from icatop.errors import NewtonConvergenceError
 from icatop.nonlinear import (STALE_CAP, Action, ReusePolicy, Strategy,
-                              armijo_linesearch, linear_equilibrium,
-                              newton_solve, predicted_factorizations)
+                              armijo_linesearch, newton_solve,
+                              predicted_factorizations)
 from icatop.reanalysis import FALLBACKS, REASONS, ReanalysisContext
 from icatop.sparse import SparseSym
 
@@ -421,10 +421,12 @@ class TestFactorizationPrediction:
 
 
 def test_linear_equilibrium_solves_density_only_system():
-    model = make_cantilever_model(load=-5.0)
+    # on a small-displacement model Newton solves the density-only system
+    model = make_cantilever_model(load=-5.0, linear=True)
     rho = np.full(model.mesh.n_el, 0.7)
     ctx = ReanalysisContext()
-    state, st = linear_equilibrium(model, rho, 3.0, ctx)
+    state, st = newton_solve(model, rho, 3.0, rest_state(model), Strategy.N,
+                             ctx, 1)
     u = state.u
     K = model.tangent(rho, 3.0, linear_rest_state(model))
     assert np.abs(K.matvec(u) - model.f_free).max() <= 1e-10 * np.abs(model.f_free).max()
@@ -433,8 +435,22 @@ def test_linear_equilibrium_solves_density_only_system():
     assert np.abs(model.residual(rho, 3.0, state) - K.matvec(u) + model.f_free
                   ).max() <= 1e-10 * np.abs(model.f_free).max()
     # compliance is quadratic in the load for the linear model
-    model2 = make_cantilever_model(load=-10.0)
-    state2, _ = linear_equilibrium(model2, rho, 3.0, ReanalysisContext())
+    model2 = make_cantilever_model(load=-10.0, linear=True)
+    state2, _ = newton_solve(model2, rho, 3.0, rest_state(model2),
+                             Strategy.N, ReanalysisContext(), 1)
     c1 = model.f_free @ u
     c2 = model2.f_free @ state2.u
     assert c2 == pytest.approx(4.0 * c1, rel=1e-12)
+
+
+def test_small_strain_tangent_is_formed_again_under_its_law():
+    # newton_solve drops the tangents of each state it steps away from; a
+    # small-displacement model forms them again as its own, not as the
+    # large-displacement tangents at the state's u
+    model = make_cantilever_model(linear=True)
+    rho = np.full(model.mesh.n_el, 0.7)
+    start = model.state(np.full(model.mesh.n_free, 0.01))
+    newton_solve(model, rho, 3.0, start, Strategy.N, ReanalysisContext(), 1)
+    assert start.tangents is None
+    assert np.array_equal(model.tangent(rho, 3.0, start).data,
+                          model.tangent(rho, 3.0, rest_state(model)).data)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def run_small(strategy):
     mode."""
     prob = bench.build("cantilever", mesh=(20, 5))
     if strategy == "linear":
-        prob, strategy = bench.linear_mode(prob), Strategy.N
+        prob, strategy = replace(prob, linear=True), Strategy.N
     return optimize(prob, OptimizerConfig(strategy=strategy, budget=8))
 
 
@@ -630,7 +631,7 @@ class TestObjectiveError:
     @pytest.mark.parametrize("strategy", [Strategy.N, Strategy.UPK03K100G])
     def test_linear_mode_is_exact_to_roundoff(self, problem, strategy):
         # one exact solve per row leaves only the roundoff residual
-        h = optimize(bench.linear_mode(bench.desk(problem)),
+        h = optimize(replace(bench.desk(problem), linear=True),
                      OptimizerConfig(strategy=strategy, budget=10))
         assert all(h.accepted)
         for F, error in zip(h.objective, h.objective_error):

@@ -10,6 +10,7 @@ and no reason), and a second run books a bitwise-identical history.
 """
 
 import warnings
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,10 @@ def run(problem, config):
 # of the move limit
 @example(name="gripper", nx=12, ny=6, strategy=Strategy.UPK100G, budget=20,
          move=0.2, kernel="cone", linear=False, converge=None)
+# upK03K100g refactors on every third row only: small-strain rows 7 and 8,
+# off that schedule, still solve exactly, with the adjoint on their factor
+@example(name="cantilever", nx=10, ny=5, strategy=Strategy.UPK03K100G,
+         budget=8, move=0.2, kernel="cone", linear=True, converge=None)
 @given(name=st.sampled_from(sorted(bench.BUILDERS)),
        nx=st.integers(2, 15), ny=st.integers(2, 9),
        strategy=st.sampled_from(list(Strategy)), budget=st.integers(6, 20),
@@ -58,7 +63,7 @@ def test_small_runs_finish_cleanly_and_repeat(name, nx, ny, strategy, budget,
                                               move, kernel, linear, converge):
     problem = bench.build(name, mesh=(nx, ny))
     if linear:
-        problem = bench.linear_mode(problem)
+        problem = replace(problem, linear=True)
     config = OptimizerConfig(strategy=strategy, budget=budget,
                              converge_tol=converge, move_limit=move,
                              filter_kernel=kernel)
